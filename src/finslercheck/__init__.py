@@ -53,6 +53,7 @@ from .functions1d import (
 from .numerics import (
     FDConfig,
     hermitian_inverse_det,
+    per_point,
     positive_definite,
     wirtinger_gradient,
     wirtinger_mixed_hessian,
@@ -64,7 +65,6 @@ from .profiles import (
     euclidean_profile,
     hermitian_profile,
     model_profile,
-    phi_jet,
     profile_from_descriptor,
     randers_profile,
     wk_randers_profile,

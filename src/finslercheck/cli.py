@@ -36,7 +36,7 @@ from .errors import (
     ZeroVector,
 )
 from .numerics import FDConfig
-from .report import emit_report
+from .report import emit_json, emit_report
 from .sampling import SampleSpec
 from .suite import CHECK_NAMES, SuiteConfig, SuiteReport, run_suite
 
@@ -159,37 +159,23 @@ def _run_single(args, checks) -> int:
 
 
 def _run_models(args) -> int:
-    worst = 0
+    sample = SampleSpec(n=args.n, count=args.samples, seed=args.seed,
+                        s_fraction_range=tuple(args.s_range))
+    fd = FDConfig(step=args.fd_step, richardson_levels=args.fd_levels)
     reports = {}
-    for tag in ("k4", "k0", "km4"):
-        k, pretty = _MODEL_TAGS[tag]
-        sample = SampleSpec(n=args.n, count=args.samples, seed=args.seed,
-                            s_fraction_range=tuple(args.s_range))
-        fd = FDConfig(step=args.fd_step, richardson_levels=args.fd_levels)
+    for tag, (k, _) in _MODEL_TAGS.items():
         config = SuiteConfig(profile={"family": "model", "k": k, "c": args.c},
                              sample=sample, fd=fd,
                              checks=("curvature", "wk_phi", "wk_uw", "lemma", "k2k3"),
                              include_timestamp=args.timestamp)
-        report = run_suite(config)
-        reports[tag] = report
-        _summarize(report, f"model k={pretty} c={args.c}")
-        if not report.passed:
-            worst = 1
+        reports[tag] = run_suite(config)
     # the combined report is always JSON regardless of --format
-    combined = {
-        "schema_version": reports["k4"].schema_version,
-        "models": {tag: rep.to_dict() for tag, rep in reports.items()},
-    }
-    from .report import _write_json
-    out = []
-    _write_json(combined, out)
-    text = "".join(out) + "\n"
-    if args.out:
-        from pathlib import Path
-        Path(args.out).write_text(text, encoding="utf-8", newline="\n")
-    else:
-        sys.stdout.write(text)
-    return worst
+    emit_json({"schema_version": reports["k4"].schema_version,
+               "models": {tag: rep.to_dict() for tag, rep in reports.items()}},
+              destination=args.out)
+    for tag, report in reports.items():
+        _summarize(report, f"model k={_MODEL_TAGS[tag][1]} c={args.c}")
+    return 0 if all(report.passed for report in reports.values()) else 1
 
 
 def main(argv=None) -> int:

@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import DegenerateK1, DegenerateUs, DomainViolation, NotWeaklyKahler
 from .jets import Jet2
-from .numerics import FDConfig, wirtinger_gradient
+from .numerics import FDConfig, per_point, wirtinger_gradient
 from .profiles import MetricProfile, PhiJet
 from .tensors import (
     K1_DEGENERACY,
@@ -253,7 +253,7 @@ def holomorphic_curvature_direct(profile: MetricProfile, pv: PointVector,
     scale_z = max(1.0, float(np.max(np.abs(v))))
     dz = v / scale_z
     _, anti_z = wirtinger_gradient(
-        lambda tau: _spray_vector(profile, z + tau[0] * dz, v),
+        per_point(lambda tau: _spray_vector(profile, z + tau[0] * dz, v)),
         np.zeros(1, dtype=complex), cfg)
     term1 = anti_z[0] * scale_z
 
@@ -263,7 +263,7 @@ def holomorphic_curvature_direct(profile: MetricProfile, pv: PointVector,
     else:
         dv = spray0 / scale_v
         _, anti_v = wirtinger_gradient(
-            lambda tau: _spray_vector(profile, z, v + tau[0] * dv),
+            per_point(lambda tau: _spray_vector(profile, z, v + tau[0] * dv)),
             np.zeros(1, dtype=complex), cfg)
         term2 = anti_v[0] * scale_v
 

@@ -61,8 +61,8 @@ class DegenerateUs(FinslerCheckError):
 
 # --- harness ---
 
-class ConfigError(FinslerCheckError):
-    """Suite or CLI configuration failed validation."""
+class ConfigError(FinslerCheckError, ValueError):
+    """Suite or CLI configuration failed validation (also a ValueError)."""
 
 
 class EmptyAfterRejection(FinslerCheckError):

@@ -13,11 +13,17 @@ Positivity is a role requirement, not a construction invariant: the same type
 carries the strictly positive f of a Hermitian or Randers profile and the
 signed coefficient g, so profile constructors probe the sign properties they
 actually need.
+
+``derivs`` and ``contains`` take a float t or a numpy array of them (the
+finite-difference oracles evaluate a whole stencil at once); each member has
+one formula for both.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from .errors import InvalidCatalogEntry
 
@@ -35,12 +41,32 @@ def _finite(*xs) -> bool:
     return all(isinstance(x, (int, float)) and math.isfinite(x) for x in xs)
 
 
+# exp and pow of an array go through libm entry by entry: numpy's vectorised
+# versions differ from it in the last ulp on a few percent of inputs, and an
+# array result must carry the same bits as the scalar one at each point
+
+def _exp(t):
+    if isinstance(t, np.ndarray):
+        return np.array([math.exp(x) for x in t.ravel().tolist()]).reshape(t.shape)
+    return math.exp(t)
+
+
+def _array_pow(x, p):
+    return np.array([v ** p for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+def _pow_for(t):
+    """The ``**`` to use with t: the builtin for floats, entry by entry for arrays."""
+    return _array_pow if isinstance(t, np.ndarray) else pow
+
+
 class ScalarFunction1D:
     """A function of t >= 0 with evaluators for f and its first derivatives.
 
-    ``derivs(t, order)`` returns the tuple (f, f', ..., f^(order)).  The open
-    interval ``t_interval`` (optionally closed at the left end) is where the
-    evaluators are defined and finite.
+    ``derivs(t, order)`` returns the tuple (f, f', ..., f^(order)), each entry
+    a float or an array shaped like t (constant entries may stay floats).  The
+    open interval ``t_interval`` (optionally closed at the left end) is where
+    the evaluators are defined and finite.
     """
 
     max_order = 4
@@ -53,11 +79,11 @@ class ScalarFunction1D:
     def value(self, t: float) -> float:
         return self.derivs(t, 0)[0]
 
-    def contains(self, t: float) -> bool:
+    def contains(self, t):
+        """t lies in the interval: a bool, or a boolean mask for an array t."""
         lo, hi = self.t_interval
-        if self.closed_lo:
-            return lo <= t < hi
-        return lo < t < hi
+        above = lo <= t if self.closed_lo else lo < t
+        return above & (t < hi)
 
     def descriptor(self) -> dict:
         raise NotImplementedError
@@ -115,10 +141,11 @@ class Power(ScalarFunction1D):
 
     def derivs(self, t, order):
         self._check_order(order)
+        pw = _pow_for(t)
         out = []
         coeff = self.c
         for k in range(order + 1):
-            out.append(coeff * t ** (self.p - k))
+            out.append(coeff * pw(t, self.p - k))
             coeff *= (self.p - k)
         return tuple(out)
 
@@ -139,7 +166,7 @@ class Exponential(ScalarFunction1D):
 
     def derivs(self, t, order):
         self._check_order(order)
-        e = self.c * math.exp(self.a * t)
+        e = self.c * _exp(self.a * t)
         return tuple(e * self.a ** k for k in range(order + 1))
 
     def descriptor(self):
@@ -162,16 +189,18 @@ class Rational(ScalarFunction1D):
     def derivs(self, t, order):
         self._check_order(order)
         a, b = self.a, self.b
+        pw = _pow_for(t)
         D = a + b * t * t
         out = [t / D]
         if order >= 1:
-            out.append((a - b * t * t) / D ** 2)
+            out.append((a - b * t * t) / pw(D, 2))
         if order >= 2:
-            out.append(-2.0 * b * t * (3.0 * a - b * t * t) / D ** 3)
+            out.append(-2.0 * b * t * (3.0 * a - b * t * t) / pw(D, 3))
         if order >= 3:
-            out.append(-6.0 * b * (a * a - 6.0 * a * b * t * t + (b * t * t) ** 2) / D ** 4)
+            out.append(-6.0 * b * (a * a - 6.0 * a * b * t * t + pw(b * t * t, 2)) / pw(D, 4))
         if order >= 4:
-            out.append(24.0 * b * b * t * (5.0 * a * a - 10.0 * a * b * t * t + (b * t * t) ** 2) / D ** 5)
+            out.append(24.0 * b * b * t * (5.0 * a * a - 10.0 * a * b * t * t
+                                           + pw(b * t * t, 2)) / pw(D, 5))
         return tuple(out)
 
     def descriptor(self):
@@ -239,15 +268,18 @@ class _WkDerived(ScalarFunction1D):
     def derivs(self, t, order):
         self._check_order(order)
         e = self._sign
+        pw = _pow_for(t)
         f = self.base.derivs(t, order + 1)
         out = [0.5 * f[1] + e * 0.5 * f[0] / t]
         if order >= 1:
-            out.append(0.5 * f[2] + e * (0.5 * f[1] / t - 0.5 * f[0] / t ** 2))
+            t2 = pw(t, 2)
+            out.append(0.5 * f[2] + e * (0.5 * f[1] / t - 0.5 * f[0] / t2))
         if order >= 2:
-            out.append(0.5 * f[3] + e * (0.5 * f[2] / t - f[1] / t ** 2 + f[0] / t ** 3))
+            t3 = pw(t, 3)
+            out.append(0.5 * f[3] + e * (0.5 * f[2] / t - f[1] / t2 + f[0] / t3))
         if order >= 3:
-            out.append(0.5 * f[4] + e * (0.5 * f[3] / t - 1.5 * f[2] / t ** 2
-                                         + 3.0 * f[1] / t ** 3 - 3.0 * f[0] / t ** 4))
+            out.append(0.5 * f[4] + e * (0.5 * f[3] / t - 1.5 * f[2] / t2
+                                         + 3.0 * f[1] / t3 - 3.0 * f[0] / pw(t, 4)))
         return tuple(out)
 
 

@@ -11,17 +11,32 @@ optionally Richardson-extrapolated over step halvings (error orders 4, 6, 8, ...
 These routines are the independent oracle that every closed-form tensor in the
 rest of the package is checked against, so they deliberately share no code with
 the analytic jet machinery.
+
+Field contract.  A field takes m points at once, as the columns of a complex
+array ``w`` of shape (dim, m): ``w[a]`` is coordinate a at every point.  It
+returns its values with a trailing axis of length m, so shape (m,) for a
+scalar field and (k, m) or (k, l, m) for a vector or matrix field.  Each call
+of ``wirtinger_gradient``, ``wirtinger_second`` or ``wirtinger_mixed_hessian``
+builds every point it needs (all axes, all index pairs, all Richardson levels
+and, for the Hessian, the centre) and calls the field once, with each distinct
+point once.  A DomainViolation raised by the field becomes
+StencilOutsideDomain, and a non-finite value at any point raises
+NonFiniteEvaluation.  ``per_point`` adapts a function of one point to the
+contract.  Each estimate is accumulated as acc = acc + w_k F_k in stencil
+order, so it carries the same bits as a point-by-point evaluation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DomainViolation,
     HermitianViolation,
     NonFiniteEvaluation,
@@ -31,6 +46,7 @@ from .errors import (
 
 __all__ = [
     "FDConfig",
+    "per_point",
     "wirtinger_gradient",
     "wirtinger_mixed_hessian",
     "wirtinger_second",
@@ -43,10 +59,6 @@ DEFAULT_STEP = 1e-3
 DEFAULT_TOL_HERM = 1e-8
 DEFAULT_TOL_PD = 1e-12
 
-# offsets/weights of the 4th-order central first-derivative stencil
-_D1_OFFSETS = (-2.0, -1.0, 1.0, 2.0)
-_D1_WEIGHTS = (1.0, -8.0, 8.0, -1.0)  # divided by 12 h
-
 
 @dataclass(frozen=True)
 class FDConfig:
@@ -54,7 +66,8 @@ class FDConfig:
 
     ``step`` is a relative base step: the actual spacing used at a point p is
     ``step * max(1, |p|_inf)``.  ``richardson_levels`` halvings of the step are
-    combined by Richardson extrapolation (1 means plain stencils).
+    combined by Richardson extrapolation (1 means plain stencils).  Invalid
+    values raise ConfigError, which is also a ValueError.
     """
 
     step: float = DEFAULT_STEP
@@ -64,50 +77,58 @@ class FDConfig:
 
     def __post_init__(self):
         if not (0.0 < self.step < 1.0):
-            raise ValueError(f"step must lie in (0, 1), got {self.step}")
+            raise ConfigError(f"step must lie in (0, 1), got {self.step}")
         if not (1 <= int(self.richardson_levels) <= 4):
-            raise ValueError("richardson_levels must be an integer in [1, 4]")
+            raise ConfigError("richardson_levels must be an integer in [1, 4]")
         if self.tol_herm <= 0.0 or self.tol_pd <= 0.0:
-            raise ValueError("tolerances must be positive")
+            raise ConfigError("tolerances must be positive")
 
 
-def _probe(field: Callable, point: np.ndarray) -> np.ndarray:
-    """Evaluate ``field`` at ``point``, policing finiteness and domain."""
+@dataclass(frozen=True, eq=False)
+class _Stencil:
+    """At step h the estimate is sum_k weights[k] F(p + h offsets[k] . dirs) / (norm h^power)."""
+
+    weights: tuple
+    offsets: tuple      # per point, one multiple of h for each direction of the line
+    norm: float
+    power: int
+
+    def denominator(self, h: float) -> float:
+        return self.norm * h if self.power == 1 else self.norm * h * h
+
+
+# 4th-order central first derivative, 4th-order second derivative along one
+# real line, and the tensor product of two first-derivative stencils
+_D1 = _Stencil((1.0, -8.0, 8.0, -1.0), ((-2.0,), (-1.0,), (1.0,), (2.0,)), 12.0, 1)
+_D2 = _Stencil((-1.0, 16.0, -30.0, 16.0, -1.0),
+               ((2.0,), (1.0,), (0.0,), (-1.0,), (-2.0,)), 12.0, 2)
+_D2_CROSS = _Stencil(tuple(wa * wb for wa in _D1.weights for wb in _D1.weights),
+                     tuple((ka, kb) for (ka,) in _D1.offsets for (kb,) in _D1.offsets),
+                     144.0, 2)
+
+
+def per_point(fn: Callable) -> Callable:
+    """Adapt ``fn``, a function of one point, to the column field contract."""
+    return lambda w: np.stack([fn(p) for p in w.T], axis=-1)
+
+
+def _evaluate(field: Callable, columns: np.ndarray) -> np.ndarray:
+    """The field at the points ``columns`` (dim, m), policing domain and finiteness."""
+    m = columns.shape[1]
     try:
-        value = field(point)
+        values = field(columns)
     except DomainViolation as exc:
         raise StencilOutsideDomain(f"stencil point rejected: {exc}") from exc
-    arr = np.asarray(value, dtype=complex)
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteEvaluation(f"field returned non-finite value at stencil point {point!r}")
-    return arr
-
-
-def _d1(field, point, direction, h):
-    """4th-order first derivative along the real line tau -> point + tau*direction."""
-    acc = 0.0
-    for w, k in zip(_D1_WEIGHTS, _D1_OFFSETS):
-        acc = acc + w * _probe(field, point + (k * h) * direction)
-    return acc / (12.0 * h)
-
-
-def _d2_same(field, point, direction, h):
-    """4th-order second derivative along a single real line."""
-    f0 = _probe(field, point)
-    fp1 = _probe(field, point + h * direction)
-    fm1 = _probe(field, point - h * direction)
-    fp2 = _probe(field, point + (2.0 * h) * direction)
-    fm2 = _probe(field, point - (2.0 * h) * direction)
-    return (-fp2 + 16.0 * fp1 - 30.0 * f0 + 16.0 * fm1 - fm2) / (12.0 * h * h)
-
-
-def _d2_cross(field, point, dir_a, dir_b, h):
-    """Tensor product of two first-derivative stencils along distinct real lines."""
-    acc = 0.0
-    for wa, ka in zip(_D1_WEIGHTS, _D1_OFFSETS):
-        for wb, kb in zip(_D1_WEIGHTS, _D1_OFFSETS):
-            acc = acc + (wa * wb) * _probe(field, point + (ka * h) * dir_a + (kb * h) * dir_b)
-    return acc / (144.0 * h * h)
+    values = np.asarray(values, dtype=complex)
+    finite = np.isfinite(values)
+    if not finite.all():
+        per_point = finite.reshape(-1, finite.shape[-1]).all(axis=0) if finite.ndim else [False]
+        where = columns[:, int(np.argmin(per_point)) % m]
+        raise NonFiniteEvaluation(f"field returned non-finite value at stencil point {where!r}")
+    if values.shape[-1:] != (m,):
+        raise ValueError(f"field returned shape {values.shape} for {m} points; "
+                         "values need a trailing axis with one entry per point")
+    return values
 
 
 def _richardson(values: Sequence):
@@ -130,107 +151,182 @@ def _base_step(point: np.ndarray, cfg: FDConfig) -> float:
     return cfg.step * max(1.0, scale)
 
 
-def _rich_d1(field, point, direction, cfg):
+def _as_point(point) -> np.ndarray:
+    point = np.atleast_1d(np.asarray(point, dtype=complex))
+    if not np.all(np.isfinite(point)):
+        raise NonFiniteEvaluation("differentiation point is not finite")
+    return point
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """Stencil geometry of a set of lines, independent of the point and the step."""
+
+    moves: tuple            # per direction: (point, coordinate, imaginary 0/1, multiple of h0)
+    size: int               # distinct points
+    inverse: np.ndarray     # distinct point of each stencil row
+    groups: tuple           # (stencil, indices of its lines), rows in this order
+
+
+_UNITS = np.array([1.0, 1j])
+
+
+@lru_cache(maxsize=64)
+def _plan(lines: tuple, levels: int, centre: bool) -> _Plan:
+    """Rows ordered by stencil, then line, level and stencil point; the centre last.
+
+    Level l has step h0 / 2^l and the offsets are +-1 or +-2 steps, so every
+    coordinate shift is an exact multiple k / 2^l of h0 and equal shifts are
+    equal bits: each distinct point is evaluated once.
+    """
+    groups, rows = [], []
+    for stencil in dict.fromkeys(st for st, _ in lines):
+        idx = tuple(i for i, (st, _) in enumerate(lines) if st is stencil)
+        groups.append((stencil, idx))
+        for i in idx:
+            for level in range(levels):
+                for offset in stencil.offsets:
+                    rows.append(frozenset((a, imaginary, k / 2.0 ** level)
+                                          for (a, imaginary), k in zip(lines[i][1], offset)
+                                          if k))
+    if centre:
+        rows.append(frozenset())
+    distinct = {}
+    inverse = [distinct.setdefault(row, len(distinct)) for row in rows]
+    moves = ([], [])
+    for point, row in enumerate(distinct):
+        for slot, move in enumerate(sorted(row)):
+            moves[slot].append((point,) + move)
+    # compact dtypes: the cache holds every plan for the life of the process
+    return _Plan(tuple(tuple(_frozen(col, dtype)
+                             for col, dtype in zip(zip(*m), (np.int32, np.int32, np.int8, float)))
+                       for m in moves if m),
+                 len(distinct), _frozen(inverse, np.int32), tuple(groups))
+
+
+def _frozen(values, dtype) -> np.ndarray:
+    """A read-only array: cached plans are shared by every caller."""
+    out = np.array(values, dtype=dtype)
+    out.setflags(write=False)
+    return out
+
+
+def _estimates(field: Callable, point: np.ndarray, lines: tuple, cfg: FDConfig,
+               centre: bool = False):
+    """Richardson-extrapolated stencil estimates along ``lines``, from one field call.
+
+    A line is ``(stencil, axes)`` with one ``(coordinate, imaginary)`` axis per
+    offset coordinate of the stencil.  Returns the estimates, with one entry
+    per line on the last axis, and the field's value at ``point`` (None unless
+    ``centre``).
+    """
+    plan = _plan(lines, cfg.richardson_levels, centre)
     h0 = _base_step(point, cfg)
-    return _richardson([_d1(field, point, direction, h0 / 2.0 ** k)
-                        for k in range(cfg.richardson_levels)])
+    steps = [h0 / 2.0 ** k for k in range(cfg.richardson_levels)]
+    columns = np.repeat(point[:, None], plan.size, axis=1)
+    # p + (k h) e_a + (k' h) e_b with the bits of a point-by-point stencil
+    for at, coord, imaginary, multiple in plan.moves:
+        columns[coord, at] += (multiple * h0) * _UNITS[imaginary]
+    values = _evaluate(field, columns)[..., plan.inverse]
 
-
-def _rich_d2_same(field, point, direction, cfg):
-    h0 = _base_step(point, cfg)
-    return _richardson([_d2_same(field, point, direction, h0 / 2.0 ** k)
-                        for k in range(cfg.richardson_levels)])
-
-
-def _rich_d2_cross(field, point, dir_a, dir_b, cfg):
-    h0 = _base_step(point, cfg)
-    return _richardson([_d2_cross(field, point, dir_a, dir_b, h0 / 2.0 ** k)
-                        for k in range(cfg.richardson_levels)])
-
-
-def _unit(m: int, i: int) -> np.ndarray:
-    e = np.zeros(m, dtype=complex)
-    e[i] = 1.0
-    return e
+    lead = values.shape[:-1]
+    out = np.empty(lead + (len(lines),), dtype=complex)
+    start = 0
+    for stencil, idx in plan.groups:
+        shape = (len(idx), len(steps), len(stencil.weights))
+        size = shape[0] * shape[1] * shape[2]
+        block = values[..., start:start + size].reshape(lead + shape)
+        start += size
+        acc = 0.0
+        for k, w in enumerate(stencil.weights):
+            acc = acc + w * block[..., k]
+        levels = acc / np.array([stencil.denominator(step) for step in steps])
+        out[..., idx] = _richardson([levels[..., k] for k in range(len(steps))])
+    return out, (values[..., -1] if centre else None)
 
 
 def wirtinger_gradient(field: Callable, point, cfg: FDConfig | None = None):
     """Holomorphic and anti-holomorphic first derivatives of ``field`` at ``point``.
 
-    ``field`` maps a complex vector of length m to a complex scalar (or array;
-    array outputs are differentiated componentwise).  Returns ``(holo, anti)``
-    with ``holo[a] ~ d field / d w^a`` and ``anti[a] ~ d field / d wbar^a``.
-    For a real-valued field ``anti = conj(holo)``.
+    ``field`` follows the column contract of this module; a vector or matrix
+    field is differentiated componentwise.  Returns ``(holo, anti)`` with
+    ``holo[a] ~ d field / d w^a`` and ``anti[a] ~ d field / d wbar^a``.  For a
+    real-valued field ``anti = conj(holo)``.
     """
     cfg = cfg or FDConfig()
-    point = np.atleast_1d(np.asarray(point, dtype=complex))
-    if not np.all(np.isfinite(point)):
-        raise NonFiniteEvaluation("differentiation point is not finite")
-    m = point.size
-    holo, anti = [], []
-    for a in range(m):
-        e = _unit(m, a)
-        dx = _rich_d1(field, point, e, cfg)
-        dy = _rich_d1(field, point, 1j * e, cfg)
-        holo.append(0.5 * (dx - 1j * dy))
-        anti.append(0.5 * (dx + 1j * dy))
-    return np.stack(holo), np.stack(anti)
+    point = _as_point(point)
+    lines = tuple((_D1, ((a, imaginary),))
+                  for a in range(point.size) for imaginary in (False, True))
+    est, _ = _estimates(field, point, lines, cfg)
+    dx, dy = est[..., 0::2], est[..., 1::2]
+    holo = np.moveaxis(0.5 * (dx - 1j * dy), -1, 0)
+    anti = np.moveaxis(0.5 * (dx + 1j * dy), -1, 0)
+    return np.ascontiguousarray(holo), np.ascontiguousarray(anti)
 
 
-def wirtinger_second(field: Callable, point, i: int, j: int,
-                     conj_i: bool, conj_j: bool, cfg: FDConfig | None = None) -> complex:
-    """One mixed second Wirtinger derivative, selected by index and bar-flags.
+def wirtinger_second(field: Callable, point, i, j,
+                     conj_i: bool, conj_j: bool, cfg: FDConfig | None = None):
+    """Mixed second Wirtinger derivatives of a scalar field, selected by index and bar-flags.
 
     Returns ``d^2 field / d w_i^(ci) d w_j^(cj)`` where a True flag picks the
-    conjugated variable.  The four real-axis second derivatives entering the
-    combination are true 2-D stencils, never nested first differences.
+    conjugated variable.  ``i`` and ``j`` may be integer arrays that broadcast
+    together: every derivative they select then comes from one field call, in
+    an array of their broadcast shape.  The four real-axis second derivatives
+    entering each combination are true 2-D stencils, never nested first
+    differences.
     """
     cfg = cfg or FDConfig()
-    point = np.atleast_1d(np.asarray(point, dtype=complex))
-    m = point.size
+    point = _as_point(point)
+    ii, jj = np.broadcast_arrays(np.asarray(i), np.asarray(j))
+    lines, parts = [], []
+
+    def line(stencil, *axes):
+        lines.append((stencil, axes))
+        return len(lines) - 1
+
+    for a, b in zip(ii.ravel().tolist(), jj.ravel().tolist()):
+        ex_a, ey_a, ex_b, ey_b = (a, False), (a, True), (b, False), (b, True)
+        if a == b:
+            xy = line(_D2_CROSS, ex_a, ey_a)
+            parts.append((line(_D2, ex_a), line(_D2, ey_a), xy, xy))
+        else:
+            parts.append((line(_D2_CROSS, ex_a, ex_b), line(_D2_CROSS, ey_a, ey_b),
+                          line(_D2_CROSS, ex_a, ey_b), line(_D2_CROSS, ey_a, ex_b)))
+    est, _ = _estimates(field, point, tuple(lines), cfg)
+    cxx, cyy, cxy, cyx = (est[..., np.reshape(k, ii.shape)] for k in zip(*parts))
     s1 = 1.0 if conj_i else -1.0
     s2 = 1.0 if conj_j else -1.0
-    ex_i, ey_i = _unit(m, i), 1j * _unit(m, i)
-    ex_j, ey_j = _unit(m, j), 1j * _unit(m, j)
-    if i == j:
-        cxx = _rich_d2_same(field, point, ex_i, cfg)
-        cyy = _rich_d2_same(field, point, ey_i, cfg)
-        cxy = _rich_d2_cross(field, point, ex_i, ey_i, cfg)
-        cyx = cxy
-    else:
-        cxx = _rich_d2_cross(field, point, ex_i, ex_j, cfg)
-        cyy = _rich_d2_cross(field, point, ey_i, ey_j, cfg)
-        cxy = _rich_d2_cross(field, point, ex_i, ey_j, cfg)
-        cyx = _rich_d2_cross(field, point, ey_i, ex_j, cfg)
-    return complex(0.25 * (cxx + s2 * 1j * cxy + s1 * 1j * cyx - s1 * s2 * cyy))
+    out = 0.25 * (cxx + s2 * 1j * cxy + s1 * 1j * cyx - s1 * s2 * cyy)
+    return complex(out) if np.ndim(out) == 0 else out
 
 
 def wirtinger_mixed_hessian(field: Callable, point, cfg: FDConfig | None = None) -> np.ndarray:
-    """Mixed Hessian H[a, b] ~ d^2 field / d w^a d wbar^b.
+    """Mixed Hessian H[a, b] ~ d^2 field / d w^a d wbar^b of a scalar field.
 
     For a real-valued field the result must be Hermitian; an asymmetry beyond
     ``cfg.tol_herm`` (absolute, on the unit-scaled matrix) raises
     HermitianViolation, otherwise the Hermitian average is returned.
     """
     cfg = cfg or FDConfig()
-    point = np.atleast_1d(np.asarray(point, dtype=complex))
+    point = _as_point(point)
     m = point.size
-    center = complex(np.asarray(_probe(field, point), dtype=complex).reshape(()))
+    pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
+    lines = [(_D2, ((a, imaginary),)) for a in range(m) for imaginary in (False, True)]
+    for a, b in pairs:
+        ex_a, ey_a, ex_b, ey_b = (a, False), (a, True), (b, False), (b, True)
+        lines += [(_D2_CROSS, (ex_a, ex_b)), (_D2_CROSS, (ey_a, ey_b)),
+                  (_D2_CROSS, (ex_a, ey_b)), (_D2_CROSS, (ey_a, ex_b))]
+    est, at_point = _estimates(field, point, tuple(lines), cfg, centre=True)
+    center = complex(at_point.reshape(()))
     H = np.zeros((m, m), dtype=complex)
-    for a in range(m):
-        ex_a, ey_a = _unit(m, a), 1j * _unit(m, a)
-        dxx = _rich_d2_same(field, point, ex_a, cfg)
-        dyy = _rich_d2_same(field, point, ey_a, cfg)
-        H[a, a] = 0.25 * (dxx + dyy)
-        for b in range(a + 1, m):
-            ex_b, ey_b = _unit(m, b), 1j * _unit(m, b)
-            cxx = _rich_d2_cross(field, point, ex_a, ex_b, cfg)
-            cyy = _rich_d2_cross(field, point, ey_a, ey_b, cfg)
-            cxy = _rich_d2_cross(field, point, ex_a, ey_b, cfg)
-            cyx = _rich_d2_cross(field, point, ey_a, ex_b, cfg)
-            # d^2/dw^a dwbar^b and d^2/dw^b dwbar^a from the same four stencils
-            H[a, b] = 0.25 * ((cxx + cyy) + 1j * (cxy - cyx))
-            H[b, a] = 0.25 * ((cxx + cyy) + 1j * (cyx - cxy))
+    diag = np.arange(m)
+    H[diag, diag] = 0.25 * (est[0:2 * m:2] + est[1:2 * m:2])
+    if pairs:
+        cxx, cyy, cxy, cyx = (est[2 * m + k::4] for k in range(4))
+        # d^2/dw^a dwbar^b and d^2/dw^b dwbar^a from the same four stencils
+        a, b = np.array(pairs).T
+        H[a, b] = 0.25 * ((cxx + cyy) + 1j * (cxy - cyx))
+        H[b, a] = 0.25 * ((cxx + cyy) + 1j * (cyx - cxy))
     field_is_real = abs(center.imag) <= 1e-10 * max(1.0, abs(center))
     if field_is_real:
         scale = max(1.0, float(np.max(np.abs(H)))) if m else 1.0

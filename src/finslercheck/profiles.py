@@ -19,15 +19,18 @@ restriction.  Validity has two layers: ``smooth_at`` (the jet is evaluable) and
 f + t f' > 0 for Hermitian profiles).  Pseudo-convexity diagnostics evaluate on
 the smooth region so they can report *why* a point fails validity.
 
-Jet and value evaluators validate inline and raise DomainViolation; they sit
-inside finite-difference stencil loops, so they fetch each 1-D derivative
-exactly once per call.
+Jet and value evaluators validate inline and raise DomainViolation, and fetch
+each 1-D derivative exactly once per call.  ``MetricProfile.value`` also takes
+arrays of (t, s): the finite-difference oracles evaluate a whole stencil in one
+call, and a single point outside the region rejects the call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainViolation, InvalidCatalogEntry, InvalidCurvatureTag
 from .functions1d import (
@@ -50,7 +53,6 @@ __all__ = [
     "wk_randers_profile",
     "model_profile",
     "euclidean_profile",
-    "phi_jet",
     "profile_from_descriptor",
     "S_MIN_FRACTION",
 ]
@@ -94,8 +96,31 @@ def _jet_to_phijet(j: Jet2) -> PhiJet:
     )
 
 
-def _s_in_bounds(t: float, s: float, s_min: float) -> bool:
-    return s >= s_min and s <= t * (1.0 + _S_LE_T_SLACK) + 1e-300
+def _s_in_bounds(t, s, s_min):
+    return (s >= s_min) & (s <= t * (1.0 + _S_LE_T_SLACK) + 1e-300)
+
+
+def _holds(mask) -> bool:
+    """A guard holds: a bool at one point, or a numpy mask at every point of an array."""
+    return bool(mask.all()) if isinstance(mask, np.ndarray) else bool(mask)
+
+
+def _anywhere(mask) -> bool:
+    """A condition holds at one point (a bool) or at some point of an array (a mask)."""
+    return bool(mask.any()) if isinstance(mask, np.ndarray) else bool(mask)
+
+
+def _outside(t, s, mask, region):
+    """DomainViolation naming the first (t, s) where the guard ``mask`` fails."""
+    if isinstance(mask, np.ndarray):
+        t, s, mask = np.broadcast_arrays(t, s, mask)
+        k = int(np.argmin(mask.ravel()))
+        t, s = float(t.ravel()[k]), float(s.ravel()[k])
+    return DomainViolation(f"(t, s) = ({t}, {s}) outside {region}")
+
+
+def _sqrt(x):
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
 
 
 class MetricProfile:
@@ -139,16 +164,12 @@ class MetricProfile:
         """Validity-checked Taylor jet at reduced order (fast path for FD loops)."""
         return self._jet_fn(t, s, order)
 
-    def value(self, t: float, s: float) -> float:
+    def value(self, t, s):
+        """phi(t, s) at a point, or at every point of broadcastable arrays t and s."""
         return self._value_fn(t, s)
 
     def __repr__(self):
         return f"MetricProfile({self.descriptor!r})"
-
-
-def phi_jet(profile: MetricProfile, t: float, s: float) -> PhiJet:
-    """Full order-3 jet of the profile at (t, s)."""
-    return profile.jet(t, s)
 
 
 def hermitian_profile(f: ScalarFunction1D) -> MetricProfile:
@@ -163,13 +184,12 @@ def hermitian_profile(f: ScalarFunction1D) -> MetricProfile:
     if not probe_positive(f, strict=True):
         raise InvalidCatalogEntry("hermitian profile needs f > 0 on its interval")
 
-    def _reject(t, s, why):
-        raise DomainViolation(
-            f"(t, s) = ({t}, {s}) outside {why} region of hermitian profile")
+    def _check(t, s, mask, why):
+        if not _holds(mask):
+            raise _outside(t, s, mask, f"{why} region of hermitian profile")
 
     def _fetch(t, s, order):
-        if not (_s_in_bounds(t, s, 0.0) and f.contains(t)):
-            _reject(t, s, "validity")
+        _check(t, s, _s_in_bounds(t, s, 0.0) & f.contains(t), "validity")
         return f.derivs(t, order + 1)
 
     def _build(s, d, order):
@@ -179,21 +199,19 @@ def hermitian_profile(f: ScalarFunction1D) -> MetricProfile:
 
     def jet_fn(t, s, order):
         d = _fetch(t, s, order)
-        if d[0] + s * d[1] <= 0.0 or d[0] + t * d[1] <= 0.0:
-            _reject(t, s, "validity")
+        _check(t, s, (d[0] + s * d[1] > 0.0) & (d[0] + t * d[1] > 0.0), "validity")
         return _build(s, d, order)
 
     def jet_smooth_fn(t, s, order):
         d = _fetch(t, s, order)
-        if d[0] + s * d[1] <= 0.0:
-            _reject(t, s, "smooth")
+        _check(t, s, d[0] + s * d[1] > 0.0, "smooth")
         return _build(s, d, order)
 
     def value_fn(t, s):
         d = _fetch(t, s, 0)
-        if d[0] + s * d[1] <= 0.0 or d[0] + t * d[1] <= 0.0:
-            _reject(t, s, "validity")
-        return d[0] + s * d[1]
+        phi = d[0] + s * d[1]
+        _check(t, s, (phi > 0.0) & (d[0] + t * d[1] > 0.0), "validity")
+        return phi
 
     def smooth_fn(t, s):
         if not (_s_in_bounds(t, s, 0.0) and f.contains(t)):
@@ -235,42 +253,44 @@ def randers_profile(f: ScalarFunction1D, g: ScalarFunction1D,
     if lo >= hi:
         raise InvalidCatalogEntry("randers profile: empty common t-interval")
 
-    def _contains(t):
-        return f.contains(t) and g.contains(t) and h.contains(t)
+    def _in_bounds(t, s):
+        return (_s_in_bounds(t, s, S_MIN_FRACTION * t) & (s > 0.0)
+                & f.contains(t) & g.contains(t) & h.contains(t))
 
-    def _reject(t, s):
-        raise DomainViolation(
-            f"(t, s) = ({t}, {s}) outside validity region of randers profile")
+    def _check(t, s, mask):
+        if not _holds(mask):
+            raise _outside(t, s, mask, "validity region of randers profile")
+
+    def _positive(f0, a, b):
+        return (f0 > 0.0) & (a > 0.0) & (b > 0.0)
 
     def jet_fn(t, s, order):
-        if not (_s_in_bounds(t, s, S_MIN_FRACTION * t) and s > 0.0 and _contains(t)):
-            _reject(t, s)
+        # jets are evaluated at one point, so the guards are plain bools here
+        if not _in_bounds(t, s):
+            raise _outside(t, s, False, "validity region of randers profile")
         fd = f.derivs(t, order)
         gd = g.derivs(t, order)
         hd = h.derivs(t, order)
-        a0 = fd[0] + gd[0] * s
-        b0 = hd[0] * s
-        if fd[0] <= 0.0 or a0 <= 0.0 or b0 <= 0.0:
-            _reject(t, s)
+        if not _positive(fd[0], fd[0] + gd[0] * s, hd[0] * s):
+            raise _outside(t, s, False, "validity region of randers profile")
         S = Jet2.var_s(s, order)
         A = Jet2.from_t_derivs(fd, order) + Jet2.from_t_derivs(gd, order) * S
         B = Jet2.from_t_derivs(hd, order) * S
         return A + B + 2.0 * (A * B).sqrt()
 
     def value_fn(t, s):
-        if not (_s_in_bounds(t, s, S_MIN_FRACTION * t) and s > 0.0 and _contains(t)):
-            _reject(t, s)
-        a = f.value(t) + g.value(t) * s
+        _check(t, s, _in_bounds(t, s))
+        f0 = f.value(t)
+        a = f0 + g.value(t) * s
         b = h.value(t) * s
-        if f.value(t) <= 0.0 or a <= 0.0 or b <= 0.0:
-            _reject(t, s)
-        return a + b + 2.0 * math.sqrt(a * b)
+        _check(t, s, _positive(f0, a, b))
+        return a + b + 2.0 * _sqrt(a * b)
 
     def smooth_fn(t, s):
-        if not (_s_in_bounds(t, s, S_MIN_FRACTION * t) and s > 0.0 and _contains(t)):
+        if not _in_bounds(t, s):
             return False
-        return (f.value(t) > 0.0 and f.value(t) + g.value(t) * s > 0.0
-                and h.value(t) * s > 0.0)
+        f0 = f.value(t)
+        return bool(_positive(f0, f0 + g.value(t) * s, h.value(t) * s))
 
     if descriptor is None:
         descriptor = {"family": "randers", "f": f.descriptor(),

@@ -24,7 +24,7 @@ from pathlib import Path
 from .errors import ConfigError, ReportIOError
 from .suite import CHECK_COLUMNS, SuiteReport
 
-__all__ = ["emit_report", "render_json", "render_csv"]
+__all__ = ["emit_report", "emit_json", "render_json", "render_csv"]
 
 BASE_COLUMNS = ("index", "n", "t", "s", "r", "pairing_re", "pairing_im", "G")
 
@@ -68,11 +68,15 @@ def _write_json(obj, out: list):
         raise ReportIOError(f"cannot serialize {type(obj).__name__} in report")
 
 
-def render_json(report: SuiteReport) -> str:
+def _json_text(obj) -> str:
     out = []
-    _write_json(report.to_dict(), out)
+    _write_json(obj, out)
     out.append("\n")
     return "".join(out)
+
+
+def render_json(report: SuiteReport) -> str:
+    return _json_text(report.to_dict())
 
 
 def render_csv(report: SuiteReport) -> str:
@@ -113,6 +117,15 @@ def emit_report(report: SuiteReport, format: str = "json", destination=None) -> 
         text = render_csv(report)
     else:
         raise ConfigError(f"unknown report format {format!r}; use 'json' or 'csv'")
+    _write_text(text, destination)
+
+
+def emit_json(obj, destination=None) -> None:
+    """Serialize a plain JSON-able object (e.g. a combined report) like ``emit_report``."""
+    _write_text(_json_text(obj), destination)
+
+
+def _write_text(text: str, destination) -> None:
     try:
         if destination is None:
             sys.stdout.write(text)

@@ -29,8 +29,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateK1, ZeroVector
-from .numerics import FDConfig, hermitian_inverse_det, wirtinger_mixed_hessian, wirtinger_second
-from .profiles import MetricProfile
+from .numerics import (
+    FDConfig,
+    hermitian_inverse_det,
+    per_point,
+    wirtinger_gradient,
+    wirtinger_mixed_hessian,
+    wirtinger_second,
+)
+from .profiles import MetricProfile, _anywhere
 
 __all__ = [
     "PointVector",
@@ -52,31 +59,38 @@ __all__ = [
 K1_DEGENERACY = 1e-12
 
 
+def _coordinates(x):
+    x = np.asarray(x, dtype=complex)
+    # a vector's entries as Python complex numbers, a stencil's as rows
+    return x.tolist() if x.ndim == 1 else x
+
+
 def invariants(z, v):
     """(r, t, s, pairing) for a base point z and tangent vector v.
 
     r = |v|^2, t = |z|^2, pairing = <z, v>, s = |pairing|^2 / r, with
     0 <= s <= t by Cauchy-Schwarz (s is clamped against rounding overshoot).
+    Vectors give floats and a complex pairing.  Arrays of shape (n, m), or a
+    vector against one, hold m points as columns (the finite-difference field
+    contract) and give arrays of length m.
     """
-    # plain-Python accumulation: these vectors have a handful of entries and
-    # sit inside finite-difference stencil loops
-    zl = z.tolist() if isinstance(z, np.ndarray) else [complex(x) for x in z]
-    vl = v.tolist() if isinstance(v, np.ndarray) else [complex(x) for x in v]
-    r = 0.0
-    t = 0.0
-    pairing = 0j
-    for a, b in zip(zl, vl):
-        t += a.real * a.real + a.imag * a.imag
-        r += b.real * b.real + b.imag * b.imag
-        pairing += a * b.conjugate()
-    if r == 0.0:
+    r = t = p_re = p_im = 0.0
+    # real arithmetic in the operation order of Python's complex multiply
+    # a * conj(b), so that a stencil column gets the bits of the lone point
+    for a, b in zip(_coordinates(z), _coordinates(v)):
+        ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+        t = t + (ar * ar + ai * ai)
+        r = r + (br * br + bi * bi)
+        p_re = p_re + (ar * br - ai * -bi)
+        p_im = p_im + (ar * -bi + ai * br)
+    if _anywhere(r == 0.0):
         raise ZeroVector("tangent vector v must be nonzero")
-    s = (pairing.real * pairing.real + pairing.imag * pairing.imag) / r
-    if s > t:
-        if s > t * (1.0 + 1e-9) + 1e-300:
-            raise ValueError(f"s = {s} exceeds t = {t} beyond rounding slack")
-        s = t
-    return r, t, s, pairing
+    s = (p_re * p_re + p_im * p_im) / r
+    if _anywhere(s > t * (1.0 + 1e-9) + 1e-300):
+        raise ValueError(f"s exceeds t beyond rounding slack (s - t up to {np.max(s - t):.3e})")
+    if isinstance(s, np.ndarray):
+        return r, t, np.minimum(s, t), p_re + 1j * p_im
+    return r, t, min(s, t), complex(p_re, p_im)
 
 
 @dataclass(frozen=True)
@@ -180,7 +194,11 @@ def levi_closed(profile: MetricProfile, pv: PointVector,
 
 def levi_oracle(profile: MetricProfile, pv: PointVector,
                 cfg: FDConfig | None = None) -> np.ndarray:
-    """Mixed Wirtinger Hessian of v -> r phi(t, s(v)): the Levi matrix oracle."""
+    """Mixed Wirtinger Hessian of v -> r phi(t, s(v)): the Levi matrix oracle.
+
+    The whole stencil is one array evaluation of ``invariants`` and
+    ``profile.value``; no jet or chain-rule code is involved.
+    """
     z = pv.z
 
     def metric_sq(v):
@@ -280,8 +298,9 @@ def nonlinear_connection_fd(profile: MetricProfile, pv: PointVector,
     """FD oracle for N^a_b: cross-block second Wirtinger derivatives of G.
 
     D[g, b] = d^2 G / d vbar^g d z^b is taken directly from the scalar field
-    G(z, v) = r phi(t, s) on the joint 2n-dimensional point, then contracted
-    with the closed-form inverse Levi matrix.
+    G(z, v) = r phi(t, s) on the joint 2n-dimensional point, all n^2 entries
+    from one stencil evaluation, then contracted with the closed-form inverse
+    Levi matrix.
     """
     cfg = cfg or FDConfig()
     n = pv.n
@@ -291,11 +310,9 @@ def nonlinear_connection_fd(profile: MetricProfile, pv: PointVector,
         return r * profile.value(t, s)
 
     joint = np.concatenate([pv.z, pv.v])
-    D = np.zeros((n, n), dtype=complex)
-    for g in range(n):
-        for b in range(n):
-            D[g, b] = wirtinger_second(joint_metric, joint, n + g, b,
-                                       conj_i=True, conj_j=False, cfg=cfg)
+    index = np.arange(n)
+    D = wirtinger_second(joint_metric, joint, n + index[:, None], index[None, :],
+                         conj_i=True, conj_j=False, cfg=cfg)
     levi = levi_closed(profile, pv, cfg)
     return levi.inverse @ D
 
@@ -308,15 +325,13 @@ def connection_coefficients(profile: MetricProfile, pv: PointVector,
     Wirtinger finite differences; the horizontal derivative is
     delta/delta z^g = d/dz^g - N^m_g d/dv^m with the closed-form N.
     """
-    from .numerics import wirtinger_gradient
-
     cfg = cfg or FDConfig()
     levi = levi_closed(profile, pv, cfg)
     N = spray_coefficients(profile, pv, cfg).nconn
     z0, v0 = pv.z, pv.v
 
-    dMdz, _ = wirtinger_gradient(lambda w: _levi_matrix(profile, w, v0), z0, cfg)
-    dMdv, _ = wirtinger_gradient(lambda w: _levi_matrix(profile, z0, w), v0, cfg)
+    dMdz, _ = wirtinger_gradient(per_point(lambda w: _levi_matrix(profile, w, v0)), z0, cfg)
+    dMdv, _ = wirtinger_gradient(per_point(lambda w: _levi_matrix(profile, z0, w)), v0, cfg)
     # dMdz[g][b, e] = d M[b, e] / d z^g ; horizontal correction subtracts N^m_g d/dv^m
     T = np.einsum('gbe->beg', dMdz) - np.einsum('mg,mbe->beg', N, dMdv)
     gamma = np.einsum('ae,beg->abg', levi.inverse, T)

@@ -95,3 +95,30 @@ def test_rejection_storm_is_numerical_error(tmp_path):
                   "--t-range", "0.5", "1.0", "--samples", "5")
     assert res.returncode == 3
     assert "numerical error" in res.stderr
+
+
+def assert_one_line_error(res, code, prefix):
+    assert res.returncode == code, res.stderr
+    assert "Traceback" not in res.stderr
+    lines = res.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(prefix), res.stderr
+
+
+def test_bad_fd_step_is_config_error():
+    res = run_cli("verify", "--model", "k0", "--fd-step", "2", "--samples", "2")
+    assert_one_line_error(res, 2, "configuration error:")
+
+
+def test_bad_fd_levels_is_config_error():
+    res = run_cli("verify", "--model", "k0", "--fd-levels", "9", "--samples", "2")
+    assert_one_line_error(res, 2, "configuration error:")
+
+
+def test_models_bad_fd_levels_is_config_error():
+    res = run_cli("models", "--fd-levels", "0", "--samples", "2")
+    assert_one_line_error(res, 2, "configuration error:")
+
+
+def test_models_unwritable_out_is_io_error(tmp_path):
+    res = run_cli("models", "--samples", "2", "--out", str(tmp_path / "missing" / "x.json"))
+    assert_one_line_error(res, 3, "numerical error: failed to write report")

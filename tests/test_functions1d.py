@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 import finslercheck as fc
@@ -93,3 +94,13 @@ def test_unknown_kind_rejected():
         function_from_descriptor({"kind": "spline", "c": 1.0})
     with pytest.raises(InvalidCatalogEntry):
         function_from_descriptor({"kind": "linear"})  # missing parameter
+
+
+@pytest.mark.parametrize("name,fn,ts", MEMBERS, ids=[m[0] for m in MEMBERS])
+def test_array_derivs_match_scalar_bitwise(name, fn, ts):
+    arr = np.array(ts)
+    got = fn.derivs(arr, fn.max_order)
+    for k, t in enumerate(ts):
+        expected = fn.derivs(t, fn.max_order)
+        assert [float(np.broadcast_to(d, arr.shape)[k]) for d in got] == list(expected)
+    assert np.array_equal(fn.contains(arr), [fn.contains(t) for t in ts])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import finslercheck as fc
 from finslercheck.errors import (
+    ConfigError,
     DomainViolation,
     HermitianViolation,
     NonFiniteEvaluation,
@@ -74,7 +75,7 @@ class TestWirtingerGradient:
 
     def test_domain_rejection_becomes_stencil_error(self):
         def field(w):
-            if w[0].real > 1.0:
+            if np.any(w[0].real > 1.0):
                 raise DomainViolation("out of range")
             return abs(w[0]) ** 2
 
@@ -202,3 +203,174 @@ class TestFDConfig:
             FDConfig(richardson_levels=5)
         with pytest.raises(ValueError):
             FDConfig(richardson_levels=0)
+
+    def test_errors_are_config_errors(self):
+        with pytest.raises(ConfigError):
+            FDConfig(step=2.0)
+        with pytest.raises(ConfigError):
+            FDConfig(richardson_levels=9)
+        with pytest.raises(ConfigError):
+            FDConfig(tol_pd=0.0)
+
+
+def _gradient(field, point):
+    return fc.wirtinger_gradient(field, point)
+
+
+def _second(field, point):
+    return fc.wirtinger_second(field, point, np.arange(point.size), 0,
+                               conj_i=False, conj_j=True)
+
+
+def _hessian(field, point):
+    return fc.wirtinger_mixed_hessian(field, point)
+
+
+ENGINE_CALLS = [_gradient, _second, _hessian]
+ENGINE_POINT = np.array([0.4 + 0.3j, -0.2 + 0.8j, 0.1 - 0.5j])
+
+
+def smooth_field(w):
+    return abs(w[0]) ** 2 * abs(w[1]) ** 2 + np.cos(w[2] + np.conj(w[2])).real
+
+
+class TestStencilEngine:
+    """One field call per derivative request, with every stencil point policed."""
+
+    @pytest.mark.parametrize("call", ENGINE_CALLS)
+    def test_field_called_once_on_columns(self, call):
+        seen = []
+
+        def field(w):
+            seen.append(w.shape)
+            return smooth_field(w)
+
+        call(field, ENGINE_POINT)
+        assert len(seen) == 1
+        dim, m = seen[0]
+        assert dim == ENGINE_POINT.size and m > 1
+
+    @pytest.mark.parametrize("call", ENGINE_CALLS)
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_single_nonfinite_point_raises(self, call, where):
+        def field(w):
+            out = np.asarray(smooth_field(w), dtype=float).copy()
+            k = {"first": 0, "middle": out.size // 2, "last": -1}[where]
+            out[k] = np.nan
+            return out
+
+        with pytest.raises(NonFiniteEvaluation):
+            call(field, ENGINE_POINT)
+
+    @pytest.mark.parametrize("call", ENGINE_CALLS)
+    def test_single_rejected_point_raises(self, call):
+        # only p + 2h e_x0, the outermost point along +x of coordinate 0, is rejected
+        p = ENGINE_POINT
+        edge = p[0].real + 1.5 * FDConfig().step
+
+        def field(w):
+            outside = ((w[0].real > edge) & (w[0].imag == p[0].imag)
+                       & (w[1] == p[1]) & (w[2] == p[2]))
+            if np.count_nonzero(outside) != 1:
+                pytest.fail("exactly one stencil point was meant to be outside")
+            if np.any(outside):
+                raise DomainViolation("one point outside")
+            return smooth_field(w)
+
+        with pytest.raises(StencilOutsideDomain):
+            call(field, ENGINE_POINT)
+
+    def test_per_point_adapter_gives_the_same_bits(self):
+        holo, anti = fc.wirtinger_gradient(smooth_field, ENGINE_POINT)
+        holo_p, anti_p = fc.wirtinger_gradient(fc.per_point(smooth_field), ENGINE_POINT)
+        assert np.array_equal(holo, holo_p) and np.array_equal(anti, anti_p)
+
+    def test_vector_field_gradient_shape(self):
+        def field(w):
+            return np.stack([w[0] * np.conj(w[1]), abs(w[2]) ** 2])
+
+        holo, anti = fc.wirtinger_gradient(field, ENGINE_POINT)
+        assert holo.shape == anti.shape == (3, 2)
+        # d(w0 conj w1)/dw0 = conj(w1), d|w2|^2/dwbar2 = w2
+        assert abs(holo[0, 0] - np.conj(ENGINE_POINT[1])) < 1e-9
+        assert abs(anti[2, 1] - ENGINE_POINT[2]) < 1e-9
+
+    def test_many_pairs_match_single_pairs(self):
+        rows, cols = np.meshgrid(np.arange(3), np.arange(3), indexing="ij")
+        many = fc.wirtinger_second(smooth_field, ENGINE_POINT, rows, cols,
+                                   conj_i=True, conj_j=False)
+        assert many.shape == (3, 3)
+        for a in range(3):
+            for b in range(3):
+                one = fc.wirtinger_second(smooth_field, ENGINE_POINT, a, b,
+                                          conj_i=True, conj_j=False)
+                assert isinstance(one, complex)
+                assert one == many[a, b]
+
+    def test_field_without_point_axis_is_rejected(self):
+        with pytest.raises(ValueError, match="trailing axis"):
+            fc.wirtinger_gradient(lambda w: 1.0, ENGINE_POINT)
+
+
+# The point-by-point stencils the engine replaced, kept as its reference: one
+# scalar field call per stencil point, summed in stencil order.
+_W1, _K1 = (1.0, -8.0, 8.0, -1.0), (-2.0, -1.0, 1.0, 2.0)
+
+
+def _ref_d1(f, p, d, h):
+    acc = 0.0
+    for w, k in zip(_W1, _K1):
+        acc = acc + w * f(p + (k * h) * d)
+    return acc / (12.0 * h)
+
+
+def _ref_d2_same(f, p, d, h):
+    return (-f(p + (2.0 * h) * d) + 16.0 * f(p + h * d) - 30.0 * f(p)
+            + 16.0 * f(p - h * d) - f(p - (2.0 * h) * d)) / (12.0 * h * h)
+
+
+def _ref_d2_cross(f, p, da, db, h):
+    acc = 0.0
+    for wa, ka in zip(_W1, _K1):
+        for wb, kb in zip(_W1, _K1):
+            acc = acc + (wa * wb) * f(p + (ka * h) * da + (kb * h) * db)
+    return acc / (144.0 * h * h)
+
+
+def _ref_rich(stencil, f, p, *dirs, cfg):
+    h0 = cfg.step * max(1.0, float(np.max(np.abs(p))))
+    vals = [stencil(f, p, *dirs, h0 / 2.0 ** k) for k in range(cfg.richardson_levels)]
+    order = 4
+    while len(vals) > 1:
+        c = 2.0 ** order
+        vals = [(c * fine - coarse) / (c - 1.0) for coarse, fine in zip(vals, vals[1:])]
+        order += 2
+    return vals[0]
+
+
+@pytest.mark.parametrize("levels", [1, 2, 3])
+def test_engine_matches_point_by_point_reference(levels):
+    cfg = FDConfig(step=2e-3, richardson_levels=levels)
+    p = ENGINE_POINT
+    # values as 0-d complex arrays, as the old per-point probe returned them
+    f = lambda x: np.asarray(smooth_field(x[:, None])[0], dtype=complex)  # noqa: E731
+    e = np.eye(p.size, dtype=complex)
+    holo, _ = fc.wirtinger_gradient(smooth_field, p, cfg)
+    H = fc.wirtinger_mixed_hessian(smooth_field, p, cfg)
+    for a in range(p.size):
+        dx = _ref_rich(_ref_d1, f, p, e[a], cfg=cfg)
+        dy = _ref_rich(_ref_d1, f, p, 1j * e[a], cfg=cfg)
+        assert holo[a] == 0.5 * (dx - 1j * dy)
+        dxx = _ref_rich(_ref_d2_same, f, p, e[a], cfg=cfg)
+        dyy = _ref_rich(_ref_d2_same, f, p, 1j * e[a], cfg=cfg)
+        assert H[a, a] == 0.25 * (dxx + dyy)
+    for a, b in ((0, 1), (1, 2)):
+        cxx = _ref_rich(_ref_d2_cross, f, p, e[a], e[b], cfg=cfg)
+        cyy = _ref_rich(_ref_d2_cross, f, p, 1j * e[a], 1j * e[b], cfg=cfg)
+        cxy = _ref_rich(_ref_d2_cross, f, p, e[a], 1j * e[b], cfg=cfg)
+        cyx = _ref_rich(_ref_d2_cross, f, p, 1j * e[a], e[b], cfg=cfg)
+        hab = 0.25 * ((cxx + cyy) + 1j * (cxy - cyx))
+        hba = 0.25 * ((cxx + cyy) + 1j * (cyx - cxy))
+        assert H[a, b] == 0.5 * (hab + np.conj(hba))
+        second = fc.wirtinger_second(smooth_field, p, a, b, conj_i=False, conj_j=True, cfg=cfg)
+        assert second == 0.25 * (cxx + 1j * cxy - 1j * cyx + cyy)

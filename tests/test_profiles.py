@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 import finslercheck as fc
@@ -183,3 +184,30 @@ class TestDescriptors:
     def test_unknown_family(self):
         with pytest.raises(InvalidCatalogEntry):
             fc.profile_from_descriptor({"family": "kropina"})
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_array_value_matches_scalar_bitwise(name, profiles):
+    # one formula per family: arrays of (t, s) give the scalar bits at each point
+    prof = profiles[name]
+    lo, hi = prof.t_interval
+    hi = min(hi, lo + 2.5)
+    ts = np.linspace(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), 7)
+    ss = ts * np.linspace(0.1, 0.9, 7)
+    values = prof.value(ts, ss)
+    assert values.shape == ts.shape
+    for t, s, got in zip(ts.tolist(), ss.tolist(), values.tolist()):
+        assert got == prof.value(t, s)
+    # a scalar t against an array of s, as in the Levi oracle's stencil
+    t = float(ts[3])
+    ss = t * np.linspace(0.1, 0.9, 7)
+    assert prof.value(t, ss).tolist() == [prof.value(t, s) for s in ss.tolist()]
+
+
+@pytest.mark.parametrize("name", ["wk-exp", "h-rational"])
+def test_array_value_rejects_single_point(name, profiles):
+    prof = profiles[name]
+    ts = np.array([0.5, 0.6, 0.7])
+    ss = np.array([0.2, 0.3, 0.9])     # s > t at the last point only
+    with pytest.raises(DomainViolation, match=r"\(t, s\) = \(0.7, 0.9\)"):
+        prof.value(ts, ss)

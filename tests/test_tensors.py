@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import finslercheck as fc
-from finslercheck.errors import DegenerateK1, ZeroVector
+from finslercheck.errors import DegenerateK1, StencilOutsideDomain, ZeroVector
 from finslercheck.jets import Jet2
 from finslercheck.tensors import k_scalars, metric_scalars
 
@@ -33,6 +33,22 @@ class TestInvariants:
     def test_point_vector_needs_n_at_least_two(self):
         with pytest.raises(ValueError):
             fc.PointVector(np.array([1.0 + 0j]), np.array([1.0 + 0j]))
+
+    def test_columns_match_single_points_bitwise(self, rng):
+        # the stencil engine's array path must reproduce the lone-point bits
+        n, m = 4, 50
+        z = rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
+        v = rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
+        r, t, s, p = fc.invariants(z, v)
+        r1, t1, s1, p1 = fc.invariants(z[:, 0], v)   # one base point against many vectors
+        for k in range(m):
+            assert (r[k], t[k], s[k], p[k]) == fc.invariants(z[:, k], v[:, k])
+            assert (r1[k], t1, s1[k], p1[k]) == fc.invariants(z[:, 0], v[:, k])
+
+    def test_zero_column_rejected(self):
+        v = np.array([[1.0, 0.0], [0.5, 0.0]], dtype=complex)
+        with pytest.raises(ZeroVector):
+            fc.invariants(np.array([1.0 + 0j, 0.5]), v)
 
     def test_cauchy_schwarz_holds_on_samples(self, profiles):
         for pv in make_points(profiles["model-k0"], count=20, seed=3):
@@ -226,3 +242,62 @@ class TestEulerAndUnitary:
             for key in base:
                 dev = abs(base[key] - moved[key]) / max(1.0, abs(base[key]))
                 assert dev < 1e-8, key
+
+
+def counting_value(prof):
+    """Make ``prof.value`` count its calls (an instance attribute shadows the method)."""
+    calls = []
+    method = prof.value
+
+    def value(t, s):
+        calls.append(np.shape(s))
+        return method(t, s)
+
+    prof.value = value
+    return calls
+
+
+class TestOracleStencils:
+    """The FD oracles evaluate each stencil in one call and police every point."""
+
+    def test_each_oracle_calls_its_field_once(self):
+        prof = fc.wk_randers_profile(fc.Exponential(1.0))
+        calls = counting_value(prof)
+        for pv in make_points(prof, n=3, count=2, seed=5):
+            del calls[:]
+            fc.levi_oracle(prof, pv)
+            assert len(calls) == 1 and calls[0][0] > 1
+            del calls[:]
+            fc.nonlinear_connection_fd(prof, pv)
+            assert len(calls) == 1 and calls[0][0] > 1
+
+    @staticmethod
+    def near_randers_guard():
+        # t = 1 and s just above 1e-6 t; the stencil moves v[0] by up to 2e-3
+        prof = fc.wk_randers_profile(fc.Exponential(1.0))
+        pv = fc.PointVector(np.array([1.0 + 0j, 0.0]), np.array([1.001e-3 + 0j, 1.0]))
+        assert 1e-6 * pv.t < pv.s < 1.01e-6 * pv.t
+        assert prof.is_valid(pv.t, pv.s)
+        return prof, pv
+
+    def test_levi_oracle_rejects_stencil_across_randers_guard(self):
+        prof, pv = self.near_randers_guard()
+        with pytest.raises(StencilOutsideDomain):
+            fc.levi_oracle(prof, pv)
+
+    def test_nconn_fd_rejects_stencil_across_randers_guard(self):
+        prof, pv = self.near_randers_guard()
+        with pytest.raises(StencilOutsideDomain):
+            fc.nonlinear_connection_fd(prof, pv)
+
+    def test_nconn_fd_rejects_stencil_across_ball_edge(self):
+        # k = -4 model with c = 1 lives on t < 1; the z-stencil pushes t past it
+        prof = fc.model_profile(-4, 1.0)
+        pv = fc.PointVector(np.array([np.sqrt(0.9995) + 0j, 0.0]), np.array([0.6 + 0j, 0.8]))
+        assert prof.is_valid(pv.t, pv.s)
+        with pytest.raises(StencilOutsideDomain):
+            fc.nonlinear_connection_fd(prof, pv)
+        # the Levi oracle moves only v, so t never leaves the ball
+        levi = fc.levi_closed(prof, pv)
+        oracle = fc.levi_oracle(prof, pv)
+        assert np.max(np.abs(levi.levi - oracle)) / np.max(np.abs(levi.levi)) < 1e-6
