@@ -1,0 +1,124 @@
+"""Byte-for-byte comparison of fixed-seed reports from two source trees.
+
+    python3 scripts/report_parity.py OLD_SRC NEW_SRC
+
+OLD_SRC and NEW_SRC are directories that each contain the ``finslercheck``
+package (for a checkout, its ``src``).  Each tree runs the same fixed list of
+fixed-seed invocations in one fresh interpreter, writing every report to a
+file; the reports and exit codes are then compared with ``cmp`` semantics.
+Exits 0 when every report matches, 1 naming the first invocation that
+differs, and 2 when a tree cannot be run.
+"""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+PROFILES = {
+    "wk-exp.json": {"family": "wk-randers", "f": {"kind": "exp", "c": 1.0, "a": 1.0}},
+    "hermitian-exp.json": {"family": "hermitian", "f": {"kind": "exp", "c": 1.0, "a": 1.0}},
+    "randers.json": {"family": "randers", "f": {"kind": "exp", "c": 1.0, "a": 1.0},
+                     "g": {"kind": "linear", "c": 0.5}, "h": {"kind": "constant", "c": 0.5}},
+    "wk-exp-h1.1.json": {"family": "wk-randers", "f": {"kind": "exp", "c": 1.0, "a": 1.0},
+                         "h_scale": 1.1},
+}
+
+# (name, argv without --out, report format); every seed is fixed
+INVOCATIONS = (
+    ("verify-wk-exp-n2", ("verify", "--profile", "wk-exp.json", "--n", "2",
+                          "--samples", "20", "--seed", "11"), "json"),
+    ("verify-wk-exp-n3", ("verify", "--profile", "wk-exp.json", "--n", "3",
+                          "--samples", "20", "--seed", "12"), "json"),
+    ("verify-wk-exp-n4", ("verify", "--profile", "wk-exp.json", "--n", "4",
+                          "--samples", "20", "--seed", "13"), "json"),
+    ("verify-wk-exp-n2-csv", ("verify", "--profile", "wk-exp.json", "--n", "2",
+                              "--samples", "20", "--seed", "14"), "csv"),
+    ("verify-k4-n3", ("verify", "--model", "k4", "--n", "3",
+                      "--samples", "20", "--seed", "15"), "json"),
+    ("curvature-k4", ("curvature", "--model", "k4", "--c", "0.5", "--n", "2",
+                      "--samples", "40", "--seed", "21"), "json"),
+    ("curvature-k0", ("curvature", "--model", "k0", "--c", "1.0", "--n", "3",
+                      "--samples", "40", "--seed", "22"), "json"),
+    ("curvature-km4", ("curvature", "--model", "km4", "--c", "2.0", "--n", "2",
+                       "--samples", "40", "--seed", "23"), "json"),
+    ("models", ("models", "--n", "2", "--samples", "20", "--seed", "31"), "json"),
+    ("residual-wk-exp", ("residual", "--profile", "wk-exp.json", "--n", "3",
+                         "--samples", "200", "--seed", "41"), "json"),
+    ("residual-hermitian-exp", ("residual", "--profile", "hermitian-exp.json", "--n", "3",
+                                "--samples", "200", "--seed", "42"), "json"),
+    ("residual-randers", ("residual", "--profile", "randers.json", "--n", "3",
+                          "--samples", "200", "--seed", "43"), "csv"),
+    ("residual-wk-exp-h1.1", ("residual", "--profile", "wk-exp-h1.1.json", "--n", "3",
+                              "--samples", "200", "--seed", "44"), "json"),
+)
+
+# run inside the fresh interpreter: argv[1] is the source tree, argv[2] the
+# work directory, stdin the invocation list; prints the exit codes as JSON
+_RUNNER = """
+import contextlib, io, json, os, sys
+tree, work = sys.argv[1], sys.argv[2]
+sys.path.insert(0, tree)
+import finslercheck
+from finslercheck import cli
+if not os.path.realpath(finslercheck.__file__).startswith(os.path.realpath(tree)):
+    sys.exit("finslercheck imported from " + finslercheck.__file__ + ", not from " + tree)
+os.chdir(work)
+codes = {}
+for name, argv, fmt in json.load(sys.stdin):
+    with contextlib.redirect_stderr(io.StringIO()):
+        codes[name] = cli.main(argv + ["--format", fmt, "--out", name + "." + fmt])
+print(json.dumps(codes))
+"""
+
+
+def run_tree(tree: Path, work: Path) -> dict:
+    """Run every invocation against ``tree`` in one fresh interpreter; exit codes by name."""
+    work.mkdir()
+    for name, desc in PROFILES.items():
+        (work / name).write_text(json.dumps(desc))
+    todo = json.dumps([(name, list(argv), fmt) for name, argv, fmt in INVOCATIONS])
+    done = subprocess.run([sys.executable, "-c", _RUNNER, str(tree), str(work)],
+                          input=todo, capture_output=True, text=True)
+    if done.returncode != 0:
+        print(f"report_parity: {tree} failed:\n{done.stderr.strip()}", file=sys.stderr)
+        sys.exit(2)
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    trees = [Path(a).resolve() for a in args]
+    for tree in trees:
+        if not (tree / "finslercheck" / "__init__.py").is_file():
+            print(f"report_parity: no finslercheck package in {tree}", file=sys.stderr)
+            return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        old_dir, new_dir = Path(tmp) / "old", Path(tmp) / "new"
+        old_codes, new_codes = run_tree(trees[0], old_dir), run_tree(trees[1], new_dir)
+        for name, _, fmt in INVOCATIONS:
+            report = f"{name}.{fmt}"
+            old_bytes = (old_dir / report).read_bytes()
+            new_bytes = (new_dir / report).read_bytes()
+            if old_codes[name] != new_codes[name]:
+                print(f"{name}: exit codes differ ({old_codes[name]} vs {new_codes[name]})")
+                return 1
+            if old_bytes != new_bytes:
+                # cmp's report: the first differing byte, or EOF on the shorter file
+                where = next((k for k, (a, b) in enumerate(zip(old_bytes, new_bytes)) if a != b),
+                             min(len(old_bytes), len(new_bytes)))
+                print(f"{name}: reports differ: byte {where + 1}")
+                return 1
+            print(f"{name}: identical ({len(new_bytes)} bytes, exit {new_codes[name]})")
+    print(f"all {len(INVOCATIONS)} reports identical")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -39,10 +39,11 @@ import numpy as np
 
 from .errors import DegenerateK1, DegenerateUs, DomainViolation, NotWeaklyKahler
 from .jets import Jet2
-from .numerics import FDConfig, per_point, wirtinger_gradient
+from .numerics import FDConfig, wirtinger_gradient
 from .profiles import MetricProfile, PhiJet
 from .tensors import (
     K1_DEGENERACY,
+    LeviData,
     PointVector,
     _g_alpha,
     _spray_vector,
@@ -242,6 +243,8 @@ def holomorphic_curvature_direct(profile: MetricProfile, pv: PointVector,
     z-derivative term into the anti-holomorphic derivative of
     tau -> spray(z + tau v, v) at tau = 0, and conj(N^m_nu) vbar^nu = conj(2 GG^m)
     turns the v-derivative term into the same along tau -> spray(z, v + tau 2GG).
+    Both come from one stencil of spray(z + tau_z dz, v + tau_v dv) over
+    (tau_z, tau_v) in C^2.
     """
     cfg = cfg or FDConfig()
     z, v = pv.z, pv.v
@@ -249,23 +252,16 @@ def holomorphic_curvature_direct(profile: MetricProfile, pv: PointVector,
     ga = _g_alpha(profile, z, v)
     G = pv.r * profile.value(pv.t, pv.s)
 
-    # d/dtaubar of spray(z + tau v, v): equals sum_nu d(2GG^g)/dzbar^nu vbar^nu / scale
     scale_z = max(1.0, float(np.max(np.abs(v))))
-    dz = v / scale_z
-    _, anti_z = wirtinger_gradient(
-        per_point(lambda tau: _spray_vector(profile, z + tau[0] * dz, v)),
-        np.zeros(1, dtype=complex), cfg)
-    term1 = anti_z[0] * scale_z
-
     scale_v = max(1.0, float(np.max(np.abs(spray0))))
-    if scale_v == 0.0 or not np.any(spray0):
-        term2 = np.zeros_like(spray0)
-    else:
-        dv = spray0 / scale_v
-        _, anti_v = wirtinger_gradient(
-            per_point(lambda tau: _spray_vector(profile, z, v + tau[0] * dv)),
-            np.zeros(1, dtype=complex), cfg)
-        term2 = anti_v[0] * scale_v
+    dz, dv = (v / scale_z)[:, None], (spray0 / scale_v)[:, None]
+    # anti[0] = sum_nu d(2GG^g)/dzbar^nu vbar^nu / scale_z, anti[1] the v-term / scale_v
+    _, anti = wirtinger_gradient(
+        lambda tau: _spray_vector(profile, z[:, None] + tau[0] * dz, v[:, None] + tau[1] * dv),
+        np.zeros(2, dtype=complex), cfg)
+    term1 = anti[0] * scale_z
+    # with spray0 = 0 there is no v-transport at all
+    term2 = anti[1] * scale_v if np.any(spray0) else np.zeros_like(spray0)
 
     value = -(2.0 / G ** 2) * np.sum(ga * (term1 - term2))
     return float(np.real(value))
@@ -290,16 +286,20 @@ def wk_spray_identities_residual(profile: MetricProfile, t: float, s: float):
 
 
 def kahler_classify(profile: MetricProfile, pv: PointVector,
-                    cfg: FDConfig | None = None) -> KahlerReport:
+                    cfg: FDConfig | None = None,
+                    levi: LeviData | None = None) -> KahlerReport:
     """Residuals of the three Kahler notions from the connection antisymmetry.
 
     strong : max |Gamma^a_{b;g} - Gamma^a_{g;b}|               / max|Gamma|
     kahler : max |(Gamma^a_{b;g} - Gamma^a_{g;b}) v^g|         / (max|Gamma| * |v|_1)
     weakly : max |G_a (Gamma^a_{b;g} - Gamma^a_{g;b}) v^g|     / (max|Gamma| * |v|_1 * |G_.|_1)
+
+    ``levi``, the sample's ``levi_closed``, is built here when not passed in.
     """
     cfg = cfg or FDConfig()
-    conn = connection_coefficients(profile, pv, cfg)
-    levi = levi_closed(profile, pv, cfg)
+    if levi is None:
+        levi = levi_closed(profile, pv, cfg)
+    conn = connection_coefficients(profile, pv, cfg, levi=levi)
     gamma = conn.gamma
     delta = gamma - np.transpose(gamma, (0, 2, 1))
     scale_g = max(float(np.max(np.abs(gamma))), 1e-300)

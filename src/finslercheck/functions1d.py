@@ -267,9 +267,12 @@ class _WkDerived(ScalarFunction1D):
 
     def derivs(self, t, order):
         self._check_order(order)
+        return self.from_base(t, self.base.derivs(t, order + 1), order)
+
+    def from_base(self, t, f, order):
+        """The derivatives to ``order`` from the base's, f = (f, f', ..., f^(order + 1)) at t."""
         e = self._sign
         pw = _pow_for(t)
-        f = self.base.derivs(t, order + 1)
         out = [0.5 * f[1] + e * 0.5 * f[0] / t]
         if order >= 1:
             t2 = pw(t, 2)

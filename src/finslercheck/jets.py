@@ -4,13 +4,18 @@ A ``Jet2`` stores Taylor coefficients c[(i,j)] = (d^{i+j} f / dt^i ds^j) / (i! j
 up to a fixed total order (1, 2 or 3), in graded-lexicographic layout.  Sums,
 products, quotients and square roots propagate coefficients exactly, which turns
 every chain-rule expansion in the profile and curvature formulas into plain
-arithmetic on these objects.  Coefficients are Python floats; the hot loops use
-precomputed index tables.
+arithmetic on these objects.  Coefficients are Python floats, or numpy arrays
+of one shape holding many (t, s) points at once (the finite-difference stencils
+of the closed forms); every operation is elementwise IEEE arithmetic, so a
+column carries the bits of the lone point.  Jets built from floats keep Python
+floats, and the hot loops use precomputed index tables.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 __all__ = ["Jet2", "INDICES", "NCOEF"]
 
@@ -18,6 +23,21 @@ INDICES = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2
 NCOEF = {1: 3, 2: 6, 3: 10}
 _POS = {ij: k for k, ij in enumerate(INDICES)}
 _FACT = (1.0, 1.0, 2.0, 6.0)
+
+
+def _fails(guard) -> bool:
+    """A guard comparison failed: a bool at one point, or at some entry of an array.
+
+    The comparison itself tells floats from arrays, so the float path pays for
+    no type test.
+    """
+    if guard is True or guard is False:
+        return guard
+    return bool(guard.any())
+
+
+def _coefficient(x):
+    return x if isinstance(x, np.ndarray) else float(x)
 
 
 def _build_tables():
@@ -47,6 +67,8 @@ _MUL, _DIV, _SQRT = _build_tables()
 
 class Jet2:
     __slots__ = ("order", "c")
+    # numpy defers to the reflected operators below instead of broadcasting a jet
+    __array_ufunc__ = None
 
     def __init__(self, order: int, coeffs):
         self.order = order
@@ -57,20 +79,20 @@ class Jet2:
     @classmethod
     def constant(cls, x: float, order: int) -> "Jet2":
         c = [0.0] * NCOEF[order]
-        c[0] = float(x)
+        c[0] = _coefficient(x)
         return cls(order, c)
 
     @classmethod
     def var_t(cls, t: float, order: int) -> "Jet2":
         c = [0.0] * NCOEF[order]
-        c[0] = float(t)
+        c[0] = _coefficient(t)
         c[1] = 1.0
         return cls(order, c)
 
     @classmethod
     def var_s(cls, s: float, order: int) -> "Jet2":
         c = [0.0] * NCOEF[order]
-        c[0] = float(s)
+        c[0] = _coefficient(s)
         c[2] = 1.0
         return cls(order, c)
 
@@ -100,7 +122,7 @@ class Jet2:
         if isinstance(other, Jet2):
             return Jet2(self.order, [a + b for a, b in zip(self.c, other.c)])
         c = self.c.copy()
-        c[0] += other
+        c[0] = c[0] + other
         return Jet2(self.order, c)
 
     __radd__ = __add__
@@ -112,12 +134,12 @@ class Jet2:
         if isinstance(other, Jet2):
             return Jet2(self.order, [a - b for a, b in zip(self.c, other.c)])
         c = self.c.copy()
-        c[0] -= other
+        c[0] = c[0] - other
         return Jet2(self.order, c)
 
     def __rsub__(self, other):
         c = [-a for a in self.c]
-        c[0] += other
+        c[0] = c[0] + other
         return Jet2(self.order, c)
 
     def __mul__(self, other):
@@ -125,6 +147,7 @@ class Jet2:
             a, b = self.c, other.c
             out = [0.0] * len(a)
             for o, i, k in _MUL[self.order]:
+                # in place only ever on a fresh sum, never on a coefficient of a or b
                 out[o] += a[i] * b[k]
             return Jet2(self.order, out)
         return Jet2(self.order, [x * other for x in self.c])
@@ -135,7 +158,8 @@ class Jet2:
         if not isinstance(other, Jet2):
             return self * (1.0 / other)
         u, v = self.c, other.c
-        if v[0] == 0.0:
+        zero = v[0] == 0.0
+        if zero is not False and _fails(zero):
             raise ZeroDivisionError("jet division by a jet with zero value")
         w = [0.0] * len(u)
         w[0] = u[0] / v[0]
@@ -143,7 +167,7 @@ class Jet2:
         for out in range(1, len(u)):
             acc = u[out]
             for a, b in table[out]:
-                acc -= w[a] * v[b]
+                acc = acc - w[a] * v[b]
             w[out] = acc / v[0]
         return Jet2(self.order, w)
 
@@ -152,15 +176,20 @@ class Jet2:
 
     def sqrt(self) -> "Jet2":
         u = self.c
-        if u[0] <= 0.0:
+        negative = u[0] <= 0.0
+        if negative is False:
+            root = math.sqrt(u[0])
+        elif _fails(negative):
             raise ValueError("jet sqrt of a non-positive value")
+        else:
+            root = np.sqrt(u[0])
         w = [0.0] * len(u)
-        w[0] = math.sqrt(u[0])
+        w[0] = root
         table = _SQRT[self.order]
         for out in range(1, len(u)):
             acc = u[out]
             for a, b in table[out]:
-                acc -= w[a] * w[b]
+                acc = acc - w[a] * w[b]
             w[out] = acc / (2.0 * w[0])
         return Jet2(self.order, w)
 

@@ -21,9 +21,12 @@ builds every point it needs (all axes, all index pairs, all Richardson levels
 and, for the Hessian, the centre) and calls the field once, with each distinct
 point once.  A DomainViolation raised by the field becomes
 StencilOutsideDomain, and a non-finite value at any point raises
-NonFiniteEvaluation.  ``per_point`` adapts a function of one point to the
-contract.  Each estimate is accumulated as acc = acc + w_k F_k in stencil
-order, so it carries the same bits as a point-by-point evaluation.
+NonFiniteEvaluation.  Each estimate is accumulated as acc = acc + w_k F_k in
+stencil order, so it carries the same bits as a point-by-point evaluation.
+The package's own fields take columns natively: the FD oracles' metric
+``r phi(t, s)`` and the closed-form spray and Levi matrix that the direct
+curvature and the connection coefficients differentiate.  ``per_point``
+adapts a function of one point to the contract, for callers' own fields.
 """
 
 from __future__ import annotations
@@ -93,7 +96,7 @@ class _Stencil:
     norm: float
     power: int
 
-    def denominator(self, h: float) -> float:
+    def denominator(self, h):
         return self.norm * h if self.power == 1 else self.norm * h * h
 
 
@@ -151,6 +154,17 @@ def _base_step(point: np.ndarray, cfg: FDConfig) -> float:
     return cfg.step * max(1.0, scale)
 
 
+def _base_steps(point: np.ndarray, cfg: FDConfig, parts) -> np.ndarray:
+    """The base step of each coordinate: that of its block when ``parts`` splits the point."""
+    if parts is None:
+        return np.full(point.size, _base_step(point, cfg))
+    if sum(parts) != point.size or min(parts, default=1) < 1:
+        raise ValueError(f"parts {tuple(parts)} do not split {point.size} coordinates")
+    ends = np.cumsum(parts)
+    return np.concatenate([np.full(size, _base_step(point[end - size:end], cfg))
+                           for size, end in zip(parts, ends)])
+
+
 def _as_point(point) -> np.ndarray:
     point = np.atleast_1d(np.asarray(point, dtype=complex))
     if not np.all(np.isfinite(point)):
@@ -165,7 +179,8 @@ class _Plan:
     moves: tuple            # per direction: (point, coordinate, imaginary 0/1, multiple of h0)
     size: int               # distinct points
     inverse: np.ndarray     # distinct point of each stencil row
-    groups: tuple           # (stencil, indices of its lines), rows in this order
+    groups: tuple           # (stencil, indices of its lines, their first
+                            # coordinates), rows in this order
 
 
 _UNITS = np.array([1.0, 1j])
@@ -182,7 +197,7 @@ def _plan(lines: tuple, levels: int, centre: bool) -> _Plan:
     groups, rows = [], []
     for stencil in dict.fromkeys(st for st, _ in lines):
         idx = tuple(i for i, (st, _) in enumerate(lines) if st is stencil)
-        groups.append((stencil, idx))
+        groups.append((stencil, idx, _frozen([lines[i][1][0][0] for i in idx], np.int32)))
         for i in idx:
             for level in range(levels):
                 for offset in stencil.offsets:
@@ -212,52 +227,57 @@ def _frozen(values, dtype) -> np.ndarray:
 
 
 def _estimates(field: Callable, point: np.ndarray, lines: tuple, cfg: FDConfig,
-               centre: bool = False):
+               centre: bool = False, parts=None):
     """Richardson-extrapolated stencil estimates along ``lines``, from one field call.
 
     A line is ``(stencil, axes)`` with one ``(coordinate, imaginary)`` axis per
     offset coordinate of the stencil.  Returns the estimates, with one entry
     per line on the last axis, and the field's value at ``point`` (None unless
-    ``centre``).
+    ``centre``).  ``parts`` gives blocks of coordinates their own base steps.
     """
     plan = _plan(lines, cfg.richardson_levels, centre)
-    h0 = _base_step(point, cfg)
-    steps = [h0 / 2.0 ** k for k in range(cfg.richardson_levels)]
+    h0 = _base_steps(point, cfg, parts)
+    halvings = 2.0 ** np.arange(cfg.richardson_levels)
     columns = np.repeat(point[:, None], plan.size, axis=1)
     # p + (k h) e_a + (k' h) e_b with the bits of a point-by-point stencil
     for at, coord, imaginary, multiple in plan.moves:
-        columns[coord, at] += (multiple * h0) * _UNITS[imaginary]
+        columns[coord, at] += (multiple * h0[coord]) * _UNITS[imaginary]
     values = _evaluate(field, columns)[..., plan.inverse]
 
     lead = values.shape[:-1]
     out = np.empty(lead + (len(lines),), dtype=complex)
     start = 0
-    for stencil, idx in plan.groups:
-        shape = (len(idx), len(steps), len(stencil.weights))
+    for stencil, idx, first in plan.groups:
+        shape = (len(idx), len(halvings), len(stencil.weights))
         size = shape[0] * shape[1] * shape[2]
         block = values[..., start:start + size].reshape(lead + shape)
         start += size
         acc = 0.0
         for k, w in enumerate(stencil.weights):
             acc = acc + w * block[..., k]
-        levels = acc / np.array([stencil.denominator(step) for step in steps])
-        out[..., idx] = _richardson([levels[..., k] for k in range(len(steps))])
+        # each line's step at each level: h0 of its first coordinate / 2^level
+        # (only wirtinger_gradient takes parts, and its lines have one direction)
+        levels = acc / stencil.denominator(h0[first][:, None] / halvings)
+        out[..., idx] = _richardson([levels[..., k] for k in range(len(halvings))])
     return out, (values[..., -1] if centre else None)
 
 
-def wirtinger_gradient(field: Callable, point, cfg: FDConfig | None = None):
+def wirtinger_gradient(field: Callable, point, cfg: FDConfig | None = None, parts=None):
     """Holomorphic and anti-holomorphic first derivatives of ``field`` at ``point``.
 
     ``field`` follows the column contract of this module; a vector or matrix
     field is differentiated componentwise.  Returns ``(holo, anti)`` with
     ``holo[a] ~ d field / d w^a`` and ``anti[a] ~ d field / d wbar^a``.  For a
-    real-valued field ``anti = conj(holo)``.
+    real-valued field ``anti = conj(holo)``.  ``parts``, block sizes summing to
+    the dimension, gives each consecutive block of coordinates its own base
+    step from the block alone, so its derivatives carry the bits of a separate
+    call at that block with the other coordinates held fixed.
     """
     cfg = cfg or FDConfig()
     point = _as_point(point)
     lines = tuple((_D1, ((a, imaginary),))
                   for a in range(point.size) for imaginary in (False, True))
-    est, _ = _estimates(field, point, lines, cfg)
+    est, _ = _estimates(field, point, lines, cfg, parts=parts)
     dx, dy = est[..., 0::2], est[..., 1::2]
     holo = np.moveaxis(0.5 * (dx - 1j * dy), -1, 0)
     anti = np.moveaxis(0.5 * (dx + 1j * dy), -1, 0)

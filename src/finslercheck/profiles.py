@@ -20,9 +20,12 @@ f + t f' > 0 for Hermitian profiles).  Pseudo-convexity diagnostics evaluate on
 the smooth region so they can report *why* a point fails validity.
 
 Jet and value evaluators validate inline and raise DomainViolation, and fetch
-each 1-D derivative exactly once per call.  ``MetricProfile.value`` also takes
-arrays of (t, s): the finite-difference oracles evaluate a whole stencil in one
-call, and a single point outside the region rejects the call.
+each 1-D derivative exactly once per call (a wk-randers profile fetches f's
+derivatives once and derives g and h from them).  ``MetricProfile.value`` and
+``MetricProfile.raw_jet`` also take arrays of (t, s): the finite-difference
+oracles and the closed forms they differentiate evaluate a whole stencil in
+one call, and a single point outside the region rejects the call, naming the
+first (t, s) where the guard fails.
 """
 
 from __future__ import annotations
@@ -160,8 +163,8 @@ class MetricProfile:
         """Jet on the smooth region only; used by diagnostics that report validity."""
         return _jet_to_phijet(self._jet_smooth_fn(t, s, 3))
 
-    def raw_jet(self, t: float, s: float, order: int) -> Jet2:
-        """Validity-checked Taylor jet at reduced order (fast path for FD loops)."""
+    def raw_jet(self, t, s, order: int) -> Jet2:
+        """Validity-checked Taylor jet at reduced order, at a point or at arrays of (t, s)."""
         return self._jet_fn(t, s, order)
 
     def value(self, t, s):
@@ -231,11 +234,14 @@ def hermitian_profile(f: ScalarFunction1D) -> MetricProfile:
 
 
 def randers_profile(f: ScalarFunction1D, g: ScalarFunction1D,
-                    h: ScalarFunction1D, descriptor: dict | None = None) -> MetricProfile:
+                    h: ScalarFunction1D, descriptor: dict | None = None,
+                    derivs=None) -> MetricProfile:
     """phi = (sqrt(f + g s) + sqrt(h s))^2 with f > 0 and h >= 0, h not identically 0.
 
     The h = 0 limit is a Hermitian metric and must be built with
     hermitian_profile instead (the square-root jets degenerate there).
+    ``derivs(t, order)``, when given, returns the derivative tuples of f, g and
+    h together, for families where the three share work.
     """
     for name, fn in (("f", f), ("g", g), ("h", h)):
         if fn.max_order < 3:
@@ -253,26 +259,26 @@ def randers_profile(f: ScalarFunction1D, g: ScalarFunction1D,
     if lo >= hi:
         raise InvalidCatalogEntry("randers profile: empty common t-interval")
 
+    if derivs is None:
+        def derivs(t, order):
+            return f.derivs(t, order), g.derivs(t, order), h.derivs(t, order)
+
     def _in_bounds(t, s):
         return (_s_in_bounds(t, s, S_MIN_FRACTION * t) & (s > 0.0)
                 & f.contains(t) & g.contains(t) & h.contains(t))
 
     def _check(t, s, mask):
-        if not _holds(mask):
+        # a guard at one point is a plain True when it holds
+        if mask is not True and not _holds(mask):
             raise _outside(t, s, mask, "validity region of randers profile")
 
     def _positive(f0, a, b):
         return (f0 > 0.0) & (a > 0.0) & (b > 0.0)
 
     def jet_fn(t, s, order):
-        # jets are evaluated at one point, so the guards are plain bools here
-        if not _in_bounds(t, s):
-            raise _outside(t, s, False, "validity region of randers profile")
-        fd = f.derivs(t, order)
-        gd = g.derivs(t, order)
-        hd = h.derivs(t, order)
-        if not _positive(fd[0], fd[0] + gd[0] * s, hd[0] * s):
-            raise _outside(t, s, False, "validity region of randers profile")
+        _check(t, s, _in_bounds(t, s))
+        fd, gd, hd = derivs(t, order)
+        _check(t, s, _positive(fd[0], fd[0] + gd[0] * s, hd[0] * s))
         S = Jet2.var_s(s, order)
         A = Jet2.from_t_derivs(fd, order) + Jet2.from_t_derivs(gd, order) * S
         B = Jet2.from_t_derivs(hd, order) * S
@@ -280,17 +286,17 @@ def randers_profile(f: ScalarFunction1D, g: ScalarFunction1D,
 
     def value_fn(t, s):
         _check(t, s, _in_bounds(t, s))
-        f0 = f.value(t)
-        a = f0 + g.value(t) * s
-        b = h.value(t) * s
+        (f0,), (g0,), (h0,) = derivs(t, 0)
+        a = f0 + g0 * s
+        b = h0 * s
         _check(t, s, _positive(f0, a, b))
         return a + b + 2.0 * _sqrt(a * b)
 
     def smooth_fn(t, s):
         if not _in_bounds(t, s):
             return False
-        f0 = f.value(t)
-        return bool(_positive(f0, f0 + g.value(t) * s, h.value(t) * s))
+        (f0,), (g0,), (h0,) = derivs(t, 0)
+        return bool(_positive(f0, f0 + g0 * s, h0 * s))
 
     if descriptor is None:
         descriptor = {"family": "randers", "f": f.descriptor(),
@@ -310,9 +316,19 @@ def wk_randers_profile(f: ScalarFunction1D, h_scale: float = 1.0) -> MetricProfi
         raise InvalidCatalogEntry(
             "wk-randers profile needs f with derivatives to order 4")
     g = WkG(f)
-    h = WkH(f) if h_scale == 1.0 else Scaled(WkH(f), h_scale)
+    wk_h = WkH(f)
+    h = wk_h if h_scale == 1.0 else Scaled(wk_h, h_scale)
+
+    def derivs(t, order):
+        # f's derivatives are fetched once and feed g and h too
+        fd = f.derivs(t, order + 1)
+        hd = wk_h.from_base(t, fd, order)
+        if h is not wk_h:
+            hd = tuple(h.factor * d for d in hd)
+        return fd[:order + 1], g.from_base(t, fd, order), hd
+
     descriptor = {"family": "wk-randers", "f": f.descriptor(), "h_scale": float(h_scale)}
-    return randers_profile(f, g, h, descriptor=descriptor)
+    return randers_profile(f, g, h, descriptor=descriptor, derivs=derivs)
 
 
 def model_profile(k: int, c: float) -> MetricProfile:

@@ -138,7 +138,8 @@ class _SampleContext:
     @property
     def spray(self):
         if self._spray is None:
-            self._spray = tensors.spray_coefficients(self.profile, self.pv, self.cfg)
+            self._spray = tensors.spray_coefficients(self.profile, self.pv, self.cfg,
+                                                      levi=self.levi)
         return self._spray
 
     @property
@@ -222,7 +223,7 @@ def _check_unitary(ctx, unitary):
 
 
 def _check_classify(ctx):
-    rep = curv.kahler_classify(ctx.profile, ctx.pv, ctx.cfg)
+    rep = curv.kahler_classify(ctx.profile, ctx.pv, ctx.cfg, levi=ctx.levi)
     return {"classify_strong": rep.strong_residual,
             "classify_kahler": rep.kahler_residual,
             "classify_weakly": rep.weakly_residual}

@@ -29,10 +29,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateK1, ZeroVector
+from .functions1d import _pow_for
 from .numerics import (
     FDConfig,
     hermitian_inverse_det,
-    per_point,
     wirtinger_gradient,
     wirtinger_mixed_hessian,
     wirtinger_second,
@@ -152,22 +152,56 @@ class ConnectionData:
     cee: np.ndarray     # C^a_{b g}, indices [a, b, g]
 
 
+# Closed forms below take one point (vectors z, v) or m points (the columns of
+# (n, m) arrays, values with a trailing axis of length m), and a column carries
+# the bits of the lone point.  numpy's vectorised complex multiply and complex
+# abs, and its x ** 2, can differ in the last bit from the scalar operations of
+# the one-point code, so the helpers below keep the scalar operation order.
+
+def _cmul(a, b):
+    """a * b in the operation order of a product of two complex scalars."""
+    ar, ai, br, bi = np.real(a), np.imag(a), np.real(b), np.imag(b)
+    out = np.empty(np.broadcast(ar, br).shape, dtype=complex)
+    out.real = ar * br - ai * bi
+    out.imag = ar * bi + ai * br
+    return out
+
+
+def _abs(x):
+    """|x| of a complex number or array, as the libm hypot of Python's complex abs."""
+    return np.hypot(x.real, x.imag) if isinstance(x, np.ndarray) else abs(x)
+
+
+def _outer(a, b):
+    """outer(a, b) of two vectors, or of matching columns into shape (n, n, m)."""
+    return a[:, None] * b[None, :]
+
+
+def _first(mask, *values):
+    """``values`` at the first entry where ``mask`` holds (as they are for one point)."""
+    if not isinstance(mask, np.ndarray):
+        return values
+    at = int(np.argmax(mask))
+    return tuple(float(np.broadcast_to(x, mask.shape)[at]) for x in values)
+
+
 def _s_alpha(z, v, r, pairing):
-    return -np.conj(v) * (abs(pairing) ** 2) / r ** 2 + pairing * np.conj(z) / r
+    pw = _pow_for(r)
+    return -np.conj(v) * pw(_abs(pairing), 2) / pw(r, 2) + pairing * np.conj(z) / r
 
 
 def _levi_matrix(profile, z, v):
-    """Closed-form Levi matrix (no inverse / determinant)."""
+    """Closed-form Levi matrix (no inverse / determinant), (n, n) or (n, n, m)."""
     r, t, s, pairing = invariants(z, v)
     j = profile.raw_jet(t, s, 2)
     phi = j.value
     phi_s = j.partial(0, 1)
     phi_ss = j.partial(0, 2)
     sa = _s_alpha(z, v, r, pairing)
-    n = z.size
-    M = (phi - s * phi_s) * np.eye(n, dtype=complex)
-    M += (r * phi_ss) * np.outer(sa, np.conj(sa))
-    M += phi_s * np.outer(np.conj(z), z)
+    n = len(z)
+    M = (phi - s * phi_s) * np.eye(n, dtype=complex).reshape((n, n) + (1,) * np.ndim(t))
+    M += (r * phi_ss) * _outer(sa, np.conj(sa))
+    M += phi_s * _outer(np.conj(z), z)
     return M
 
 
@@ -233,12 +267,12 @@ def pseudoconvexity_check(profile: MetricProfile, t: float, s: float):
     return cond1, cond2, bool(cond1 > 0.0 and cond2 > 0.0)
 
 
-def k_scalars(profile: MetricProfile, t: float, s: float):
-    """The spray scalars (k1, k2, k3) at (t, s).
+def k_scalars(profile: MetricProfile, t, s):
+    """The spray scalars (k1, k2, k3) at (t, s), or at every point of arrays t, s.
 
     k1 is the determinant head factor; k2, k3 are the coefficients of the spray
     decomposition 2 GG^g = k2 pbar v^g + k3 pbar^2 z^g.  Raises DegenerateK1
-    when |k1| < 1e-12 phi^2 (pseudo-convexity failure).
+    when |k1| < 1e-12 phi^2 (pseudo-convexity failure) at any point.
     """
     j = profile.raw_jet(t, s, 2)
     phi = j.value
@@ -248,19 +282,27 @@ def k_scalars(profile: MetricProfile, t: float, s: float):
     phi_ss = j.partial(0, 2)
     head = phi + (t - s) * phi_s
     k1 = (phi - s * phi_s) * head + s * (t - s) * phi * phi_ss
-    if abs(k1) < K1_DEGENERACY * phi * phi:
-        raise DegenerateK1(f"k1 = {k1} is degenerate relative to phi^2 = {phi * phi}")
+    degenerate = abs(k1) < K1_DEGENERACY * phi * phi
+    if _anywhere(degenerate):
+        k1_at, phi_at = _first(degenerate, k1, phi)
+        raise DegenerateK1(f"k1 = {k1_at} is degenerate relative to phi^2 = {phi_at * phi_at}")
     k2 = ((head + s * (t - s) * phi_ss) * (phi_t + phi_s)
           - s * head * (phi_ts + phi_ss)) / k1
     k3 = (phi * (phi_ts + phi_ss) - phi_s * (phi_t + phi_s)) / k1
     return k1, k2, k3
 
 
+def _spray(k2, k3, pairing, z, v):
+    """2 GG^g = k2 pbar v^g + k3 pbar^2 z^g."""
+    pbar = np.conj(pairing)
+    return k2 * pbar * v + _cmul(k3 * pbar, pbar) * z
+
+
 def _spray_vector(profile, z, v):
+    """The spray 2 GG^g at one point, (n,), or at the columns of (n, m) arrays."""
     r, t, s, pairing = invariants(z, v)
     _, k2, k3 = k_scalars(profile, t, s)
-    pbar = np.conj(pairing)
-    return k2 * pbar * v + k3 * pbar * pbar * z
+    return _spray(k2, k3, pairing, z, v)
 
 
 def _connection_matrix_closed(profile, z, v):
@@ -282,12 +324,16 @@ def _connection_matrix_closed(profile, z, v):
 
 
 def spray_coefficients(profile: MetricProfile, pv: PointVector,
-                       cfg: FDConfig | None = None) -> SprayData:
-    """Spray scalars, spray vector and the closed-form nonlinear connection."""
+                       cfg: FDConfig | None = None,
+                       levi: LeviData | None = None) -> SprayData:
+    """Spray scalars, spray vector and the closed-form nonlinear connection.
+
+    ``levi``, the sample's ``levi_closed``, is built here when not passed in.
+    """
     k1, k2, k3 = k_scalars(profile, pv.t, pv.s)
-    pbar = np.conj(pv.pairing)
-    spray = k2 * pbar * pv.v + k3 * pbar * pbar * pv.z
-    levi = levi_closed(profile, pv, cfg)
+    spray = _spray(k2, k3, pv.pairing, pv.z, pv.v)
+    if levi is None:
+        levi = levi_closed(profile, pv, cfg)
     D = _connection_matrix_closed(profile, pv.z, pv.v)
     nconn = levi.inverse @ D
     return SprayData(k1=k1, k2=k2, k3=k3, spray=spray, nconn=nconn)
@@ -318,20 +364,26 @@ def nonlinear_connection_fd(profile: MetricProfile, pv: PointVector,
 
 
 def connection_coefficients(profile: MetricProfile, pv: PointVector,
-                            cfg: FDConfig | None = None) -> ConnectionData:
+                            cfg: FDConfig | None = None,
+                            levi: LeviData | None = None) -> ConnectionData:
     """Chern-Finsler connection coefficients Gamma^a_{b;g} and C^a_{b g}.
 
     The z- and v-derivatives of the closed-form Levi matrix are taken by
-    Wirtinger finite differences; the horizontal derivative is
-    delta/delta z^g = d/dz^g - N^m_g d/dv^m with the closed-form N.
+    Wirtinger finite differences, both from one stencil over the joint point
+    (z, v); the horizontal derivative is delta/delta z^g = d/dz^g - N^m_g d/dv^m
+    with the closed-form N.  ``levi``, the sample's ``levi_closed``, is built
+    here when not passed in.
     """
     cfg = cfg or FDConfig()
-    levi = levi_closed(profile, pv, cfg)
-    N = spray_coefficients(profile, pv, cfg).nconn
-    z0, v0 = pv.z, pv.v
+    if levi is None:
+        levi = levi_closed(profile, pv, cfg)
+    N = spray_coefficients(profile, pv, cfg, levi=levi).nconn
+    n = pv.n
 
-    dMdz, _ = wirtinger_gradient(per_point(lambda w: _levi_matrix(profile, w, v0)), z0, cfg)
-    dMdv, _ = wirtinger_gradient(per_point(lambda w: _levi_matrix(profile, z0, w)), v0, cfg)
+    # z and v keep their own base steps, as if differentiated one at a time
+    dM, _ = wirtinger_gradient(lambda w: _levi_matrix(profile, w[:n], w[n:]),
+                               np.concatenate([pv.z, pv.v]), cfg, parts=(n, n))
+    dMdz, dMdv = dM[:n], dM[n:]
     # dMdz[g][b, e] = d M[b, e] / d z^g ; horizontal correction subtracts N^m_g d/dv^m
     T = np.einsum('gbe->beg', dMdz) - np.einsum('mg,mbe->beg', N, dMdv)
     gamma = np.einsum('ae,beg->abg', levi.inverse, T)

@@ -1,0 +1,265 @@
+"""Closed forms on stencil columns: the bits of the lone point, one field call per stencil."""
+
+import re
+
+import numpy as np
+import pytest
+
+import finslercheck as fc
+from finslercheck import numerics
+from finslercheck.errors import DegenerateK1, DomainViolation, StencilOutsideDomain
+from finslercheck.jets import NCOEF, Jet2
+from finslercheck.tensors import _levi_matrix, _spray_vector, invariants, k_scalars
+
+from conftest import CATALOG_NAMES, make_points
+
+M = 9
+
+
+def column_jets(rng, order, positive=False):
+    """A jet with array coefficients and the jets of its columns."""
+    coeffs = rng.normal(size=(NCOEF[order], M))
+    if positive:
+        coeffs[0] = 0.5 + np.abs(coeffs[0])
+    return Jet2(order, list(coeffs)), [Jet2(order, coeffs[:, k].tolist()) for k in range(M)]
+
+
+def assert_columns(got, singles):
+    """Every coefficient of the array jet ``got`` carries the bits of the single-point jets."""
+    for slot in range(len(got.c)):
+        column = np.broadcast_to(got.c[slot], (M,))
+        assert column.tolist() == [one.c[slot] for one in singles], slot
+
+
+class TestJetColumns:
+    OPS = {
+        "add": lambda a, b: a + b,
+        "sub": lambda a, b: a - b,
+        "mul": lambda a, b: a * b,
+        "div": lambda a, b: a / b,
+        "add-float": lambda a, b: a + 0.7,
+        "rsub-float": lambda a, b: 0.7 - a,
+        "mul-float": lambda a, b: 2.5 * a,
+        "div-float": lambda a, b: a / 3.0,
+        "rdiv-float": lambda a, b: 3.0 / b,
+        "neg": lambda a, b: -a,
+        "sqrt": lambda a, b: b.sqrt(),
+        "chain": lambda a, b: a * b - 2.0 * (a / b),
+    }
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("op", sorted(OPS))
+    def test_array_coefficients_match_scalar_bits(self, op, order, rng):
+        fn = self.OPS[op]
+        a, a_cols = column_jets(rng, order)
+        b, b_cols = column_jets(rng, order, positive=True)
+        assert_columns(fn(a, b), [fn(x, y) for x, y in zip(a_cols, b_cols)])
+        # the operands' coefficient arrays are never updated in place
+        assert_columns(a, a_cols)
+        assert_columns(b, b_cols)
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_constructors_take_arrays(self, order, rng):
+        t = 0.5 + rng.random(M)
+        derivs = [rng.normal(size=M) for _ in range(order + 1)]
+        assert_columns(Jet2.var_s(t, order), [Jet2.var_s(x, order) for x in t.tolist()])
+        assert_columns(Jet2.var_t(t, order), [Jet2.var_t(x, order) for x in t.tolist()])
+        assert_columns(Jet2.from_t_derivs(derivs, order),
+                       [Jet2.from_t_derivs([d[k] for d in derivs], order) for k in range(M)])
+        # a mixed jet: array value, float derivatives (as var_s of a stencil)
+        a, a_cols = column_jets(rng, order, positive=True)
+        S = Jet2.var_s(t, order)
+        assert_columns((a * S).sqrt() / S,
+                       [(x * Jet2.var_s(s, order)).sqrt() / Jet2.var_s(s, order)
+                        for x, s in zip(a_cols, t.tolist())])
+
+    def test_numpy_operand_defers_to_the_jet(self, rng):
+        a, a_cols = column_jets(rng, 2)
+        scale = rng.normal(size=M)
+        got = scale * a
+        assert isinstance(got, Jet2)
+        assert_columns(got, [s * x for s, x in zip(scale.tolist(), a_cols)])
+
+    def test_float_jets_stay_python_floats(self):
+        a = Jet2(3, [1.3, 0.2, 0.1, 0.05, 0.01, 0.02, 0.001, 0.002, 0.003, 0.004])
+        b = Jet2.var_s(0.4, 3) + Jet2.from_t_derivs((2.0, 0.5, 0.25, 0.125), 3)
+        for jet in (a + b, a - b, a * b, a / b, a.sqrt(), 1.0 - a, 2.0 / b, a + 1,
+                    Jet2.constant(2, 3), Jet2.var_t(1, 3)):
+            assert all(type(x) is float for x in jet.c), jet
+
+    def test_guards_fire_at_a_single_column(self):
+        value = np.array([1.0, 0.0, 2.0])
+        zero = Jet2(1, [value, 1.0, 1.0])
+        with pytest.raises(ZeroDivisionError):
+            Jet2(1, [np.ones(3), 0.0, 0.0]) / zero
+        with pytest.raises(ValueError, match="non-positive"):
+            zero.sqrt()
+
+
+def stencil_points(prof, n=3, count=3, seed=17):
+    """Columns (n, m) of z and v, built from sampled points and small moves of them."""
+    zs, vs = [], []
+    for pv in make_points(prof, n=n, count=count, seed=seed):
+        for k in range(3):
+            zs.append(pv.z + 1e-4 * k * pv.v)
+            vs.append(pv.v * (1.0 + 1e-4j * k))
+    return np.array(zs).T.copy(), np.array(vs).T.copy()
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_raw_jet_columns_match_scalar_bits(name, profiles):
+    prof = profiles[name]
+    z, v = stencil_points(prof)
+    _, t, s, _ = invariants(z, v)
+    for order in (1, 2, 3):
+        got = prof.raw_jet(t, s, order)
+        singles = [prof.raw_jet(a, b, order) for a, b in zip(t.tolist(), s.tolist())]
+        for slot in range(NCOEF[order]):
+            column = np.broadcast_to(got.c[slot], t.shape).tolist()
+            assert column == [one.c[slot] for one in singles], (order, slot)
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_closed_forms_on_columns_match_scalar_bits(name, profiles):
+    prof = profiles[name]
+    z, v = stencil_points(prof)
+    _, t, s, _ = invariants(z, v)
+    got_k = k_scalars(prof, t, s)
+    for k, (a, b) in enumerate(zip(t.tolist(), s.tolist())):
+        assert [x[k] for x in got_k] == list(k_scalars(prof, a, b))
+    spray, levi = _spray_vector(prof, z, v), _levi_matrix(prof, z, v)
+    assert spray.shape == z.shape and levi.shape == (3, 3, z.shape[1])
+    for k in range(z.shape[1]):
+        assert np.array_equal(spray[:, k], _spray_vector(prof, z[:, k], v[:, k]))
+        assert np.array_equal(levi[..., k], _levi_matrix(prof, z[:, k], v[:, k]))
+
+
+class TestWkDerivativesFetchedOnce:
+    @staticmethod
+    def counted_exponential():
+        f = fc.Exponential(1.0)
+        calls = []
+        method = f.derivs
+
+        def derivs(t, order):
+            calls.append(order)
+            return method(t, order)
+
+        f.derivs = derivs
+        return f, calls
+
+    @pytest.mark.parametrize("h_scale", [1.0, 1.1])
+    def test_one_fetch_per_evaluation(self, h_scale):
+        f, calls = self.counted_exponential()
+        prof = fc.wk_randers_profile(f, h_scale=h_scale)
+        ts = np.array([0.5, 0.7, 0.9])
+        for t, s in ((0.7, 0.3), (ts, 0.4 * ts)):
+            for evaluate in (lambda: prof.value(t, s), lambda: prof.raw_jet(t, s, 3),
+                             lambda: prof.raw_jet(t, s, 1)):
+                del calls[:]
+                evaluate()
+                assert len(calls) == 1
+
+    @pytest.mark.parametrize("h_scale", [1.0, 1.1])
+    def test_same_bits_as_separate_fetches(self, h_scale):
+        f = fc.Exponential(1.0)
+        shared = fc.wk_randers_profile(f, h_scale=h_scale)
+        h = fc.WkH(f) if h_scale == 1.0 else fc.Scaled(fc.WkH(f), h_scale)
+        separate = fc.randers_profile(f, fc.WkG(f), h)
+        ts = np.linspace(0.2, 2.0, 7)
+        ss = ts * np.linspace(0.1, 0.9, 7)
+        assert shared.value(ts, ss).tolist() == separate.value(ts, ss).tolist()
+        for t, s in zip(ts.tolist(), ss.tolist()):
+            assert shared.value(t, s) == separate.value(t, s)
+            assert shared.raw_jet(t, s, 3).c == separate.raw_jet(t, s, 3).c
+
+
+def count_field_calls(monkeypatch):
+    """Record the columns of every field call the stencil engine makes."""
+    calls = []
+    evaluate = numerics._evaluate
+
+    def counted(field, columns):
+        calls.append(columns.shape)
+        return evaluate(field, columns)
+
+    monkeypatch.setattr(numerics, "_evaluate", counted)
+    return calls
+
+
+class TestOneFieldCall:
+    def test_direct_curvature(self, monkeypatch, profiles):
+        calls = count_field_calls(monkeypatch)
+        for pv in make_points(profiles["model-k4"], n=3, count=2, seed=3):
+            del calls[:]
+            fc.holomorphic_curvature_direct(profiles["model-k4"], pv)
+            # tau = (tau_z, tau_v): 2 coordinates x 2 axes x 6 distinct points
+            assert calls == [(2, 24)]
+
+    def test_connection_coefficients(self, monkeypatch, profiles):
+        calls = count_field_calls(monkeypatch)
+        for n in (2, 3):
+            for pv in make_points(profiles["wk-exp"], n=n, count=1, seed=4):
+                del calls[:]
+                fc.connection_coefficients(profiles["wk-exp"], pv)
+                assert calls == [(2 * n, 2 * n * 2 * 6)]
+
+    def test_classify_builds_levi_once(self, monkeypatch, profiles):
+        from finslercheck import curvature, tensors
+        prof = profiles["wk-exp"]
+        pv = make_points(prof, n=2, count=1, seed=4)[0]
+        expected = curvature.kahler_classify(prof, pv)
+        built = []
+        levi_closed = tensors.levi_closed
+
+        def counted(*args, **kwargs):
+            built.append(1)
+            return levi_closed(*args, **kwargs)
+
+        monkeypatch.setattr(tensors, "levi_closed", counted)
+        monkeypatch.setattr(curvature, "levi_closed", counted)
+        assert curvature.kahler_classify(prof, pv) == expected
+        assert len(built) == 1
+
+
+class TestDomainEdgesOnColumns:
+    def test_one_column_outside_the_ball(self):
+        # k = -4, c = 1 lives on t < 1; with dz = v only the column tau_z = +2h leaves it
+        prof = fc.model_profile(-4, 1.0)
+        h, a = numerics.DEFAULT_STEP, 0.6
+        z = np.array([1.0 - 1.5 * h * a + 0j, 0.0])
+        v = np.array([a + 0j, 0.8])
+        pv = fc.PointVector(z, v)
+        assert prof.is_valid(pv.t, pv.s)
+        t_along = [invariants(z + tau * v, v)[1] for tau in (h / 2, h, 2 * h)]
+        assert t_along[0] < t_along[1] < 1.0 < t_along[2]
+        with pytest.raises(StencilOutsideDomain) as info:
+            fc.holomorphic_curvature_direct(prof, pv)
+        named = re.search(r"\(t, s\) = \(([^,]+), ([^)]+)\)", str(info.value))
+        assert named and abs(float(named.group(1)) - t_along[2]) < 1e-12
+
+    def test_one_column_below_the_randers_guard(self, profiles):
+        prof = profiles["wk-exp"]
+        ts = np.array([0.5, 0.6, 0.7, 0.8])
+        ss = np.array([0.2, 0.5e-6 * 0.6, 0.3, 0.4e-6 * 0.8])
+        with pytest.raises(DomainViolation, match=r"\(t, s\) = \(0.6, 3e-07\)"):
+            prof.raw_jet(ts, ss, 2)
+        ss[1] = 0.3
+        with pytest.raises(DomainViolation, match=r"\(t, s\) = \(0.8, 3.2e-07\)"):
+            prof.raw_jet(ts, ss, 2)
+
+    def test_one_degenerate_k1_column(self):
+        # phi = 1 - s/2: k1 = 1 - t/2, zero at t = 2 while phi stays positive
+        def jet_fn(t, s, order):
+            c = [0.0] * NCOEF[order]
+            c[0] = 1.0 - 0.5 * s
+            c[2] = -0.5
+            return Jet2(order, c)
+
+        prof = fc.MetricProfile({"family": "synthetic"}, jet_fn, lambda t, s: 1.0 - 0.5 * s,
+                                lambda t, s: True, lambda t, s: True, (0.0, float("inf")))
+        ts, ss = np.array([1.0, 2.0, 3.0]), np.array([0.5, 0.5, 0.5])
+        with pytest.raises(DegenerateK1, match=r"k1 = 0.0 "):
+            k_scalars(prof, ts, ss)
+        k1, _, _ = k_scalars(prof, ts[[0, 2]], ss[[0, 2]])
+        assert k1.tolist() == [0.5, -0.5]
