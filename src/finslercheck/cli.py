@@ -19,32 +19,13 @@ import argparse
 import json
 import sys
 
-from .errors import (
-    ConfigError,
-    DegenerateK1,
-    DegenerateUs,
-    DomainViolation,
-    EmptyAfterRejection,
-    HermitianViolation,
-    InvalidCatalogEntry,
-    InvalidCurvatureTag,
-    NonFiniteEvaluation,
-    NotWeaklyKahler,
-    ReportIOError,
-    SingularMatrix,
-    StencilOutsideDomain,
-    ZeroVector,
-)
+from .errors import ConfigError, FinslerCheckError, InvalidCatalogEntry, InvalidCurvatureTag
 from .numerics import FDConfig
 from .report import emit_json, emit_report
 from .sampling import SampleSpec
 from .suite import CHECK_NAMES, SuiteConfig, SuiteReport, run_suite
 
-_NUMERICAL_ERRORS = (
-    SingularMatrix, DegenerateK1, DegenerateUs, NonFiniteEvaluation,
-    StencilOutsideDomain, HermitianViolation, ZeroVector, EmptyAfterRejection,
-    NotWeaklyKahler, DomainViolation, ReportIOError,
-)
+# every other FinslerCheckError is a numerical or I/O error (exit 3)
 _CONFIG_ERRORS = (ConfigError, InvalidCatalogEntry, InvalidCurvatureTag)
 
 _MODEL_TAGS = {"k4": (4, "+4"), "k0": (0, "0"), "km4": (-4, "-4")}
@@ -54,6 +35,7 @@ _SUBCOMMAND_CHECKS = {
     "curvature": ("curvature",),
     "residual": ("wk_phi", "wk_uw", "lemma", "k2k3"),
     "classify": ("classify",),
+    "models": ("curvature", "wk_phi", "wk_uw", "lemma", "k2k3"),
 }
 
 
@@ -100,8 +82,9 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         sp = sub.add_parser(name, help=help_text)
         _add_common(sp)
-        sp.add_argument("--checks", metavar="NAMES",
-                        help="comma-separated check subset (verify only)")
+        if name == "verify":
+            sp.add_argument("--checks", metavar="NAMES",
+                            help="comma-separated check subset")
     sp = sub.add_parser("models", help="run the three constant-curvature models")
     _add_common(sp, with_profile=False)
     return p
@@ -120,7 +103,7 @@ def _profile_descriptor(args) -> dict:
         raise ConfigError(f"profile file is not valid JSON: {exc}") from exc
 
 
-def _suite_config(args, checks) -> SuiteConfig:
+def _suite_config(args, checks, profile: dict) -> SuiteConfig:
     if getattr(args, "checks", None):
         checks = tuple(name.strip() for name in args.checks.split(",") if name.strip())
     sample = SampleSpec(
@@ -129,7 +112,7 @@ def _suite_config(args, checks) -> SuiteConfig:
         s_fraction_range=tuple(args.s_range),
     )
     fd = FDConfig(step=args.fd_step, richardson_levels=args.fd_levels)
-    return SuiteConfig(profile=_profile_descriptor(args), sample=sample, fd=fd,
+    return SuiteConfig(profile=profile, sample=sample, fd=fd,
                        checks=checks, include_timestamp=args.timestamp)
 
 
@@ -148,8 +131,7 @@ def _summarize(report: SuiteReport, label: str):
 
 
 def _run_single(args, checks) -> int:
-    config = _suite_config(args, checks)
-    report = run_suite(config)
+    report = run_suite(_suite_config(args, checks, _profile_descriptor(args)))
     emit_report(report, format=args.format, destination=args.out)
     _summarize(report, args.command)
     has_criteria = any(c["passed"] is not None for c in report.criteria.values())
@@ -158,20 +140,14 @@ def _run_single(args, checks) -> int:
     return 0
 
 
-def _run_models(args) -> int:
-    sample = SampleSpec(n=args.n, count=args.samples, seed=args.seed,
-                        s_fraction_range=tuple(args.s_range))
-    fd = FDConfig(step=args.fd_step, richardson_levels=args.fd_levels)
+def _run_models(args, checks) -> int:
     reports = {}
     for tag, (k, _) in _MODEL_TAGS.items():
-        config = SuiteConfig(profile={"family": "model", "k": k, "c": args.c},
-                             sample=sample, fd=fd,
-                             checks=("curvature", "wk_phi", "wk_uw", "lemma", "k2k3"),
-                             include_timestamp=args.timestamp)
-        reports[tag] = run_suite(config)
+        model = {"family": "model", "k": k, "c": args.c}
+        reports[tag] = run_suite(_suite_config(args, checks, model))
     # the combined report is always JSON regardless of --format
     emit_json({"schema_version": reports["k4"].schema_version,
-               "models": {tag: rep.to_dict() for tag, rep in reports.items()}},
+               "models": {tag: vars(rep) for tag, rep in reports.items()}},
               destination=args.out)
     for tag, report in reports.items():
         _summarize(report, f"model k={_MODEL_TAGS[tag][1]} c={args.c}")
@@ -181,14 +157,13 @@ def _run_models(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    run = _run_models if args.command == "models" else _run_single
     try:
-        if args.command == "models":
-            return _run_models(args)
-        return _run_single(args, _SUBCOMMAND_CHECKS[args.command])
+        return run(args, _SUBCOMMAND_CHECKS[args.command])
     except _CONFIG_ERRORS as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except _NUMERICAL_ERRORS as exc:
+    except FinslerCheckError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
 

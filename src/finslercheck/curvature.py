@@ -37,15 +37,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateK1, DegenerateUs, DomainViolation, NotWeaklyKahler
+from .errors import DegenerateUs, DomainViolation, NotWeaklyKahler
 from .jets import Jet2
 from .numerics import FDConfig, wirtinger_gradient
 from .profiles import MetricProfile, PhiJet
 from .tensors import (
-    K1_DEGENERACY,
     LeviData,
     PointVector,
+    SprayData,
     _g_alpha,
+    _spray_scalars,
     _spray_vector,
     connection_coefficients,
     levi_closed,
@@ -111,26 +112,24 @@ class CurvatureReport:
 
 
 def _order1_jets(j: PhiJet, t: float, s: float) -> dict:
-    """Order-1 (t, s)-jets of phi and its partials, from the order-3 jet."""
+    """Order-1 (t, s)-jets of t, s, phi and its partials, from the order-3 jet.
+
+    The keys are the parameters of ``tensors._spray_scalars``.
+    """
     return {
-        "T": Jet2.var_t(t, 1),
-        "S": Jet2.var_s(s, 1),
+        "t": Jet2.var_t(t, 1),
+        "s": Jet2.var_s(s, 1),
         "phi": Jet2(1, [j.phi, j.phi_t, j.phi_s]),
         "phi_t": Jet2(1, [j.phi_t, j.phi_tt, j.phi_ts]),
         "phi_s": Jet2(1, [j.phi_s, j.phi_ts, j.phi_ss]),
-        "phi_tt": Jet2(1, [j.phi_tt, j.phi_ttt, j.phi_tts]),
         "phi_ts": Jet2(1, [j.phi_ts, j.phi_tts, j.phi_tss]),
         "phi_ss": Jet2(1, [j.phi_ss, j.phi_tss, j.phi_sss]),
     }
 
 
-def _uw_jets(q: dict):
-    """Order-1 jets of U and W."""
-    T, S = q["T"], q["S"]
-    phi, phi_t, phi_s = q["phi"], q["phi_t"], q["phi_s"]
-    U = (S * phi + S * (T - S) * phi_s) / phi
-    W = (phi_t + phi_s) / phi
-    return U, W
+def _u(t, s, phi, phi_s):
+    """U = (s phi + s (t-s) phi_s) / phi, on floats or order-1 jets."""
+    return (s * phi + s * (t - s) * phi_s) / phi
 
 
 def _check_uw_domain(profile, t, s):
@@ -144,8 +143,13 @@ def _check_uw_domain(profile, t, s):
 def uw(profile: MetricProfile, t: float, s: float) -> UWData:
     """U, W and their first partials at (t, s)."""
     _check_uw_domain(profile, t, s)
-    q = _order1_jets(profile.jet(t, s), t, s)
-    U, W = _uw_jets(q)
+    return _uw_data(profile.jet(t, s), t, s)
+
+
+def _uw_data(j: PhiJet, t: float, s: float) -> UWData:
+    q = _order1_jets(j, t, s)
+    U = _u(q["t"], q["s"], q["phi"], q["phi_s"])
+    W = (q["phi_t"] + q["phi_s"]) / q["phi"]
     return UWData(U=U.value, W=W.value,
                   U_s=U.partial(0, 1), U_t=U.partial(1, 0),
                   W_s=W.partial(0, 1), W_t=W.partial(1, 0))
@@ -161,12 +165,15 @@ def wk_residual_phi(profile: MetricProfile, t: float, s: float) -> float:
     return (a + b) / j.phi ** 3
 
 
-def wk_residual_uw(profile: MetricProfile, t: float, s: float) -> float:
-    """Left side of the weakly-Kahler equation in U, W (already scale-free)."""
-    d = uw(profile, t, s)
+def _uw_residual(d: UWData, t: float, s: float) -> float:
     return (s * d.U * (d.U - t) * d.W_s
             - s * (d.U - t) * d.U_s * d.W
             - 2.0 * (d.U - s) * d.U_s)
+
+
+def wk_residual_uw(profile: MetricProfile, t: float, s: float) -> float:
+    """Left side of the weakly-Kahler equation in U, W (already scale-free)."""
+    return _uw_residual(uw(profile, t, s), t, s)
 
 
 def lemma_integrability_residual(profile: MetricProfile, t: float, s: float) -> float:
@@ -175,60 +182,49 @@ def lemma_integrability_residual(profile: MetricProfile, t: float, s: float) -> 
     return s * (d.U_t + d.U_s) - s * s * (t - s) * d.W_s - d.U
 
 
-def _k_jets(q: dict, phi_sq: float):
-    """Order-1 jets of k1, k2, k3; raises DegenerateK1."""
-    T, S = q["T"], q["S"]
-    phi, phi_t, phi_s = q["phi"], q["phi_t"], q["phi_s"]
-    phi_ts, phi_ss = q["phi_ts"], q["phi_ss"]
-    head = phi + (T - S) * phi_s
-    k1 = (phi - S * phi_s) * head + S * (T - S) * phi * phi_ss
-    if abs(k1.value) < K1_DEGENERACY * phi_sq:
-        raise DegenerateK1(f"k1 = {k1.value} is degenerate relative to phi^2 = {phi_sq}")
-    k2 = ((head + S * (T - S) * phi_ss) * (phi_t + phi_s)
-          - S * head * (phi_ts + phi_ss)) / k1
-    k3 = (phi * (phi_ts + phi_ss) - phi_s * (phi_t + phi_s)) / k1
-    return k1, k2, k3
-
-
 def k2_k3_identity_residual(profile: MetricProfile, t: float, s: float) -> float:
     """dk2/ds + U dk3/ds; identically zero for every unitary-invariant profile."""
     j = profile.jet(t, s)
-    q = _order1_jets(j, t, s)
-    _, k2, k3 = _k_jets(q, j.phi * j.phi)
-    U = (s * j.phi + s * (t - s) * j.phi_s) / j.phi
-    return k2.partial(0, 1) + U * k3.partial(0, 1)
+    _, k2, k3 = _spray_scalars(**_order1_jets(j, t, s))
+    return k2.partial(0, 1) + _u(t, s, j.phi, j.phi_s) * k3.partial(0, 1)
 
 
-def holomorphic_curvature_closed(profile: MetricProfile, pv: PointVector) -> float:
-    """K_F from the general closed form in k2, k3 and their (t, s)-derivatives."""
+def holomorphic_curvature_closed(profile: MetricProfile, pv: PointVector,
+                                 jet: PhiJet | None = None) -> float:
+    """K_F from the general closed form in k2, k3 and their (t, s)-derivatives.
+
+    ``jet``, the order-3 jet at (pv.t, pv.s), is taken here when not passed in.
+    """
     t, s = pv.t, pv.s
-    j = profile.jet(t, s)
-    q = _order1_jets(j, t, s)
-    _, k2, k3 = _k_jets(q, j.phi * j.phi)
-    U = (s * j.phi + s * (t - s) * j.phi_s) / j.phi
+    if jet is None:
+        jet = profile.jet(t, s)
+    _, k2, k3 = _spray_scalars(**_order1_jets(jet, t, s))
+    U = _u(t, s, jet.phi, jet.phi_s)
     term2 = s * (k2.partial(1, 0) + k2.partial(0, 1)) + k2.value
     term3 = s * (k3.partial(1, 0) + k3.partial(0, 1)) + 2.0 * k3.value
-    return -(2.0 / j.phi) * (term2 + U * term3)
+    return -(2.0 / jet.phi) * (term2 + U * term3)
 
 
-def holomorphic_curvature_wk(profile: MetricProfile, pv: PointVector) -> float:
+def holomorphic_curvature_wk(profile: MetricProfile, pv: PointVector,
+                             jet: PhiJet | None = None) -> float:
     """K_F under the weakly-Kahler condition, in U and W only.
 
     The precondition is enforced by evaluating the weakly-Kahler residual at
-    the same (t, s) rather than trusting the profile's family tag.
+    the same (t, s) rather than trusting the profile's family tag.  ``jet``,
+    the order-3 jet at (pv.t, pv.s), is taken here when not passed in.
     """
     t, s = pv.t, pv.s
-    d = uw(profile, t, s)
-    residual = (s * d.U * (d.U - t) * d.W_s
-                - s * (d.U - t) * d.U_s * d.W
-                - 2.0 * (d.U - s) * d.U_s)
+    _check_uw_domain(profile, t, s)
+    if jet is None:
+        jet = profile.jet(t, s)
+    d = _uw_data(jet, t, s)
+    residual = _uw_residual(d, t, s)
     if abs(residual) >= WK_RESIDUAL_GATE:
         raise NotWeaklyKahler(
             f"weakly-Kahler residual {residual:.3e} exceeds gate {WK_RESIDUAL_GATE:.1e}")
     if abs(d.U_s) < US_DEGENERACY:
         raise DegenerateUs(f"U_s = {d.U_s} is degenerate")
-    phi = profile.value(t, s)
-    return -(2.0 / phi) * (s * (d.W_t + d.W_s)
+    return -(2.0 / jet.phi) * (s * (d.W_t + d.W_s)
                            - s * s * (t - s) * d.W_s ** 2 / d.U_s
                            + d.W)
 
@@ -249,8 +245,8 @@ def holomorphic_curvature_direct(profile: MetricProfile, pv: PointVector,
     cfg = cfg or FDConfig()
     z, v = pv.z, pv.v
     spray0 = _spray_vector(profile, z, v)
-    ga = _g_alpha(profile, z, v)
-    G = pv.r * profile.value(pv.t, pv.s)
+    ga, phi = _g_alpha(profile, pv)
+    G = pv.r * phi
 
     scale_z = max(1.0, float(np.max(np.abs(v))))
     scale_v = max(1.0, float(np.max(np.abs(spray0))))
@@ -274,9 +270,8 @@ def wk_spray_identities_residual(profile: MetricProfile, t: float, s: float):
     """
     _check_uw_domain(profile, t, s)
     j = profile.jet(t, s)
-    q = _order1_jets(j, t, s)
-    k1, k2, k3 = _k_jets(q, j.phi * j.phi)
-    d = uw(profile, t, s)
+    k1, k2, k3 = _spray_scalars(**_order1_jets(j, t, s))
+    d = _uw_data(j, t, s)
     if abs(d.U_s) < US_DEGENERACY:
         raise DegenerateUs(f"U_s = {d.U_s} is degenerate")
     r1 = k1.value - d.U_s * j.phi * j.phi
@@ -287,19 +282,21 @@ def wk_spray_identities_residual(profile: MetricProfile, t: float, s: float):
 
 def kahler_classify(profile: MetricProfile, pv: PointVector,
                     cfg: FDConfig | None = None,
-                    levi: LeviData | None = None) -> KahlerReport:
+                    levi: LeviData | None = None,
+                    spray: SprayData | None = None) -> KahlerReport:
     """Residuals of the three Kahler notions from the connection antisymmetry.
 
     strong : max |Gamma^a_{b;g} - Gamma^a_{g;b}|               / max|Gamma|
     kahler : max |(Gamma^a_{b;g} - Gamma^a_{g;b}) v^g|         / (max|Gamma| * |v|_1)
     weakly : max |G_a (Gamma^a_{b;g} - Gamma^a_{g;b}) v^g|     / (max|Gamma| * |v|_1 * |G_.|_1)
 
-    ``levi``, the sample's ``levi_closed``, is built here when not passed in.
+    ``levi`` and ``spray``, the sample's ``levi_closed`` and
+    ``spray_coefficients``, are built here when not passed in.
     """
     cfg = cfg or FDConfig()
     if levi is None:
         levi = levi_closed(profile, pv, cfg)
-    conn = connection_coefficients(profile, pv, cfg, levi=levi)
+    conn = connection_coefficients(profile, pv, cfg, levi=levi, spray=spray)
     gamma = conn.gamma
     delta = gamma - np.transpose(gamma, (0, 2, 1))
     scale_g = max(float(np.max(np.abs(gamma))), 1e-300)
@@ -318,13 +315,15 @@ def curvature_report(profile: MetricProfile, pv: PointVector,
                      cfg: FDConfig | None = None) -> CurvatureReport:
     """K_F by all applicable methods plus the maximal pairwise deviation.
 
-    The weakly-Kahler value is included only where the residual gate admits it.
+    The weakly-Kahler value is included only where the residual gate admits
+    it.  The closed and weakly-Kahler values share one order-3 jet.
     """
     cfg = cfg or FDConfig()
-    kf_closed = holomorphic_curvature_closed(profile, pv)
+    jet = profile.jet(pv.t, pv.s)
+    kf_closed = holomorphic_curvature_closed(profile, pv, jet)
     kf_direct = holomorphic_curvature_direct(profile, pv, cfg)
     try:
-        kf_wk = holomorphic_curvature_wk(profile, pv)
+        kf_wk = holomorphic_curvature_wk(profile, pv, jet)
     except (NotWeaklyKahler, DegenerateUs, DomainViolation):
         kf_wk = None
     values = [kf_direct, kf_closed] + ([kf_wk] if kf_wk is not None else [])

@@ -349,11 +349,9 @@ def model_profile(k: int, c: float) -> MetricProfile:
         f = Rational(c * c, -1.0)
     else:
         raise InvalidCurvatureTag(f"model curvature must be +4, 0 or -4, got {k}")
-    base = wk_randers_profile(f)
-    descriptor = {"family": "model", "k": k, "c": float(c), "f": f.descriptor()}
-    return MetricProfile(descriptor, base._jet_fn, base._value_fn,
-                         base._smooth_fn, base._valid_fn, base.t_interval,
-                         jet_smooth_fn=base._jet_smooth_fn)
+    profile = wk_randers_profile(f)
+    profile.descriptor = {"family": "model", "k": k, "c": float(c), "f": f.descriptor()}
+    return profile
 
 
 def euclidean_profile() -> MetricProfile:

@@ -76,7 +76,7 @@ def _json_text(obj) -> str:
 
 
 def render_json(report: SuiteReport) -> str:
-    return _json_text(report.to_dict())
+    return _json_text(vars(report))
 
 
 def render_csv(report: SuiteReport) -> str:

@@ -105,18 +105,6 @@ class SuiteReport:
     verdicts: dict
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "config": self.config,
-            "records": self.records,
-            "rejections": self.rejections,
-            "aggregates": self.aggregates,
-            "criteria": self.criteria,
-            "verdicts": self.verdicts,
-            "passed": self.passed,
-        }
-
 
 class _SampleContext:
     """Caches the expensive shared pieces across checks at one sample."""
@@ -145,7 +133,8 @@ class _SampleContext:
     @property
     def nconn_fd(self):
         if self._nconn_fd is None:
-            self._nconn_fd = tensors.nonlinear_connection_fd(self.profile, self.pv, self.cfg)
+            self._nconn_fd = tensors.nonlinear_connection_fd(self.profile, self.pv, self.cfg,
+                                                             levi=self.levi)
         return self._nconn_fd
 
 
@@ -216,14 +205,14 @@ def _check_curvature(ctx):
 
 
 def _check_unitary(ctx, unitary):
-    base = tensors.metric_scalars(ctx.profile, ctx.pv.z, ctx.pv.v, ctx.cfg)
+    base = tensors.metric_scalars(ctx.profile, ctx.pv.z, ctx.pv.v, ctx.cfg, levi=ctx.levi)
     moved = tensors.metric_scalars(ctx.profile, unitary @ ctx.pv.z, unitary @ ctx.pv.v, ctx.cfg)
     dev = max(abs(base[k] - moved[k]) / max(abs(base[k]), 1.0) for k in base)
     return {"unitary_dev": dev}
 
 
 def _check_classify(ctx):
-    rep = curv.kahler_classify(ctx.profile, ctx.pv, ctx.cfg, levi=ctx.levi)
+    rep = curv.kahler_classify(ctx.profile, ctx.pv, ctx.cfg, levi=ctx.levi, spray=ctx.spray)
     return {"classify_strong": rep.strong_residual,
             "classify_kahler": rep.kahler_residual,
             "classify_weakly": rep.weakly_residual}

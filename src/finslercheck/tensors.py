@@ -30,6 +30,7 @@ import numpy as np
 
 from .errors import DegenerateK1, ZeroVector
 from .functions1d import _pow_for
+from .jets import Jet2
 from .numerics import (
     FDConfig,
     hermitian_inverse_det,
@@ -205,12 +206,12 @@ def _levi_matrix(profile, z, v):
     return M
 
 
-def _g_alpha(profile, z, v):
-    r, t, s, pairing = invariants(z, v)
-    j = profile.raw_jet(t, s, 1)
+def _g_alpha(profile, pv):
+    """(G_a, phi) at the sample: the gradient G_a = conj(v^a) phi + r phi_s s_a, and phi."""
+    j = profile.raw_jet(pv.t, pv.s, 1)
     phi = j.value
-    phi_s = j.partial(0, 1)
-    return np.conj(v) * phi + (r * phi_s) * _s_alpha(z, v, r, pairing)
+    ga = np.conj(pv.v) * phi + (pv.r * j.partial(0, 1)) * _s_alpha(pv.z, pv.v, pv.r, pv.pairing)
+    return ga, phi
 
 
 def levi_closed(profile: MetricProfile, pv: PointVector,
@@ -219,9 +220,7 @@ def levi_closed(profile: MetricProfile, pv: PointVector,
     cfg = cfg or FDConfig()
     M = _levi_matrix(profile, pv.z, pv.v)
     inv_plain, det = hermitian_inverse_det(M, tol_pd=cfg.tol_pd, tol_herm=cfg.tol_herm)
-    j = profile.raw_jet(pv.t, pv.s, 1)
-    phi = j.value
-    ga = np.conj(pv.v) * phi + (pv.r * j.partial(0, 1)) * _s_alpha(pv.z, pv.v, pv.r, pv.pairing)
+    ga, phi = _g_alpha(profile, pv)
     return LeviData(levi=M, inverse=np.conj(inv_plain), det=det,
                     g_alpha=ga, G=pv.r * phi)
 
@@ -249,9 +248,8 @@ def det_closed(profile: MetricProfile, t: float, s: float, n: int) -> float:
     j = profile.raw_jet(t, s, 2)
     phi = j.value
     phi_s = j.partial(0, 1)
-    phi_ss = j.partial(0, 2)
-    head = (phi - s * phi_s) * (phi + (t - s) * phi_s) + s * (t - s) * phi * phi_ss
-    return head * (phi - s * phi_s) ** (n - 2)
+    _, k1 = _levi_head(t, s, phi, phi_s, j.partial(0, 2))
+    return k1 * (phi - s * phi_s) ** (n - 2)
 
 
 def pseudoconvexity_check(profile: MetricProfile, t: float, s: float):
@@ -263,33 +261,46 @@ def pseudoconvexity_check(profile: MetricProfile, t: float, s: float):
     """
     j = profile.jet_smooth(t, s)
     cond1 = j.phi - s * j.phi_s
-    cond2 = cond1 * (j.phi + (t - s) * j.phi_s) + s * (t - s) * j.phi * j.phi_ss
+    _, cond2 = _levi_head(t, s, j.phi, j.phi_s, j.phi_ss)
     return cond1, cond2, bool(cond1 > 0.0 and cond2 > 0.0)
 
 
-def k_scalars(profile: MetricProfile, t, s):
-    """The spray scalars (k1, k2, k3) at (t, s), or at every point of arrays t, s.
+def _levi_head(t, s, phi, phi_s, phi_ss):
+    """(head, k1) with head = phi + (t-s) phi_s and the determinant head factor.
 
-    k1 is the determinant head factor; k2, k3 are the coefficients of the spray
-    decomposition 2 GG^g = k2 pbar v^g + k3 pbar^2 z^g.  Raises DegenerateK1
-    when |k1| < 1e-12 phi^2 (pseudo-convexity failure) at any point.
+    k1 = (phi - s phi_s) head + s (t-s) phi phi_ss, on floats, arrays or jets.
     """
-    j = profile.raw_jet(t, s, 2)
-    phi = j.value
-    phi_t = j.partial(1, 0)
-    phi_s = j.partial(0, 1)
-    phi_ts = j.partial(1, 1)
-    phi_ss = j.partial(0, 2)
     head = phi + (t - s) * phi_s
-    k1 = (phi - s * phi_s) * head + s * (t - s) * phi * phi_ss
-    degenerate = abs(k1) < K1_DEGENERACY * phi * phi
+    return head, (phi - s * phi_s) * head + s * (t - s) * phi * phi_ss
+
+
+def _spray_scalars(t, s, phi, phi_t, phi_s, phi_ts, phi_ss):
+    """(k1, k2, k3) from phi's partials at (t, s).
+
+    The arguments are floats, arrays of points, or order-1 ``Jet2`` in (t, s)
+    (then k1, k2, k3 are jets and carry their first partials).  k1 is the
+    determinant head factor; k2, k3 are the coefficients of the spray
+    decomposition 2 GG^g = k2 pbar v^g + k3 pbar^2 z^g.  Raises DegenerateK1
+    when |k1| < 1e-12 phi^2 (pseudo-convexity failure) at any point, reading
+    the value coefficient of a jet.
+    """
+    head, k1 = _levi_head(t, s, phi, phi_s, phi_ss)
+    k1_0, phi_0 = (k1.value, phi.value) if isinstance(phi, Jet2) else (k1, phi)
+    degenerate = abs(k1_0) < K1_DEGENERACY * phi_0 * phi_0
     if _anywhere(degenerate):
-        k1_at, phi_at = _first(degenerate, k1, phi)
+        k1_at, phi_at = _first(degenerate, k1_0, phi_0)
         raise DegenerateK1(f"k1 = {k1_at} is degenerate relative to phi^2 = {phi_at * phi_at}")
     k2 = ((head + s * (t - s) * phi_ss) * (phi_t + phi_s)
           - s * head * (phi_ts + phi_ss)) / k1
     k3 = (phi * (phi_ts + phi_ss) - phi_s * (phi_t + phi_s)) / k1
     return k1, k2, k3
+
+
+def k_scalars(profile: MetricProfile, t, s):
+    """The spray scalars (k1, k2, k3) at (t, s), or at every point of arrays t, s."""
+    j = profile.raw_jet(t, s, 2)
+    return _spray_scalars(t, s, j.value, j.partial(1, 0), j.partial(0, 1),
+                         j.partial(1, 1), j.partial(0, 2))
 
 
 def _spray(k2, k3, pairing, z, v):
@@ -340,13 +351,15 @@ def spray_coefficients(profile: MetricProfile, pv: PointVector,
 
 
 def nonlinear_connection_fd(profile: MetricProfile, pv: PointVector,
-                            cfg: FDConfig | None = None) -> np.ndarray:
+                            cfg: FDConfig | None = None,
+                            levi: LeviData | None = None) -> np.ndarray:
     """FD oracle for N^a_b: cross-block second Wirtinger derivatives of G.
 
     D[g, b] = d^2 G / d vbar^g d z^b is taken directly from the scalar field
     G(z, v) = r phi(t, s) on the joint 2n-dimensional point, all n^2 entries
     from one stencil evaluation, then contracted with the closed-form inverse
-    Levi matrix.
+    Levi matrix.  ``levi``, the sample's ``levi_closed``, is built here when
+    not passed in.
     """
     cfg = cfg or FDConfig()
     n = pv.n
@@ -359,25 +372,29 @@ def nonlinear_connection_fd(profile: MetricProfile, pv: PointVector,
     index = np.arange(n)
     D = wirtinger_second(joint_metric, joint, n + index[:, None], index[None, :],
                          conj_i=True, conj_j=False, cfg=cfg)
-    levi = levi_closed(profile, pv, cfg)
+    if levi is None:
+        levi = levi_closed(profile, pv, cfg)
     return levi.inverse @ D
 
 
 def connection_coefficients(profile: MetricProfile, pv: PointVector,
                             cfg: FDConfig | None = None,
-                            levi: LeviData | None = None) -> ConnectionData:
+                            levi: LeviData | None = None,
+                            spray: SprayData | None = None) -> ConnectionData:
     """Chern-Finsler connection coefficients Gamma^a_{b;g} and C^a_{b g}.
 
     The z- and v-derivatives of the closed-form Levi matrix are taken by
     Wirtinger finite differences, both from one stencil over the joint point
     (z, v); the horizontal derivative is delta/delta z^g = d/dz^g - N^m_g d/dv^m
-    with the closed-form N.  ``levi``, the sample's ``levi_closed``, is built
-    here when not passed in.
+    with the closed-form N.  ``levi`` and ``spray``, the sample's
+    ``levi_closed`` and ``spray_coefficients``, are built here when not passed in.
     """
     cfg = cfg or FDConfig()
     if levi is None:
         levi = levi_closed(profile, pv, cfg)
-    N = spray_coefficients(profile, pv, cfg, levi=levi).nconn
+    if spray is None:
+        spray = spray_coefficients(profile, pv, cfg, levi=levi)
+    N = spray.nconn
     n = pv.n
 
     # z and v keep their own base steps, as if differentiated one at a time
@@ -391,13 +408,16 @@ def connection_coefficients(profile: MetricProfile, pv: PointVector,
     return ConnectionData(gamma=gamma, cee=cee)
 
 
-def metric_scalars(profile: MetricProfile, z, v, cfg: FDConfig | None = None) -> dict:
+def metric_scalars(profile: MetricProfile, z, v, cfg: FDConfig | None = None,
+                   levi: LeviData | None = None) -> dict:
     """The scalar outputs at (z, v): G, det, k1, k2, k3, cond1, cond2.
 
     All are invariant under a simultaneous unitary rotation of z and v.
+    ``levi``, the ``levi_closed`` at (z, v), is built here when not passed in.
     """
     pv = PointVector(np.asarray(z), np.asarray(v))
-    levi = levi_closed(profile, pv, cfg)
+    if levi is None:
+        levi = levi_closed(profile, pv, cfg)
     k1, k2, k3 = k_scalars(profile, pv.t, pv.s)
     cond1, cond2, _ = pseudoconvexity_check(profile, pv.t, pv.s)
     return {"G": levi.G, "det": levi.det, "k1": k1, "k2": k2, "k3": k3,

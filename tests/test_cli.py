@@ -4,6 +4,10 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from finslercheck import cli, errors
+
 BASE = [sys.executable, "-m", "finslercheck"]
 
 
@@ -122,3 +126,38 @@ def test_models_bad_fd_levels_is_config_error():
 def test_models_unwritable_out_is_io_error(tmp_path):
     res = run_cli("models", "--samples", "2", "--out", str(tmp_path / "missing" / "x.json"))
     assert_one_line_error(res, 3, "numerical error: failed to write report")
+
+
+def test_checks_is_verify_only():
+    res = run_cli("curvature", "--model", "k4", "--checks", "wk_phi,lemma", "--samples", "2")
+    assert res.returncode == 2
+    assert "unrecognized arguments: --checks" in res.stderr
+
+
+def test_models_honours_t_range():
+    res = run_cli("models", "--t-range", "0.2", "0.5", "--samples", "2")
+    assert res.returncode == 0, res.stderr
+    for report in json.loads(res.stdout)["models"].values():
+        assert report["config"]["sample"]["t_range"] == [0.2, 0.5]
+        assert all(0.2 <= rec["t"] <= 0.5 for rec in report["records"])
+    # (5, 9) leaves the k = -4 ball t < c = 1
+    res = run_cli("models", "--t-range", "5", "9", "--samples", "2")
+    assert_one_line_error(res, 2, "configuration error:")
+
+
+ERROR_CLASSES = [cls for cls in vars(errors).values()
+                 if isinstance(cls, type) and issubclass(cls, errors.FinslerCheckError)
+                 and cls is not errors.FinslerCheckError]
+CONFIG_ERRORS = (errors.ConfigError, errors.InvalidCatalogEntry, errors.InvalidCurvatureTag)
+
+
+@pytest.mark.parametrize("error", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_each_error_class_keeps_its_exit_code(error, monkeypatch, capsys):
+    def fail(config):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "run_suite", fail)
+    code = cli.main(["verify", "--model", "k0", "--samples", "2"])
+    assert code == (2 if error in CONFIG_ERRORS else 3)
+    prefix = "configuration error" if code == 2 else "numerical error"
+    assert capsys.readouterr().err == f"{prefix}: boom\n"

@@ -1,0 +1,98 @@
+"""Each closed form is written once, and each sample builds its shared objects once."""
+
+import numpy as np
+import pytest
+
+from finslercheck import curvature, tensors
+from finslercheck.curvature import _order1_jets
+from finslercheck.errors import DegenerateK1
+from finslercheck.jets import Jet2
+from finslercheck.profiles import MetricProfile
+from finslercheck.sampling import SampleSpec
+from finslercheck.suite import CHECK_NAMES, SuiteConfig, run_suite
+from finslercheck.tensors import _spray_scalars, k_scalars
+
+from conftest import CATALOG_NAMES, make_points
+
+K4 = {"family": "model", "k": 4, "c": 1.0}
+
+
+def count_calls(monkeypatch, owner, name, *also):
+    """Wrap ``owner.name`` (and the same name in the modules ``also``); return the call log."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for target in (owner,) + also:
+        monkeypatch.setattr(target, name, counted)
+    return calls
+
+
+def run_k4(checks=CHECK_NAMES, count=3):
+    return run_suite(SuiteConfig(profile=K4, sample=SampleSpec(n=2, count=count, seed=5),
+                                 checks=checks))
+
+
+class TestPerSampleWork:
+    def test_verify_builds_levi_for_the_sample_and_its_unitary_image(self, monkeypatch):
+        calls = count_calls(monkeypatch, tensors, "levi_closed", curvature)
+        report = run_k4()
+        assert len(report.records) == 3
+        assert len(calls) == 2 * len(report.records)
+        pvs = [pv for _, pv, *_ in calls]
+        for rec, sample, image in zip(report.records, pvs[0::2], pvs[1::2]):
+            assert (sample.t, sample.s) == (rec["t"], rec["s"])
+            assert image.t == pytest.approx(sample.t)
+            assert not np.allclose(image.z, sample.z)
+
+    def test_verify_builds_the_spray_once_at_the_sample(self, monkeypatch):
+        calls = count_calls(monkeypatch, tensors, "spray_coefficients")
+        report = run_k4()
+        assert [(pv.t, pv.s) for _, pv, *_ in calls] == \
+            [(rec["t"], rec["s"]) for rec in report.records]
+
+    def test_curvature_takes_one_order3_jet_per_sample(self, monkeypatch):
+        calls = count_calls(monkeypatch, MetricProfile, "jet")
+        report = run_k4(checks=("curvature",), count=4)
+        assert len(calls) == len(report.records) == 4
+        assert all("kf_wk" in rec for rec in report.records)
+
+    def test_shared_objects_give_the_same_bits(self, profiles):
+        prof = profiles["wk-exp"]
+        for pv in make_points(prof, n=3, count=2, seed=9):
+            levi = tensors.levi_closed(prof, pv)
+            spray = tensors.spray_coefficients(prof, pv, levi=levi)
+            alone, shared = curvature.kahler_classify(prof, pv), \
+                curvature.kahler_classify(prof, pv, levi=levi, spray=spray)
+            assert alone == shared
+            assert (tensors.nonlinear_connection_fd(prof, pv)
+                    == tensors.nonlinear_connection_fd(prof, pv, levi=levi)).all()
+            assert tensors.metric_scalars(prof, pv.z, pv.v) == \
+                tensors.metric_scalars(prof, pv.z, pv.v, levi=levi)
+            jet = prof.jet(pv.t, pv.s)
+            assert curvature.holomorphic_curvature_closed(prof, pv) == \
+                curvature.holomorphic_curvature_closed(prof, pv, jet)
+            assert curvature.holomorphic_curvature_wk(prof, pv) == \
+                curvature.holomorphic_curvature_wk(prof, pv, jet)
+
+
+class TestSprayScalarsOnJets:
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_value_coefficients_match_k_scalars_bits(self, name, profiles):
+        prof = profiles[name]
+        for pv in make_points(prof, n=3, count=5, seed=13):
+            jets = _spray_scalars(**_order1_jets(prof.jet(pv.t, pv.s), pv.t, pv.s))
+            assert all(isinstance(k, Jet2) for k in jets)
+            assert [k.value for k in jets] == list(k_scalars(prof, pv.t, pv.s))
+
+    def test_degenerate_k1_raises_on_jets(self):
+        # phi = 3/4 - (s - 1/2)/2 around (t, s) = (2, 1/2): head = phi + (t-s) phi_s = 0
+        t, s = Jet2.var_t(2.0, 1), Jet2.var_s(0.5, 1)
+        zero = Jet2.constant(0.0, 1)
+        phi = Jet2(1, [0.75, 0.0, -0.5])
+        phi_s = Jet2.constant(-0.5, 1)
+        with pytest.raises(DegenerateK1, match=r"k1 = 0.0 .* phi\^2 = 0.5625"):
+            _spray_scalars(t, s, phi, zero, phi_s, zero, zero)
