@@ -53,7 +53,6 @@ from .functions1d import (
 from .numerics import (
     FDConfig,
     hermitian_inverse_det,
-    per_point,
     positive_definite,
     wirtinger_gradient,
     wirtinger_mixed_hessian,

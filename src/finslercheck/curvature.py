@@ -29,6 +29,14 @@ Universal identities (no Kahler hypothesis), each exposed as a residual:
     s (U_t + U_s) = s^2 (t-s) W_s + U            (mixed-partial integrability)
     dk2/ds + U dk3/ds = 0
     k1 = U_s phi^2,  k2 = (W U_s - U W_s)/U_s,  k3 = W_s / U_s
+
+Columns.  ``uw``, the residuals and the three curvatures take (t, s), or a
+``PointVector``, at one point or at many: arrays of (t, s), or a
+``PointVector`` of (n, m) columns.  Each entry of a result carries the bits of
+its point alone, and a guard that fails at any point fails the call
+(``curvature_report`` masks ``kf_wk`` instead).  An optional ``jet`` is the
+order-3 jet of phi at the point(s), taken when not passed in, so that a
+caller can share one between them.
 """
 
 from __future__ import annotations
@@ -38,13 +46,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateUs, DomainViolation, NotWeaklyKahler
-from .jets import Jet2
+from .functions1d import _pow_for
+from .jets import INDICES, Jet2
 from .numerics import FDConfig, wirtinger_gradient
-from .profiles import MetricProfile, PhiJet
+from .profiles import MetricProfile, _anywhere, _check_jet_entries, _holds
 from .tensors import (
     LeviData,
     PointVector,
     SprayData,
+    _first,
     _g_alpha,
     _spray_scalars,
     _spray_vector,
@@ -111,42 +121,65 @@ class CurvatureReport:
     pairwise_dev: float
 
 
-def _order1_jets(j: PhiJet, t: float, s: float) -> dict:
-    """Order-1 (t, s)-jets of t, s, phi and its partials, from the order-3 jet.
+def _phi_jet(profile: MetricProfile, t, s) -> Jet2:
+    """The order-3 jet of phi at (t, s), or at arrays of points, guarded as ``PhiJet`` is."""
+    j = profile.raw_jet(t, s, 3)
+    _check_jet_entries([j.partial(i, k) for i, k in INDICES])
+    return j
+
+
+def _order1_jets(j: Jet2, t, s) -> dict:
+    """Order-1 (t, s)-jets of t, s, phi and its partials, from the order-3 jet ``j`` of phi.
 
     The keys are the parameters of ``tensors._spray_scalars``.
     """
+    p = j.partial
     return {
         "t": Jet2.var_t(t, 1),
         "s": Jet2.var_s(s, 1),
-        "phi": Jet2(1, [j.phi, j.phi_t, j.phi_s]),
-        "phi_t": Jet2(1, [j.phi_t, j.phi_tt, j.phi_ts]),
-        "phi_s": Jet2(1, [j.phi_s, j.phi_ts, j.phi_ss]),
-        "phi_ts": Jet2(1, [j.phi_ts, j.phi_tts, j.phi_tss]),
-        "phi_ss": Jet2(1, [j.phi_ss, j.phi_tss, j.phi_sss]),
+        "phi": Jet2(1, [p(0, 0), p(1, 0), p(0, 1)]),
+        "phi_t": Jet2(1, [p(1, 0), p(2, 0), p(1, 1)]),
+        "phi_s": Jet2(1, [p(0, 1), p(1, 1), p(0, 2)]),
+        "phi_ts": Jet2(1, [p(1, 1), p(2, 1), p(1, 2)]),
+        "phi_ss": Jet2(1, [p(0, 2), p(1, 2), p(0, 3)]),
     }
 
 
 def _u(t, s, phi, phi_s):
-    """U = (s phi + s (t-s) phi_s) / phi, on floats or order-1 jets."""
+    """U = (s phi + s (t-s) phi_s) / phi, on floats, arrays or order-1 jets."""
     return (s * phi + s * (t - s) * phi_s) / phi
 
 
+def _uw_domain(profile, t, s):
+    """Where the U/W transform applies, as (margin, validity) masks (bools at a point).
+
+    margin: 0 < s <= (1 - 1e-6) t; validity: ``profile.is_valid``, point by point.
+    """
+    margin = (0.0 < s) & (s <= (1.0 - _UW_MARGIN) * t)
+    if isinstance(t, np.ndarray):
+        return margin, np.array([profile.is_valid(a, b)
+                                 for a, b in zip(t.tolist(), s.tolist())], dtype=bool)
+    return margin, profile.is_valid(t, s)
+
+
 def _check_uw_domain(profile, t, s):
-    if not (0.0 < s <= (1.0 - _UW_MARGIN) * t):
+    margin, valid = _uw_domain(profile, t, s)
+    if not _holds(margin):
+        t_at, s_at = _first(np.logical_not(margin), t, s)
         raise DomainViolation(
-            f"U/W transform needs 0 < s <= (1 - 1e-6) t, got (t, s) = ({t}, {s})")
-    if not profile.is_valid(t, s):
-        raise DomainViolation(f"(t, s) = ({t}, {s}) outside profile validity")
+            f"U/W transform needs 0 < s <= (1 - 1e-6) t, got (t, s) = ({t_at}, {s_at})")
+    if not _holds(valid):
+        t_at, s_at = _first(np.logical_not(valid), t, s)
+        raise DomainViolation(f"(t, s) = ({t_at}, {s_at}) outside profile validity")
 
 
-def uw(profile: MetricProfile, t: float, s: float) -> UWData:
+def uw(profile: MetricProfile, t, s, jet: Jet2 | None = None) -> UWData:
     """U, W and their first partials at (t, s)."""
     _check_uw_domain(profile, t, s)
-    return _uw_data(profile.jet(t, s), t, s)
+    return _uw_data(jet if jet is not None else _phi_jet(profile, t, s), t, s)
 
 
-def _uw_data(j: PhiJet, t: float, s: float) -> UWData:
+def _uw_data(j: Jet2, t, s) -> UWData:
     q = _order1_jets(j, t, s)
     U = _u(q["t"], q["s"], q["phi"], q["phi_s"])
     W = (q["phi_t"] + q["phi_s"]) / q["phi"]
@@ -155,82 +188,113 @@ def _uw_data(j: PhiJet, t: float, s: float) -> UWData:
                   W_s=W.partial(0, 1), W_t=W.partial(1, 0))
 
 
-def wk_residual_phi(profile: MetricProfile, t: float, s: float) -> float:
+def wk_residual_phi(profile: MetricProfile, t, s, jet: Jet2 | None = None):
     """Left side of the weakly-Kahler equation in phi, normalized by phi^3."""
-    j = profile.jet(t, s)
-    a = (j.phi - s * j.phi_s) * (j.phi + (t - s) * j.phi_s) \
-        * (j.phi_s - j.phi_t + s * (j.phi_ts + j.phi_ss))
-    b = s * (t - s) * j.phi_ss \
-        * (j.phi * (j.phi_s - j.phi_t) + s * j.phi_s * (j.phi_t + j.phi_s))
-    return (a + b) / j.phi ** 3
+    j = jet if jet is not None else _phi_jet(profile, t, s)
+    phi, phi_t, phi_s = j.value, j.partial(1, 0), j.partial(0, 1)
+    phi_ts, phi_ss = j.partial(1, 1), j.partial(0, 2)
+    a = (phi - s * phi_s) * (phi + (t - s) * phi_s) \
+        * (phi_s - phi_t + s * (phi_ts + phi_ss))
+    b = s * (t - s) * phi_ss \
+        * (phi * (phi_s - phi_t) + s * phi_s * (phi_t + phi_s))
+    return (a + b) / _pow_for(phi)(phi, 3)
 
 
-def _uw_residual(d: UWData, t: float, s: float) -> float:
+def _uw_residual(d: UWData, t, s):
     return (s * d.U * (d.U - t) * d.W_s
             - s * (d.U - t) * d.U_s * d.W
             - 2.0 * (d.U - s) * d.U_s)
 
 
-def wk_residual_uw(profile: MetricProfile, t: float, s: float) -> float:
+def wk_residual_uw(profile: MetricProfile, t, s, jet: Jet2 | None = None):
     """Left side of the weakly-Kahler equation in U, W (already scale-free)."""
-    return _uw_residual(uw(profile, t, s), t, s)
+    return _uw_residual(uw(profile, t, s, jet), t, s)
 
 
-def lemma_integrability_residual(profile: MetricProfile, t: float, s: float) -> float:
+def lemma_integrability_residual(profile: MetricProfile, t, s, jet: Jet2 | None = None):
     """s (U_t + U_s) - s^2 (t-s) W_s - U; zero for every profile (phi_ts = phi_st)."""
-    d = uw(profile, t, s)
+    d = uw(profile, t, s, jet)
     return s * (d.U_t + d.U_s) - s * s * (t - s) * d.W_s - d.U
 
 
-def k2_k3_identity_residual(profile: MetricProfile, t: float, s: float) -> float:
+def k2_k3_identity_residual(profile: MetricProfile, t, s, jet: Jet2 | None = None):
     """dk2/ds + U dk3/ds; identically zero for every unitary-invariant profile."""
-    j = profile.jet(t, s)
+    j = jet if jet is not None else _phi_jet(profile, t, s)
     _, k2, k3 = _spray_scalars(**_order1_jets(j, t, s))
-    return k2.partial(0, 1) + _u(t, s, j.phi, j.phi_s) * k3.partial(0, 1)
+    return k2.partial(0, 1) + _u(t, s, j.value, j.partial(0, 1)) * k3.partial(0, 1)
 
 
 def holomorphic_curvature_closed(profile: MetricProfile, pv: PointVector,
-                                 jet: PhiJet | None = None) -> float:
-    """K_F from the general closed form in k2, k3 and their (t, s)-derivatives.
-
-    ``jet``, the order-3 jet at (pv.t, pv.s), is taken here when not passed in.
-    """
+                                 jet: Jet2 | None = None):
+    """K_F from the general closed form in k2, k3 and their (t, s)-derivatives."""
     t, s = pv.t, pv.s
     if jet is None:
-        jet = profile.jet(t, s)
+        jet = _phi_jet(profile, t, s)
     _, k2, k3 = _spray_scalars(**_order1_jets(jet, t, s))
-    U = _u(t, s, jet.phi, jet.phi_s)
+    U = _u(t, s, jet.value, jet.partial(0, 1))
     term2 = s * (k2.partial(1, 0) + k2.partial(0, 1)) + k2.value
     term3 = s * (k3.partial(1, 0) + k3.partial(0, 1)) + 2.0 * k3.value
-    return -(2.0 / jet.phi) * (term2 + U * term3)
+    return -(2.0 / jet.value) * (term2 + U * term3)
+
+
+def _wk_gate(d: UWData, t, s):
+    """(residual, gated, degenerate) for the weakly-Kahler formula.
+
+    gated: the U/W residual reaches WK_RESIDUAL_GATE; degenerate: |U_s| is
+    below US_DEGENERACY.  Bools at a point, masks over columns.
+    """
+    residual = _uw_residual(d, t, s)
+    return residual, abs(residual) >= WK_RESIDUAL_GATE, abs(d.U_s) < US_DEGENERACY
+
+
+def _wk_formula(phi, d: UWData, t, s):
+    return -(2.0 / phi) * (s * (d.W_t + d.W_s)
+                           - s * s * (t - s) * _pow_for(d.W_s)(d.W_s, 2) / d.U_s
+                           + d.W)
 
 
 def holomorphic_curvature_wk(profile: MetricProfile, pv: PointVector,
-                             jet: PhiJet | None = None) -> float:
+                             jet: Jet2 | None = None):
     """K_F under the weakly-Kahler condition, in U and W only.
 
     The precondition is enforced by evaluating the weakly-Kahler residual at
-    the same (t, s) rather than trusting the profile's family tag.  ``jet``,
-    the order-3 jet at (pv.t, pv.s), is taken here when not passed in.
+    the same (t, s) rather than trusting the profile's family tag.
     """
     t, s = pv.t, pv.s
     _check_uw_domain(profile, t, s)
     if jet is None:
-        jet = profile.jet(t, s)
+        jet = _phi_jet(profile, t, s)
     d = _uw_data(jet, t, s)
-    residual = _uw_residual(d, t, s)
-    if abs(residual) >= WK_RESIDUAL_GATE:
+    residual, gated, degenerate = _wk_gate(d, t, s)
+    if _anywhere(gated):
+        (residual,) = _first(gated, residual)
         raise NotWeaklyKahler(
             f"weakly-Kahler residual {residual:.3e} exceeds gate {WK_RESIDUAL_GATE:.1e}")
-    if abs(d.U_s) < US_DEGENERACY:
-        raise DegenerateUs(f"U_s = {d.U_s} is degenerate")
-    return -(2.0 / jet.phi) * (s * (d.W_t + d.W_s)
-                           - s * s * (t - s) * d.W_s ** 2 / d.U_s
-                           + d.W)
+    if _anywhere(degenerate):
+        (U_s,) = _first(degenerate, d.U_s)
+        raise DegenerateUs(f"U_s = {U_s} is degenerate")
+    return _wk_formula(jet.value, d, t, s)
+
+
+def _wk_columns(profile, pv, jet):
+    """The weakly-Kahler K_F over columns, masked where ``holomorphic_curvature_wk`` raises."""
+    t, s = pv.t, pv.s
+    d = _uw_data(jet, t, s)
+    margin, valid = _uw_domain(profile, t, s)
+    _, gated, degenerate = _wk_gate(d, t, s)
+    applies = margin & valid & ~gated & ~degenerate
+    # masked columns may divide by a zero U_s
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return np.ma.masked_array(_wk_formula(jet.value, d, t, s), mask=~applies)
+
+
+def _sum_rows(x):
+    """The sum over the first axis, entry by entry as the 1-D sum of one column."""
+    return np.sum(np.ascontiguousarray(x.T), axis=-1)
 
 
 def holomorphic_curvature_direct(profile: MetricProfile, pv: PointVector,
-                                 cfg: FDConfig | None = None) -> float:
+                                 cfg: FDConfig | None = None):
     """K_F from its definition, by Wirtinger FD of the closed-form spray.
 
     K_F = -(2/G^2) G_g delta_nubar(2 GG^g) vbar^nu with the conjugated
@@ -240,7 +304,8 @@ def holomorphic_curvature_direct(profile: MetricProfile, pv: PointVector,
     tau -> spray(z + tau v, v) at tau = 0, and conj(N^m_nu) vbar^nu = conj(2 GG^m)
     turns the v-derivative term into the same along tau -> spray(z, v + tau 2GG).
     Both come from one stencil of spray(z + tau_z dz, v + tau_v dv) over
-    (tau_z, tau_v) in C^2.
+    (tau_z, tau_v) in C^2.  For columns of pairs the base point tau = 0, and
+    so the step, is the same for every pair: one stencil serves them all.
     """
     cfg = cfg or FDConfig()
     z, v = pv.z, pv.v
@@ -248,19 +313,23 @@ def holomorphic_curvature_direct(profile: MetricProfile, pv: PointVector,
     ga, phi = _g_alpha(profile, pv)
     G = pv.r * phi
 
-    scale_z = max(1.0, float(np.max(np.abs(v))))
-    scale_v = max(1.0, float(np.max(np.abs(spray0))))
-    dz, dv = (v / scale_z)[:, None], (spray0 / scale_v)[:, None]
+    scale_z = np.maximum(1.0, np.max(np.abs(v), axis=0))
+    scale_v = np.maximum(1.0, np.max(np.abs(spray0), axis=0))
+    dz, dv = (v / scale_z)[..., None], (spray0 / scale_v)[..., None]
+
+    def field(tau):
+        # (n, [pairs,] m): the stencil of every pair, flattened into columns
+        zs, vs = z[..., None] + tau[0] * dz, v[..., None] + tau[1] * dv
+        return _spray_vector(profile, zs.reshape(pv.n, -1), vs.reshape(pv.n, -1)).reshape(zs.shape)
+
     # anti[0] = sum_nu d(2GG^g)/dzbar^nu vbar^nu / scale_z, anti[1] the v-term / scale_v
-    _, anti = wirtinger_gradient(
-        lambda tau: _spray_vector(profile, z[:, None] + tau[0] * dz, v[:, None] + tau[1] * dv),
-        np.zeros(2, dtype=complex), cfg)
+    _, anti = wirtinger_gradient(field, np.zeros(2, dtype=complex), cfg)
     term1 = anti[0] * scale_z
     # with spray0 = 0 there is no v-transport at all
-    term2 = anti[1] * scale_v if np.any(spray0) else np.zeros_like(spray0)
+    term2 = np.where(np.any(spray0, axis=0), anti[1] * scale_v, 0.0)
 
-    value = -(2.0 / G ** 2) * np.sum(ga * (term1 - term2))
-    return float(np.real(value))
+    value = np.real(-(2.0 / _pow_for(G)(G, 2)) * _sum_rows(ga * (term1 - term2)))
+    return value if isinstance(value, np.ndarray) else float(value)
 
 
 def wk_spray_identities_residual(profile: MetricProfile, t: float, s: float):
@@ -269,12 +338,12 @@ def wk_spray_identities_residual(profile: MetricProfile, t: float, s: float):
     These hold for every unitary-invariant profile, with no Kahler hypothesis.
     """
     _check_uw_domain(profile, t, s)
-    j = profile.jet(t, s)
+    j = _phi_jet(profile, t, s)
     k1, k2, k3 = _spray_scalars(**_order1_jets(j, t, s))
     d = _uw_data(j, t, s)
     if abs(d.U_s) < US_DEGENERACY:
         raise DegenerateUs(f"U_s = {d.U_s} is degenerate")
-    r1 = k1.value - d.U_s * j.phi * j.phi
+    r1 = k1.value - d.U_s * j.value * j.value
     r2 = k2.value - (d.W * d.U_s - d.U * d.W_s) / d.U_s
     r3 = k3.value - d.W_s / d.U_s
     return r1, r2, r3
@@ -312,21 +381,31 @@ def kahler_classify(profile: MetricProfile, pv: PointVector,
 
 
 def curvature_report(profile: MetricProfile, pv: PointVector,
-                     cfg: FDConfig | None = None) -> CurvatureReport:
+                     cfg: FDConfig | None = None,
+                     jet: Jet2 | None = None) -> CurvatureReport:
     """K_F by all applicable methods plus the maximal pairwise deviation.
 
     The weakly-Kahler value is included only where the residual gate admits
-    it.  The closed and weakly-Kahler values share one order-3 jet.
+    it.  For columns every field is an array, and ``kf_wk`` a masked array,
+    masked where ``holomorphic_curvature_wk`` would raise.
     """
     cfg = cfg or FDConfig()
-    jet = profile.jet(pv.t, pv.s)
+    if jet is None:
+        jet = _phi_jet(profile, pv.t, pv.s)
     kf_closed = holomorphic_curvature_closed(profile, pv, jet)
     kf_direct = holomorphic_curvature_direct(profile, pv, cfg)
-    try:
-        kf_wk = holomorphic_curvature_wk(profile, pv, jet)
-    except (NotWeaklyKahler, DegenerateUs, DomainViolation):
-        kf_wk = None
-    values = [kf_direct, kf_closed] + ([kf_wk] if kf_wk is not None else [])
-    dev = max(abs(a - b) for i, a in enumerate(values) for b in values[i + 1:])
+    dev = abs(kf_direct - kf_closed)
+    if isinstance(pv.t, np.ndarray):
+        kf_wk = _wk_columns(profile, pv, jet)
+        dev_wk = np.maximum(dev, np.maximum(abs(kf_direct - kf_wk.data),
+                                            abs(kf_closed - kf_wk.data)))
+        dev = np.where(kf_wk.mask, dev, dev_wk)
+    else:
+        try:
+            kf_wk = holomorphic_curvature_wk(profile, pv, jet)
+        except (NotWeaklyKahler, DegenerateUs, DomainViolation):
+            kf_wk = None
+        if kf_wk is not None:
+            dev = max(dev, abs(kf_direct - kf_wk), abs(kf_closed - kf_wk))
     return CurvatureReport(kf_direct=kf_direct, kf_closed=kf_closed,
                            kf_wk=kf_wk, pairwise_dev=dev)

@@ -25,8 +25,7 @@ NonFiniteEvaluation.  Each estimate is accumulated as acc = acc + w_k F_k in
 stencil order, so it carries the same bits as a point-by-point evaluation.
 The package's own fields take columns natively: the FD oracles' metric
 ``r phi(t, s)`` and the closed-form spray and Levi matrix that the direct
-curvature and the connection coefficients differentiate.  ``per_point``
-adapts a function of one point to the contract, for callers' own fields.
+curvature and the connection coefficients differentiate.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ from .errors import (
 
 __all__ = [
     "FDConfig",
-    "per_point",
     "wirtinger_gradient",
     "wirtinger_mixed_hessian",
     "wirtinger_second",
@@ -108,11 +106,6 @@ _D2 = _Stencil((-1.0, 16.0, -30.0, 16.0, -1.0),
 _D2_CROSS = _Stencil(tuple(wa * wb for wa in _D1.weights for wb in _D1.weights),
                      tuple((ka, kb) for (ka,) in _D1.offsets for (kb,) in _D1.offsets),
                      144.0, 2)
-
-
-def per_point(fn: Callable) -> Callable:
-    """Adapt ``fn``, a function of one point, to the column field contract."""
-    return lambda w: np.stack([fn(p) for p in w.T], axis=-1)
 
 
 def _evaluate(field: Callable, columns: np.ndarray) -> np.ndarray:

@@ -82,12 +82,24 @@ class PhiJet:
     phi_sss: float
 
     def __post_init__(self):
-        vals = (self.phi, self.phi_t, self.phi_s, self.phi_tt, self.phi_ts,
-                self.phi_ss, self.phi_ttt, self.phi_tts, self.phi_tss, self.phi_sss)
-        if not all(math.isfinite(x) for x in vals):
-            raise DomainViolation("non-finite jet entry")
-        if self.phi <= 0.0:
-            raise DomainViolation(f"phi must be positive, got {self.phi}")
+        _check_jet_entries((self.phi, self.phi_t, self.phi_s, self.phi_tt, self.phi_ts,
+                           self.phi_ss, self.phi_ttt, self.phi_tts, self.phi_tss, self.phi_sss))
+
+
+def _check_jet_entries(entries):
+    """``PhiJet``'s guards on phi's partials, phi first, at a point or at every column.
+
+    Every entry must be finite and phi positive; otherwise DomainViolation, naming
+    the first column where phi is not.
+    """
+    if not all(_holds(np.isfinite(x)) for x in entries):
+        raise DomainViolation("non-finite jet entry")
+    phi = entries[0]
+    positive = phi > 0.0
+    if not _holds(positive):
+        at = float(np.broadcast_to(phi, positive.shape).ravel()[np.argmin(positive)]) \
+            if isinstance(positive, np.ndarray) else phi
+        raise DomainViolation(f"phi must be positive, got {at}")
 
 
 def _jet_to_phijet(j: Jet2) -> PhiJet:

@@ -20,10 +20,11 @@ import numpy as np
 
 from . import curvature as curv
 from . import tensors
-from .errors import ConfigError
+from .errors import ConfigError, FinslerCheckError
 from .numerics import FDConfig, positive_definite
 from .profiles import profile_from_descriptor
 from .sampling import SampleSpec, default_t_range, sample_domain_detailed, seeded_unitary
+from .tensors import PointVector
 
 __all__ = ["SuiteConfig", "SuiteReport", "run_suite", "CHECK_NAMES",
            "CHECK_COLUMNS", "TOLERANCES", "SCHEMA_VERSION"]
@@ -177,31 +178,49 @@ def _check_spray_compat(ctx):
     return {"spray_compat_dev": float(np.max(np.abs(lhs - ctx.spray.spray))) / scale}
 
 
-def _check_wk_phi(ctx):
-    return {"wk_phi_residual": abs(curv.wk_residual_phi(ctx.profile, ctx.pv.t, ctx.pv.s))}
+# Checks without a per-sample FD oracle run over a chunk of samples at once:
+# ``pv`` holds the chunk's pairs as columns and ``jet`` is the chunk's order-3
+# jet of phi.  At one sample (``pv`` a lone pair, no ``jet``) each is the
+# per-sample check.
+
+def _check_wk_phi(profile, pv, cfg, jet=None):
+    return {"wk_phi_residual": abs(curv.wk_residual_phi(profile, pv.t, pv.s, jet))}
 
 
-def _check_wk_uw(ctx):
-    return {"wk_uw_residual": abs(curv.wk_residual_uw(ctx.profile, ctx.pv.t, ctx.pv.s))}
+def _check_wk_uw(profile, pv, cfg, jet=None):
+    return {"wk_uw_residual": abs(curv.wk_residual_uw(profile, pv.t, pv.s, jet))}
 
 
-def _check_lemma(ctx):
+def _check_lemma(profile, pv, cfg, jet=None):
     return {"lemma_residual":
-            abs(curv.lemma_integrability_residual(ctx.profile, ctx.pv.t, ctx.pv.s))}
+            abs(curv.lemma_integrability_residual(profile, pv.t, pv.s, jet))}
 
 
-def _check_k2k3(ctx):
-    return {"k2k3_residual": abs(curv.k2_k3_identity_residual(ctx.profile, ctx.pv.t, ctx.pv.s))}
+def _check_k2k3(profile, pv, cfg, jet=None):
+    return {"k2k3_residual": abs(curv.k2_k3_identity_residual(profile, pv.t, pv.s, jet))}
 
 
-def _check_curvature(ctx):
-    rep = curv.curvature_report(ctx.profile, ctx.pv, ctx.cfg)
+def _check_curvature(profile, pv, cfg, jet=None):
+    rep = curv.curvature_report(profile, pv, cfg, jet)
     out = {"kf_closed": rep.kf_closed, "kf_direct": rep.kf_direct,
            "kf_dev_direct": abs(rep.kf_direct - rep.kf_closed)}
+    # over columns kf_wk is masked, never None; masked entries are left out of the records
     if rep.kf_wk is not None:
         out["kf_wk"] = rep.kf_wk
         out["kf_dev_wk"] = abs(rep.kf_closed - rep.kf_wk)
     return out
+
+
+_CHUNK_CHECKS = {
+    "wk_phi": _check_wk_phi,
+    "wk_uw": _check_wk_uw,
+    "lemma": _check_lemma,
+    "k2k3": _check_k2k3,
+    "curvature": _check_curvature,
+}
+
+# samples per chunk: bounds the direct curvature's stencil, (n, 24 CHUNK) columns
+CHUNK = 128
 
 
 def _check_unitary(ctx, unitary):
@@ -218,20 +237,81 @@ def _check_classify(ctx):
             "classify_weakly": rep.weakly_residual}
 
 
-_CHECK_FUNCS = {
+_SAMPLE_CHECKS = {
     "levi_oracle": _check_levi_oracle,
     "determinant": _check_determinant,
     "pseudoconvexity": _check_pseudoconvexity,
     "euler": _check_euler,
     "nconn": _check_nconn,
     "spray_compat": _check_spray_compat,
-    "wk_phi": _check_wk_phi,
-    "wk_uw": _check_wk_uw,
-    "lemma": _check_lemma,
-    "k2k3": _check_k2k3,
-    "curvature": _check_curvature,
     "classify": _check_classify,
 }
+
+
+def _rows(columns: dict) -> list:
+    """Per-sample dicts of Python floats from a check's columns, keys in order.
+
+    Masked entries are left out.
+    """
+    values = [col.tolist() for col in columns.values()]
+    return [{key: x for key, x in zip(columns, row) if x is not None}
+            for row in zip(*values)]
+
+
+def _chunk_columns(profile, pvs, checks, cfg):
+    """G and each chunked check in ``checks`` over the samples ``pvs`` at once.
+
+    Each comes back as a list with one entry per sample.
+    """
+    pv = PointVector(np.stack([p.z for p in pvs], axis=1), np.stack([p.v for p in pvs], axis=1))
+    out = {"G": (pv.r * profile.value(pv.t, pv.s)).tolist()}
+    names = [name for name in checks if name in _CHUNK_CHECKS]
+    if names:
+        jet = curv._phi_jet(profile, pv.t, pv.s)
+        for name in names:
+            out[name] = _rows(_CHUNK_CHECKS[name](profile, pv, cfg, jet))
+    return out
+
+
+def _chunk_records(profile, chunk, config, unitary):
+    """The records of a chunk of (index, PointVector) samples, in sample order.
+
+    The chunked checks run over the whole chunk first, the others sample by
+    sample.  When the chunked stage raises, the chunk runs again sample by
+    sample and check by check in ``config.checks`` order, so the error that
+    escapes is the first one that order meets.
+    """
+    try:
+        # a floating-point event the per-sample floats would raise on, or
+        # pass silently, sends the chunk the per-sample way too
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            columns = _chunk_columns(profile, [pv for _, pv in chunk], config.checks, config.fd)
+    except (FinslerCheckError, ArithmeticError, ValueError):
+        columns = None
+    records = []
+    for k, (index, pv) in enumerate(chunk):
+        ctx = _SampleContext(profile, pv, config.fd)
+        rec = {
+            "index": index,
+            "n": pv.n,
+            "t": pv.t,
+            "s": pv.s,
+            "r": pv.r,
+            "pairing": [pv.pairing.real, pv.pairing.imag],
+            "G": columns["G"][k] if columns is not None else pv.r * profile.value(pv.t, pv.s),
+            "z": _complex_pairs(pv.z),
+            "v": _complex_pairs(pv.v),
+        }
+        for name in config.checks:
+            if name in _CHUNK_CHECKS:
+                rec.update(columns[name][k] if columns is not None
+                           else _CHUNK_CHECKS[name](profile, pv, config.fd))
+            elif name == "unitary":
+                rec.update(_check_unitary(ctx, unitary))
+            else:
+                rec.update(_SAMPLE_CHECKS[name](ctx))
+        records.append(rec)
+    return records
 
 
 def _complex_pairs(vec):
@@ -333,25 +413,8 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
     unitary = seeded_unitary(spec.n, spec.seed ^ _UNITARY_SEED_SALT)
 
     records = []
-    for index, pv in indexed_points:
-        ctx = _SampleContext(profile, pv, config.fd)
-        rec = {
-            "index": index,
-            "n": pv.n,
-            "t": pv.t,
-            "s": pv.s,
-            "r": pv.r,
-            "pairing": [pv.pairing.real, pv.pairing.imag],
-            "G": pv.r * profile.value(pv.t, pv.s),
-            "z": _complex_pairs(pv.z),
-            "v": _complex_pairs(pv.v),
-        }
-        for name in config.checks:
-            if name == "unitary":
-                rec.update(_check_unitary(ctx, unitary))
-            else:
-                rec.update(_CHECK_FUNCS[name](ctx))
-        records.append(rec)
+    for start in range(0, len(indexed_points), CHUNK):
+        records += _chunk_records(profile, indexed_points[start:start + CHUNK], config, unitary)
 
     numeric_fields = sorted({k for r in records for k in r
                              if isinstance(r[k], float) and k not in ("t", "s", "r", "G")})

@@ -96,7 +96,12 @@ def invariants(z, v):
 
 @dataclass(frozen=True)
 class PointVector:
-    """A base point z in C^n and tangent vector v with derived invariants."""
+    """A base point z in C^n and tangent vector v with derived invariants.
+
+    z and v may also be (n, m) arrays holding m pairs as columns; r, t, s and
+    the pairing are then arrays of length m, each entry with the bits of its
+    pair alone.  The curvature closed forms and residuals take such columns.
+    """
 
     z: np.ndarray
     v: np.ndarray
@@ -109,9 +114,10 @@ class PointVector:
     def __post_init__(self):
         z = np.array(self.z, dtype=complex)
         v = np.array(self.v, dtype=complex)
-        if z.ndim != 1 or v.ndim != 1 or z.size != v.size:
-            raise ValueError("z and v must be 1-D arrays of equal length")
-        if z.size < 2:
+        if z.ndim not in (1, 2) or z.shape != v.shape:
+            raise ValueError("z and v must be 1-D arrays of equal length, "
+                             "or (n, m) columns of equal shape")
+        if z.shape[0] < 2:
             raise ValueError("dimension must be at least 2 (s = t identically for n = 1)")
         if not (np.all(np.isfinite(z)) and np.all(np.isfinite(v))):
             raise ValueError("z and v must be finite")
@@ -120,7 +126,7 @@ class PointVector:
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "v", v)
         r, t, s, pairing = invariants(z, v)
-        object.__setattr__(self, "n", int(z.size))
+        object.__setattr__(self, "n", int(z.shape[0]))
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "s", s)

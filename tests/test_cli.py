@@ -108,6 +108,25 @@ def assert_one_line_error(res, code, prefix):
     assert len(lines) == 1 and lines[0].startswith(prefix), res.stderr
 
 
+BALL_EDGE = ("--model", "km4", "--c", "1", "--n", "2", "--t-range", "0.9", "0.99999")
+STENCIL_REJECTED = ("numerical error: stencil point rejected: (t, s) = ({}) "
+                    "outside validity region of randers profile")
+
+
+@pytest.mark.parametrize("argv, where", [
+    (("curvature", "--samples", "50", "--seed", "3"),
+     "1.0002034051230442, 0.696987461709045"),
+    # both stencils of sample 22 leave the ball: the chunked curvature stage
+    # alone would name its curvature point, but nconn comes first in order
+    (("verify", "--checks", "nconn,curvature", "--samples", "30", "--seed", "1"),
+     "1.0002003814625955, 0.7345176220939209"),
+], ids=["curvature", "verify-nconn-curvature"])
+def test_stencil_leaving_the_ball_is_the_per_sample_error(argv, where):
+    res = run_cli(*argv, *BALL_EDGE)
+    assert_one_line_error(res, 3, "numerical error:")
+    assert res.stderr == STENCIL_REJECTED.format(where) + "\n"
+
+
 def test_bad_fd_step_is_config_error():
     res = run_cli("verify", "--model", "k0", "--fd-step", "2", "--samples", "2")
     assert_one_line_error(res, 2, "configuration error:")

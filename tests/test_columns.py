@@ -6,8 +6,13 @@ import numpy as np
 import pytest
 
 import finslercheck as fc
-from finslercheck import numerics
-from finslercheck.errors import DegenerateK1, DomainViolation, StencilOutsideDomain
+from finslercheck import numerics, suite
+from finslercheck.errors import (
+    DegenerateK1,
+    DomainViolation,
+    FinslerCheckError,
+    StencilOutsideDomain,
+)
 from finslercheck.jets import NCOEF, Jet2
 from finslercheck.tensors import _levi_matrix, _spray_vector, invariants, k_scalars
 
@@ -263,3 +268,136 @@ class TestDomainEdgesOnColumns:
             k_scalars(prof, ts, ss)
         k1, _, _ = k_scalars(prof, ts[[0, 2]], ss[[0, 2]])
         assert k1.tolist() == [0.5, -0.5]
+
+
+def pairs_at(t, fractions, n=2, seed=0):
+    """PointVectors with |z|^2 = t and s/t = each fraction, in random directions."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for sigma in fractions:
+        e = rng.normal(size=n) + 1j * rng.normal(size=n)
+        e /= np.linalg.norm(e)
+        w = rng.normal(size=n) + 1j * rng.normal(size=n)
+        w -= np.sum(w * np.conj(e)) * e
+        w /= np.linalg.norm(w)
+        phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=2))
+        out.append(fc.PointVector(np.sqrt(t) * e, np.sqrt(sigma) * phase[0] * e
+                                  + np.sqrt(1.0 - sigma) * phase[1] * w))
+    return out
+
+
+def outcome(evaluate):
+    """What a check gives: its result, or the class and message of its error."""
+    try:
+        return evaluate()
+    except FinslerCheckError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def assert_chunk_is_per_sample(prof, pvs, names=tuple(suite._CHUNK_CHECKS)):
+    """Each chunked check over ``pvs`` at once gives, bit for bit, the per-sample records.
+
+    Where some sample raises, the chunk raises the error of the first one.
+    Returns the per-sample results by check.
+    """
+    cfg = numerics.FDConfig()
+    out = {}
+    for name in names:
+        singles = [outcome(lambda: suite._CHUNK_CHECKS[name](prof, pv, cfg)) for pv in pvs]
+        errors = [one for one in singles if isinstance(one, str)]
+        chunk = outcome(lambda: suite._chunk_columns(prof, pvs, (name,), cfg))
+        if errors:
+            assert chunk == errors[0], name
+        else:
+            # repr tells the bits apart (and -0.0 from 0.0) and shows the key order
+            assert [repr(row) for row in chunk[name]] == [repr(one) for one in singles], name
+            assert chunk["G"] == [pv.r * prof.value(pv.t, pv.s) for pv in pvs]
+        out[name] = singles
+    return out
+
+
+class TestSamplesAsColumns:
+    def test_point_vector_columns_carry_each_pair(self, profiles):
+        pvs = make_points(profiles["wk-exp"], n=3, count=6, seed=2)
+        cols = fc.PointVector(np.stack([pv.z for pv in pvs], axis=1),
+                              np.stack([pv.v for pv in pvs], axis=1))
+        assert cols.n == 3
+        for name in ("r", "t", "s", "pairing"):
+            assert getattr(cols, name).tolist() == [getattr(pv, name) for pv in pvs]
+        with pytest.raises(ValueError, match="equal shape"):
+            fc.PointVector(cols.z, cols.v[:, :3])
+
+    @pytest.mark.parametrize("n", [4, 8])
+    @pytest.mark.parametrize("name", ["wk-exp", "model-k4", "perturbed"])
+    def test_larger_n(self, name, n, profiles):
+        # at n >= 4 a sum over the first axis of (n, m) columns differs from the sum of one column
+        results = assert_chunk_is_per_sample(profiles[name], make_points(profiles[name], n=n,
+                                                                        count=6, seed=5))
+        has_wk = ["kf_wk" in rec for rec in results["curvature"]]
+        assert all(has_wk) if name != "perturbed" else not any(has_wk)
+
+    def test_randers_guard(self, profiles):
+        # s/t just above 1e-6: the jet-only checks hold, the direct curvature's stencil
+        # crosses the guard at every sample
+        prof = profiles["wk-exp"]
+        pvs = pairs_at(0.7, np.linspace(1.001e-6, 1.2e-6, 6))
+        results = assert_chunk_is_per_sample(prof, pvs)
+        assert all(isinstance(one, dict) for one in results["wk_uw"])
+        assert all(one.startswith("StencilOutsideDomain") for one in results["curvature"])
+
+    @pytest.mark.parametrize("name", ["model-k4", "wk-exp"])
+    def test_uw_margin(self, name, profiles):
+        # s/t across 1 - 1e-6: kf_wk drops out exactly where the wk formula raises
+        prof = profiles[name]
+        pvs = pairs_at(0.8, np.linspace(1.0 - 1.5e-6, 1.0 - 0.5e-6, 11))
+        results = assert_chunk_is_per_sample(prof, pvs)
+        raises = [isinstance(outcome(lambda: fc.holomorphic_curvature_wk(prof, pv)), str)
+                  for pv in pvs]
+        assert 0 < sum(raises) < len(pvs)
+        assert ["kf_wk" not in rec for rec in results["curvature"]] == raises
+        assert results["wk_uw"][raises.index(True)].startswith("DomainViolation: U/W transform")
+
+    def test_near_the_edge_of_the_ball(self, profiles):
+        prof = profiles["model-km4"]
+        assert_chunk_is_per_sample(prof, make_points(prof, n=2, count=8, seed=7,
+                                                     t_range=(0.99, 0.995)))
+
+    def test_large_z(self, profiles):
+        prof = profiles["model-k0"]
+        assert_chunk_is_per_sample(prof, make_points(prof, n=3, count=8, seed=8,
+                                                     t_range=(0.99e6, 1.01e6)))
+
+    @pytest.mark.parametrize("name", ["model-km4", "perturbed"])
+    def test_public_functions_take_columns(self, name, profiles):
+        prof = profiles[name]
+        pvs = make_points(prof, n=3, count=5, seed=12)
+        cols = fc.PointVector(np.stack([pv.z for pv in pvs], axis=1),
+                              np.stack([pv.v for pv in pvs], axis=1))
+        for fn in (fc.holomorphic_curvature_closed, fc.holomorphic_curvature_direct,
+                   fc.holomorphic_curvature_wk):
+            singles = [outcome(lambda: fn(prof, pv)) for pv in pvs]
+            errors = [one for one in singles if isinstance(one, str)]
+            got = outcome(lambda: fn(prof, cols))
+            assert (got == errors[0]) if errors else (got.tolist() == singles), fn.__name__
+        for fn in (fc.wk_residual_phi, fc.wk_residual_uw, fc.lemma_integrability_residual,
+                   fc.k2_k3_identity_residual):
+            assert fn(prof, cols.t, cols.s).tolist() == [fn(prof, pv.t, pv.s) for pv in pvs]
+
+    def test_phi_jet_guards_every_column(self):
+        def jet_fn(t, s, order):
+            c = [0.5 + 0.0 * t for _ in range(NCOEF[order])]
+            c[0] = 1.0 - t
+            c[-1] = np.where(t > 2.5, np.inf, 0.5)
+            return Jet2(order, c)
+
+        prof = fc.MetricProfile({"family": "synthetic"}, jet_fn, lambda t, s: 1.0 - t,
+                                lambda t, s: True, lambda t, s: True, (0.0, float("inf")))
+        ts = np.array([0.2, 0.5, 1.5, 2.0])
+        for t, s in ((ts, 0.1 * ts), (1.5, 0.15)):
+            with pytest.raises(DomainViolation, match=r"^phi must be positive, got -0.5$"):
+                fc.wk_residual_phi(prof, t, s)
+        with pytest.raises(DomainViolation, match=r"^phi must be positive, got -0.5$"):
+            prof.jet(1.5, 0.15)
+        ts = np.array([0.2, 3.0])
+        with pytest.raises(DomainViolation, match=r"^non-finite jet entry$"):
+            fc.wk_residual_phi(prof, ts, 0.1 * ts)

@@ -280,11 +280,6 @@ class TestStencilEngine:
         with pytest.raises(StencilOutsideDomain):
             call(field, ENGINE_POINT)
 
-    def test_per_point_adapter_gives_the_same_bits(self):
-        holo, anti = fc.wirtinger_gradient(smooth_field, ENGINE_POINT)
-        holo_p, anti_p = fc.wirtinger_gradient(fc.per_point(smooth_field), ENGINE_POINT)
-        assert np.array_equal(holo, holo_p) and np.array_equal(anti, anti_p)
-
     def test_parts_differentiate_each_block_with_its_own_step(self):
         # blocks of different sizes get different base steps; each block's
         # derivatives carry the bits of a separate call with the rest held fixed

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from finslercheck import curvature, tensors
+from finslercheck import curvature, suite, tensors
+from finslercheck.cli import _SUBCOMMAND_CHECKS
 from finslercheck.curvature import _order1_jets
 from finslercheck.errors import DegenerateK1
 from finslercheck.jets import Jet2
@@ -15,6 +16,7 @@ from finslercheck.tensors import _spray_scalars, k_scalars
 from conftest import CATALOG_NAMES, make_points
 
 K4 = {"family": "model", "k": 4, "c": 1.0}
+RESIDUAL_CHECKS = _SUBCOMMAND_CHECKS["residual"]
 
 
 def count_calls(monkeypatch, owner, name, *also):
@@ -54,11 +56,21 @@ class TestPerSampleWork:
         assert [(pv.t, pv.s) for _, pv, *_ in calls] == \
             [(rec["t"], rec["s"]) for rec in report.records]
 
-    def test_curvature_takes_one_order3_jet_per_sample(self, monkeypatch):
-        calls = count_calls(monkeypatch, MetricProfile, "jet")
-        report = run_k4(checks=("curvature",), count=4)
-        assert len(calls) == len(report.records) == 4
-        assert all("kf_wk" in rec for rec in report.records)
+    @pytest.mark.parametrize("checks", [("curvature",), RESIDUAL_CHECKS, CHECK_NAMES],
+                             ids=["curvature", "residual", "verify"])
+    def test_one_order3_jet_per_chunk(self, monkeypatch, checks):
+        whole = run_k4(checks=checks, count=7)
+        monkeypatch.setattr(suite, "CHUNK", 3)
+        raw = count_calls(monkeypatch, MetricProfile, "raw_jet")
+        per_sample = count_calls(monkeypatch, MetricProfile, "jet")
+        report = run_k4(checks=checks, count=7)
+        order3 = [t for _, t, _, order in raw if order == 3]
+        assert [len(t) for t in order3] == [3, 3, 1]
+        assert np.concatenate(order3).tolist() == [rec["t"] for rec in report.records]
+        assert per_sample == []
+        assert report.records == whole.records
+        if "curvature" in checks:
+            assert all("kf_wk" in rec for rec in report.records)
 
     def test_shared_objects_give_the_same_bits(self, profiles):
         prof = profiles["wk-exp"]
@@ -72,7 +84,7 @@ class TestPerSampleWork:
                     == tensors.nonlinear_connection_fd(prof, pv, levi=levi)).all()
             assert tensors.metric_scalars(prof, pv.z, pv.v) == \
                 tensors.metric_scalars(prof, pv.z, pv.v, levi=levi)
-            jet = prof.jet(pv.t, pv.s)
+            jet = prof.raw_jet(pv.t, pv.s, 3)
             assert curvature.holomorphic_curvature_closed(prof, pv) == \
                 curvature.holomorphic_curvature_closed(prof, pv, jet)
             assert curvature.holomorphic_curvature_wk(prof, pv) == \
@@ -84,7 +96,7 @@ class TestSprayScalarsOnJets:
     def test_value_coefficients_match_k_scalars_bits(self, name, profiles):
         prof = profiles[name]
         for pv in make_points(prof, n=3, count=5, seed=13):
-            jets = _spray_scalars(**_order1_jets(prof.jet(pv.t, pv.s), pv.t, pv.s))
+            jets = _spray_scalars(**_order1_jets(prof.raw_jet(pv.t, pv.s, 3), pv.t, pv.s))
             assert all(isinstance(k, Jet2) for k in jets)
             assert [k.value for k in jets] == list(k_scalars(prof, pv.t, pv.s))
 
