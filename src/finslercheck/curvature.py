@@ -36,7 +36,8 @@ Columns.  ``uw``, the residuals and the three curvatures take (t, s), or a
 its point alone, and a guard that fails at any point fails the call
 (``curvature_report`` masks ``kf_wk`` instead).  An optional ``jet`` is the
 order-3 jet of phi at the point(s), taken when not passed in, so that a
-caller can share one between them.
+caller can share one between them; likewise the U/W data ``d`` of
+``wk_residual_uw`` and ``lemma_integrability_residual``.
 """
 
 from __future__ import annotations
@@ -153,13 +154,9 @@ def _u(t, s, phi, phi_s):
 def _uw_domain(profile, t, s):
     """Where the U/W transform applies, as (margin, validity) masks (bools at a point).
 
-    margin: 0 < s <= (1 - 1e-6) t; validity: ``profile.is_valid``, point by point.
+    margin: 0 < s <= (1 - 1e-6) t; validity: ``profile.is_valid``.
     """
-    margin = (0.0 < s) & (s <= (1.0 - _UW_MARGIN) * t)
-    if isinstance(t, np.ndarray):
-        return margin, np.array([profile.is_valid(a, b)
-                                 for a, b in zip(t.tolist(), s.tolist())], dtype=bool)
-    return margin, profile.is_valid(t, s)
+    return (0.0 < s) & (s <= (1.0 - _UW_MARGIN) * t), profile.is_valid(t, s)
 
 
 def _check_uw_domain(profile, t, s):
@@ -206,14 +203,23 @@ def _uw_residual(d: UWData, t, s):
             - 2.0 * (d.U - s) * d.U_s)
 
 
-def wk_residual_uw(profile: MetricProfile, t, s, jet: Jet2 | None = None):
-    """Left side of the weakly-Kahler equation in U, W (already scale-free)."""
-    return _uw_residual(uw(profile, t, s, jet), t, s)
+def wk_residual_uw(profile: MetricProfile, t, s, jet: Jet2 | None = None,
+                   d: UWData | None = None):
+    """Left side of the weakly-Kahler equation in U, W (already scale-free).
+
+    ``d``, when passed in, is ``uw(profile, t, s)``.
+    """
+    return _uw_residual(d if d is not None else uw(profile, t, s, jet), t, s)
 
 
-def lemma_integrability_residual(profile: MetricProfile, t, s, jet: Jet2 | None = None):
-    """s (U_t + U_s) - s^2 (t-s) W_s - U; zero for every profile (phi_ts = phi_st)."""
-    d = uw(profile, t, s, jet)
+def lemma_integrability_residual(profile: MetricProfile, t, s, jet: Jet2 | None = None,
+                                 d: UWData | None = None):
+    """s (U_t + U_s) - s^2 (t-s) W_s - U; zero for every profile (phi_ts = phi_st).
+
+    ``d``, when passed in, is ``uw(profile, t, s)``.
+    """
+    if d is None:
+        d = uw(profile, t, s, jet)
     return s * (d.U_t + d.U_s) - s * s * (t - s) * d.W_s - d.U
 
 

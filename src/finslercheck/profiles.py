@@ -138,6 +138,36 @@ def _sqrt(x):
     return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
 
 
+def _predicate(fn, t, s):
+    """The predicate ``fn`` where t and s are finite, False elsewhere.
+
+    At a point a bool.  At arrays a mask: ``fn`` sees the finite entries only,
+    and like Python floats it overflows to inf without a floating-point warning.
+    """
+    if not (isinstance(t, np.ndarray) or isinstance(s, np.ndarray)):
+        return math.isfinite(t) and math.isfinite(s) and bool(fn(t, s))
+    t, s = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(s, dtype=float))
+    mask = np.isfinite(t) & np.isfinite(s)
+    if mask.any():
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            mask[mask] = fn(t[mask], s[mask])
+    return mask
+
+
+def _inside(bounds, t, s, test):
+    """``test(t, s)`` where the mask ``bounds`` holds, False elsewhere (bools at a point).
+
+    ``test`` sees only the points inside, so 1-D derivatives are never taken
+    outside their interval.
+    """
+    if not isinstance(bounds, np.ndarray):
+        return bool(bounds) and bool(test(t, s))
+    out = bounds.copy()
+    if out.any():
+        out[out] = test(t[out], s[out])
+    return out
+
+
 class MetricProfile:
     """A profile phi(t, s): order-3 jet evaluator plus validity predicates."""
 
@@ -146,8 +176,8 @@ class MetricProfile:
         self.descriptor = descriptor
         self._jet_fn = jet_fn                  # (t, s, order) -> Jet2, self-validating
         self._value_fn = value_fn              # (t, s) -> float, self-validating
-        self._smooth_fn = smooth_fn            # predicate
-        self._valid_fn = valid_fn              # predicate (implies smooth)
+        self._smooth_fn = smooth_fn            # predicate, at a point or a mask over arrays
+        self._valid_fn = valid_fn              # the same (implies smooth)
         self._jet_smooth_fn = jet_smooth_fn or jet_fn
         self.t_interval = t_interval
 
@@ -155,17 +185,16 @@ class MetricProfile:
     def family(self) -> str:
         return self.descriptor["family"]
 
-    def smooth_at(self, t: float, s: float) -> bool:
-        """True where the jet is evaluable (all pieces finite, sqrt args positive)."""
-        if not (math.isfinite(t) and math.isfinite(s)):
-            return False
-        return self._smooth_fn(t, s)
+    def smooth_at(self, t, s):
+        """True where the jet is evaluable (all pieces finite, sqrt args positive).
 
-    def is_valid(self, t: float, s: float) -> bool:
-        """smooth_at plus the family's metric-positivity requirements."""
-        if not (math.isfinite(t) and math.isfinite(s)):
-            return False
-        return self._valid_fn(t, s)
+        At a point a bool; at arrays of (t, s) a mask, each entry the bool of its point.
+        """
+        return _predicate(self._smooth_fn, t, s)
+
+    def is_valid(self, t, s):
+        """smooth_at plus the family's metric-positivity requirements, at a point or arrays."""
+        return _predicate(self._valid_fn, t, s)
 
     def jet(self, t: float, s: float) -> PhiJet:
         """Full order-3 jet; requires (t, s) valid and s <= t."""
@@ -229,16 +258,16 @@ def hermitian_profile(f: ScalarFunction1D) -> MetricProfile:
         return phi
 
     def smooth_fn(t, s):
-        if not (_s_in_bounds(t, s, 0.0) and f.contains(t)):
-            return False
-        f0, f1 = f.derivs(t, 1)
-        return f0 + s * f1 > 0.0
+        def positive(t, s):
+            f0, f1 = f.derivs(t, 1)
+            return f0 + s * f1 > 0.0
+        return _inside(_s_in_bounds(t, s, 0.0) & f.contains(t), t, s, positive)
 
     def valid_fn(t, s):
-        if not (_s_in_bounds(t, s, 0.0) and f.contains(t)):
-            return False
-        f0, f1 = f.derivs(t, 1)
-        return f0 + s * f1 > 0.0 and f0 + t * f1 > 0.0
+        def positive(t, s):
+            f0, f1 = f.derivs(t, 1)
+            return (f0 + s * f1 > 0.0) & (f0 + t * f1 > 0.0)
+        return _inside(_s_in_bounds(t, s, 0.0) & f.contains(t), t, s, positive)
 
     descriptor = {"family": "hermitian", "f": f.descriptor()}
     return MetricProfile(descriptor, jet_fn, value_fn, smooth_fn, valid_fn,
@@ -305,10 +334,10 @@ def randers_profile(f: ScalarFunction1D, g: ScalarFunction1D,
         return a + b + 2.0 * _sqrt(a * b)
 
     def smooth_fn(t, s):
-        if not _in_bounds(t, s):
-            return False
-        (f0,), (g0,), (h0,) = derivs(t, 0)
-        return bool(_positive(f0, f0 + g0 * s, h0 * s))
+        def positive(t, s):
+            (f0,), (g0,), (h0,) = derivs(t, 0)
+            return _positive(f0, f0 + g0 * s, h0 * s)
+        return _inside(_in_bounds(t, s), t, s, positive)
 
     if descriptor is None:
         descriptor = {"family": "randers", "f": f.descriptor(),

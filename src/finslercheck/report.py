@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -30,13 +31,37 @@ BASE_COLUMNS = ("index", "n", "t", "s", "r", "pairing_re", "pairing_im", "G")
 
 
 def _fmt(x: float) -> str:
-    if x != x or x in (float("inf"), float("-inf")):
+    if not math.isfinite(x):
         raise ReportIOError(f"non-finite number {x!r} in report")
     return format(float(x), ".17g")
 
 
-def _write_json(obj, out: list):
-    if obj is None:
+def _write_json(obj, out: list, keys: dict):
+    """Append the JSON text of ``obj`` to ``out``; ``keys`` caches each encoded dict key."""
+    # exact types first: most of a report is floats, dicts and lists
+    kind = type(obj)
+    if kind is float:
+        out.append(_fmt(obj))
+    elif kind is dict:
+        out.append("{")
+        for i, key in enumerate(sorted(obj)):
+            if i:
+                out.append(",")
+            name = str(key)
+            text = keys.get(name)
+            if text is None:
+                text = keys[name] = json.dumps(name) + ":"
+            out.append(text)
+            _write_json(obj[key], out, keys)
+        out.append("}")
+    elif kind is list:
+        out.append("[")
+        for i, item in enumerate(obj):
+            if i:
+                out.append(",")
+            _write_json(item, out, keys)
+        out.append("]")
+    elif obj is None:
         out.append("null")
     elif obj is True:
         out.append("true")
@@ -49,28 +74,16 @@ def _write_json(obj, out: list):
     elif isinstance(obj, float):
         out.append(_fmt(obj))
     elif isinstance(obj, dict):
-        out.append("{")
-        for i, key in enumerate(sorted(obj)):
-            if i:
-                out.append(",")
-            out.append(json.dumps(str(key)))
-            out.append(":")
-            _write_json(obj[key], out)
-        out.append("}")
+        _write_json(dict(obj), out, keys)
     elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, item in enumerate(obj):
-            if i:
-                out.append(",")
-            _write_json(item, out)
-        out.append("]")
+        _write_json(list(obj), out, keys)
     else:
         raise ReportIOError(f"cannot serialize {type(obj).__name__} in report")
 
 
 def _json_text(obj) -> str:
     out = []
-    _write_json(obj, out)
+    _write_json(obj, out, {})
     out.append("\n")
     return "".join(out)
 

@@ -11,6 +11,16 @@ uniform direction, then mixes a unit tangent vector from the z-direction and a
 Gram-Schmidt-orthogonal direction so that s/t = sigma exactly.  Draws that the
 profile rejects are retried within the same per-index stream and recorded;
 rejection sampling (never clamping) keeps boundary-degenerate points out.
+
+Draws are made in rounds over the sample indices.  A round makes one attempt
+on the stream of every index still pending: three calls per stream,
+``random(2)`` (t and sigma), ``normal(4n)`` (the two Gaussian vectors) and
+``random(2)`` (two phases), whatever the attempt's outcome, and then the
+geometry, the invariants and the validity mask (``MetricProfile.is_valid`` on
+arrays) over all of them at once as (B, n) rows.  Each index therefore gets
+the attempts, and the bits, it would get alone.  ``sample_domain_detailed``
+returns the accepted pairs as (n, B) columns, a ``Samples``, with the
+rejections; ``sample_domain`` splits them into one ``PointVector`` each.
 """
 
 from __future__ import annotations
@@ -20,11 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, EmptyAfterRejection
+from .errors import ConfigError, EmptyAfterRejection, FinslerCheckError
 from .profiles import MetricProfile, S_MIN_FRACTION
-from .tensors import PointVector
+from .tensors import PointVector, invariants
 
-__all__ = ["SampleSpec", "sample_domain", "sample_domain_detailed",
+__all__ = ["SampleSpec", "Samples", "sample_domain", "sample_domain_detailed",
            "default_t_range", "seeded_unitary"]
 
 _MAX_ATTEMPTS = 64
@@ -71,74 +81,188 @@ def default_t_range(profile: MetricProfile) -> tuple[float, float]:
     return (lo + 0.1 * width, hi - 0.1 * width)
 
 
+def _key(seed: int, index: int) -> np.ndarray:
+    return np.array([seed & 0xFFFFFFFFFFFFFFFF, index & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+
+
 def _rng(seed: int, index: int) -> np.random.Generator:
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, index & 0xFFFFFFFFFFFFFFFF],
-                   dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_key(seed, index)))
 
 
 def _complex_gaussian(rng, n):
     return rng.normal(size=n) + 1j * rng.normal(size=n)
 
 
-def _draw(rng, n, t_range, s_range, profile):
-    """One attempt; returns (PointVector, None) or (None, reason)."""
-    t = rng.uniform(*t_range)
-    sigma = rng.uniform(*s_range)
-    u = _complex_gaussian(rng, n)
-    norm = np.linalg.norm(u)
-    if norm < 1e-12:
-        return None, "degenerate direction draw"
-    e = u / norm
-    z = math.sqrt(t) * e
-    w = _complex_gaussian(rng, n)
-    w = w - np.sum(w * np.conj(e)) * e  # <w, e> = 0
-    wnorm = np.linalg.norm(w)
-    if wnorm < 1e-12:
-        return None, "degenerate orthogonal draw"
-    w = w / wnorm
-    th1, th2 = rng.uniform(0.0, 2.0 * math.pi, size=2)
-    v = (math.sqrt(sigma) * np.exp(1j * th1) * e
-         + math.sqrt(1.0 - sigma) * np.exp(1j * th2) * w)
-    pv = PointVector(z, v)
-    if not (0.0 < pv.s < pv.t):
-        return None, f"s/t constraint violated (s={pv.s}, t={pv.t})"
-    if not profile.is_valid(pv.t, pv.s):
-        return None, f"profile rejects (t, s) = ({pv.t}, {pv.s})"
-    return pv, None
+def _uniform(lo, hi, r):
+    """``Generator.uniform(lo, hi)`` from the ``Generator.random()`` draw ``r``, bit for bit."""
+    return lo + (hi - lo) * r
+
+
+def _row_norms(x):
+    """|x| of each row of a (B, n) complex array, with the bits of ``np.linalg.norm(row)``.
+
+    ``np.linalg.norm`` takes BLAS dot products of the strided real and imaginary
+    views.  A stacked matmul of the same views gives its bits; a sum, or a
+    matmul of a contiguous copy, does not.
+    """
+    re, im = x.real, x.imag
+    square = re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None]
+    return np.sqrt(square[:, 0, 0])
+
+
+def _draws(g, n):
+    """One attempt's draws from the stream ``g``: t and sigma, the 4n Gaussians, two phases."""
+    return g.random(2), g.normal(size=4 * n), g.random(2)
+
+
+def _attempt(frac, gauss, phase, n, t_range, s_range, profile):
+    """One attempt for each stream from its ``_draws``, one row per stream: (z, v, reasons).
+
+    ``reasons[k]`` is None where row k is accepted and otherwise says why it
+    is not; z and v hold the accepted rows' pairs.
+    """
+    t = _uniform(*t_range, frac[:, 0])
+    sigma = _uniform(*s_range, frac[:, 1])
+    theta = _uniform(0.0, 2.0 * math.pi, phase)
+    u = gauss[:, :n] + 1j * gauss[:, n:2 * n]
+    w = gauss[:, 2 * n:3 * n] + 1j * gauss[:, 3 * n:]
+    # a degenerate row divides by a tiny norm; its entries are never read
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        norm = _row_norms(u)
+        e = u / norm[:, None]
+        z = np.sqrt(t)[:, None] * e
+        w = w - np.sum(w * np.conj(e), axis=-1)[:, None] * e  # <w, e> = 0
+        wnorm = _row_norms(w)
+        w = w / wnorm[:, None]
+        v = ((np.sqrt(sigma) * np.exp(1j * theta[:, 0]))[:, None] * e
+             + (np.sqrt(1.0 - sigma) * np.exp(1j * theta[:, 1]))[:, None] * w)
+    reasons = ["degenerate direction draw" if a < 1e-12
+               else "degenerate orthogonal draw" if b < 1e-12 else None
+               for a, b in zip(norm.tolist(), wnorm.tolist())]
+    rows = [k for k, reason in enumerate(reasons) if reason is None]
+    if rows:
+        _, t, s, _ = invariants(z[rows].T, v[rows].T)
+        ordered = (0.0 < s) & (s < t)
+        valid = ordered.copy()
+        valid[ordered] = profile.is_valid(t[ordered], s[ordered])
+        for k, in_order, ok, t_k, s_k in zip(rows, ordered.tolist(), valid.tolist(),
+                                             t.tolist(), s.tolist()):
+            if not in_order:
+                reasons[k] = f"s/t constraint violated (s={s_k}, t={t_k})"
+            elif not ok:
+                reasons[k] = f"profile rejects (t, s) = ({t_k}, {s_k})"
+    return z, v, reasons
+
+
+def _draw_indices(spec, t_range, profile, indices):
+    """Attempts on the streams of ``indices`` until each is accepted or exhausted.
+
+    Each round makes one attempt on every stream still pending.  Returns
+    (z, v, reasons, attempts): the (len(indices), n) rows of the accepted
+    pairs, None or the last attempt's reason for each index, and the number of
+    attempts made.
+    """
+    # one Philox serves every stream, switched by its state: building a Philox
+    # per index costs ten times more, as it draws OS entropy the key overrides
+    g = _rng(spec.seed, 0)
+    bits = g.bit_generator
+    fresh = bits.state
+    saved = {}      # the state of each stream that went on past an attempt
+
+    def switch_to(k):
+        bits.state = saved.get(k) or dict(
+            fresh, state=dict(fresh["state"], key=_key(spec.seed, indices[k])))
+
+    z = np.zeros((len(indices), spec.n), dtype=complex)
+    v = np.zeros_like(z)
+    reasons = ["no attempt"] * len(indices)
+    pending = list(range(len(indices)))
+    attempts = 0
+    for _ in range(_MAX_ATTEMPTS):
+        if not pending:
+            break
+        attempts += len(pending)
+        frac, phase = np.empty((len(pending), 2)), np.empty((len(pending), 2))
+        gauss = np.empty((len(pending), 4 * spec.n))
+        for row, k in enumerate(pending):
+            switch_to(k)
+            frac[row], gauss[row], phase[row] = _draws(g, spec.n)
+        zs, vs, why = _attempt(frac, gauss, phase, spec.n, t_range,
+                               spec.s_fraction_range, profile)
+        for k, reason in zip(pending, why):
+            reasons[k] = reason
+        rows = [row for row, reason in enumerate(why) if reason is None]
+        done = [pending[row] for row in rows]
+        z[done], v[done] = zs[rows], vs[rows]
+        pending = [k for k, reason in zip(pending, why) if reason is not None]
+        # a rejected stream goes on from after this attempt's draws: making them
+        # again costs less than reading back the state of every stream
+        for k in pending:
+            switch_to(k)
+            _draws(g, spec.n)
+            saved[k] = bits.state
+    return z, v, reasons, attempts
+
+
+@dataclass(frozen=True)
+class Samples:
+    """The accepted samples as columns: column k of ``z`` and ``v`` is sample ``index[k]``.
+
+    z and v have shape (n, B), with B = ``len(samples)``.
+    """
+
+    index: list
+    z: np.ndarray
+    v: np.ndarray
+
+    def __len__(self):
+        return len(self.index)
+
+    def columns(self, start: int = 0, stop: int | None = None) -> PointVector:
+        """Samples ``start`` to ``stop`` as one column PointVector."""
+        return PointVector(self.z[:, start:stop], self.v[:, start:stop])
+
+    def point(self, k: int) -> PointVector:
+        """Sample k alone."""
+        return PointVector(self.z[:, k], self.v[:, k])
 
 
 def sample_domain_detailed(spec: SampleSpec, profile: MetricProfile):
-    """(points, rejections): rejections list one dict per exhausted index."""
+    """(samples, rejections): rejections list one dict per exhausted index.
+
+    ``samples`` is a ``Samples``, the accepted pairs as columns in index order.
+    """
     t_range = spec.t_range or default_t_range(profile)
     lo, hi = t_range
     ilo, ihi = profile.t_interval
     if lo < ilo or hi > ihi:
         raise ConfigError(
             f"t_range {t_range} leaves the profile validity interval {profile.t_interval}")
-    points, rejections = [], []
-    total_draws = 0
-    for index in range(spec.count):
-        rng = _rng(spec.seed, index)
-        reason = "no attempt"
-        for _ in range(_MAX_ATTEMPTS):
-            total_draws += 1
-            pv, reason = _draw(rng, spec.n, t_range, spec.s_fraction_range, profile)
-            if pv is not None:
-                points.append((index, pv))
-                break
-        else:
-            rejections.append({"index": index, "reason": reason})
-    if total_draws > 0 and len(points) < 0.1 * total_draws:
+    indices = list(range(spec.count))
+    try:
+        z, v, reasons, attempts = _draw_indices(spec, t_range, profile, indices)
+    except (FinslerCheckError, ArithmeticError, ValueError):
+        # index by index, so that the error that escapes is the first in index order
+        parts = [_draw_indices(spec, t_range, profile, [index]) for index in indices]
+        z = np.concatenate([part[0] for part in parts])
+        v = np.concatenate([part[1] for part in parts])
+        reasons = [part[2][0] for part in parts]
+        attempts = sum(part[3] for part in parts)
+    accepted = [index for index, reason in zip(indices, reasons) if reason is None]
+    rejections = [{"index": index, "reason": reason}
+                  for index, reason in zip(indices, reasons) if reason is not None]
+    if len(accepted) < 0.1 * attempts:
         raise EmptyAfterRejection(
-            f"{total_draws - len(points)} of {total_draws} draws rejected")
-    return points, rejections
+            f"{attempts - len(accepted)} of {attempts} draws rejected")
+    samples = Samples(accepted, np.ascontiguousarray(z[accepted].T),
+                      np.ascontiguousarray(v[accepted].T))
+    return samples, rejections
 
 
 def sample_domain(spec: SampleSpec, profile: MetricProfile):
     """Deterministic list of valid PointVectors for the profile."""
-    points, _ = sample_domain_detailed(spec, profile)
-    return [pv for _, pv in points]
+    samples, _ = sample_domain_detailed(spec, profile)
+    return [samples.point(k) for k in range(len(samples))]
 
 
 def seeded_unitary(n: int, seed: int) -> np.ndarray:

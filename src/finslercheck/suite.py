@@ -179,28 +179,28 @@ def _check_spray_compat(ctx):
 
 
 # Checks without a per-sample FD oracle run over a chunk of samples at once:
-# ``pv`` holds the chunk's pairs as columns and ``jet`` is the chunk's order-3
-# jet of phi.  At one sample (``pv`` a lone pair, no ``jet``) each is the
-# per-sample check.
+# ``pv`` holds the chunk's pairs as columns, ``jet`` is the chunk's order-3 jet
+# of phi and ``d`` its U/W data, which ``wk_uw`` and ``lemma`` share.  At one
+# sample (``pv`` a lone pair, neither passed in) each is the per-sample check.
 
-def _check_wk_phi(profile, pv, cfg, jet=None):
+def _check_wk_phi(profile, pv, cfg, jet=None, d=None):
     return {"wk_phi_residual": abs(curv.wk_residual_phi(profile, pv.t, pv.s, jet))}
 
 
-def _check_wk_uw(profile, pv, cfg, jet=None):
-    return {"wk_uw_residual": abs(curv.wk_residual_uw(profile, pv.t, pv.s, jet))}
+def _check_wk_uw(profile, pv, cfg, jet=None, d=None):
+    return {"wk_uw_residual": abs(curv.wk_residual_uw(profile, pv.t, pv.s, jet, d))}
 
 
-def _check_lemma(profile, pv, cfg, jet=None):
+def _check_lemma(profile, pv, cfg, jet=None, d=None):
     return {"lemma_residual":
-            abs(curv.lemma_integrability_residual(profile, pv.t, pv.s, jet))}
+            abs(curv.lemma_integrability_residual(profile, pv.t, pv.s, jet, d))}
 
 
-def _check_k2k3(profile, pv, cfg, jet=None):
+def _check_k2k3(profile, pv, cfg, jet=None, d=None):
     return {"k2k3_residual": abs(curv.k2_k3_identity_residual(profile, pv.t, pv.s, jet))}
 
 
-def _check_curvature(profile, pv, cfg, jet=None):
+def _check_curvature(profile, pv, cfg, jet=None, d=None):
     rep = curv.curvature_report(profile, pv, cfg, jet)
     out = {"kf_closed": rep.kf_closed, "kf_direct": rep.kf_direct,
            "kf_dev_direct": abs(rep.kf_direct - rep.kf_closed)}
@@ -258,23 +258,23 @@ def _rows(columns: dict) -> list:
             for row in zip(*values)]
 
 
-def _chunk_columns(profile, pvs, checks, cfg):
-    """G and each chunked check in ``checks`` over the samples ``pvs`` at once.
+def _chunk_columns(profile, pv, checks, cfg):
+    """G and each chunked check in ``checks`` over the column PointVector ``pv`` at once.
 
     Each comes back as a list with one entry per sample.
     """
-    pv = PointVector(np.stack([p.z for p in pvs], axis=1), np.stack([p.v for p in pvs], axis=1))
     out = {"G": (pv.r * profile.value(pv.t, pv.s)).tolist()}
     names = [name for name in checks if name in _CHUNK_CHECKS]
     if names:
         jet = curv._phi_jet(profile, pv.t, pv.s)
+        d = curv.uw(profile, pv.t, pv.s, jet) if {"wk_uw", "lemma"} & set(names) else None
         for name in names:
-            out[name] = _rows(_CHUNK_CHECKS[name](profile, pv, cfg, jet))
+            out[name] = _rows(_CHUNK_CHECKS[name](profile, pv, cfg, jet, d))
     return out
 
 
-def _chunk_records(profile, chunk, config, unitary):
-    """The records of a chunk of (index, PointVector) samples, in sample order.
+def _chunk_records(profile, indices, pv, config, unitary):
+    """The records of a chunk of samples, the columns of ``pv``, in sample order.
 
     The chunked checks run over the whole chunk first, the others sample by
     sample.  When the chunked stage raises, the chunk runs again sample by
@@ -285,37 +285,37 @@ def _chunk_records(profile, chunk, config, unitary):
         # a floating-point event the per-sample floats would raise on, or
         # pass silently, sends the chunk the per-sample way too
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            columns = _chunk_columns(profile, [pv for _, pv in chunk], config.checks, config.fd)
+            columns = _chunk_columns(profile, pv, config.checks, config.fd)
     except (FinslerCheckError, ArithmeticError, ValueError):
         columns = None
+    per_sample = columns is None or any(name not in _CHUNK_CHECKS for name in config.checks)
     records = []
-    for k, (index, pv) in enumerate(chunk):
-        ctx = _SampleContext(profile, pv, config.fd)
+    for k, (index, t, s, r, pairing, z, v) in enumerate(zip(
+            indices, pv.t.tolist(), pv.s.tolist(), pv.r.tolist(), pv.pairing.tolist(),
+            pv.z.T.tolist(), pv.v.T.tolist())):
         rec = {
             "index": index,
             "n": pv.n,
-            "t": pv.t,
-            "s": pv.s,
-            "r": pv.r,
-            "pairing": [pv.pairing.real, pv.pairing.imag],
-            "G": columns["G"][k] if columns is not None else pv.r * profile.value(pv.t, pv.s),
-            "z": _complex_pairs(pv.z),
-            "v": _complex_pairs(pv.v),
+            "t": t,
+            "s": s,
+            "r": r,
+            "pairing": [pairing.real, pairing.imag],
+            "G": columns["G"][k] if columns is not None else r * profile.value(t, s),
+            "z": [[x.real, x.imag] for x in z],
+            "v": [[x.real, x.imag] for x in v],
         }
+        if per_sample:
+            ctx = _SampleContext(profile, PointVector(pv.z[:, k], pv.v[:, k]), config.fd)
         for name in config.checks:
             if name in _CHUNK_CHECKS:
                 rec.update(columns[name][k] if columns is not None
-                           else _CHUNK_CHECKS[name](profile, pv, config.fd))
+                           else _CHUNK_CHECKS[name](profile, ctx.pv, config.fd))
             elif name == "unitary":
                 rec.update(_check_unitary(ctx, unitary))
             else:
                 rec.update(_SAMPLE_CHECKS[name](ctx))
         records.append(rec)
     return records
-
-
-def _complex_pairs(vec):
-    return [[float(x.real), float(x.imag)] for x in vec]
 
 
 def _aggregate(records, fields):
@@ -408,13 +408,14 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
                           t_range=default_t_range(profile),
                           s_fraction_range=spec.s_fraction_range)
 
-    indexed_points, rejections = sample_domain_detailed(spec, profile)
+    samples, rejections = sample_domain_detailed(spec, profile)
     model_k = config.profile.get("k") if config.profile.get("family") == "model" else None
     unitary = seeded_unitary(spec.n, spec.seed ^ _UNITARY_SEED_SALT)
 
     records = []
-    for start in range(0, len(indexed_points), CHUNK):
-        records += _chunk_records(profile, indexed_points[start:start + CHUNK], config, unitary)
+    for start in range(0, len(samples), CHUNK):
+        records += _chunk_records(profile, samples.index[start:start + CHUNK],
+                                  samples.columns(start, start + CHUNK), config, unitary)
 
     numeric_fields = sorted({k for r in records for k in r
                              if isinstance(r[k], float) and k not in ("t", "s", "r", "G")})

@@ -1,12 +1,13 @@
 """Closed forms on stencil columns: the bits of the lone point, one field call per stencil."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 import finslercheck as fc
-from finslercheck import numerics, suite
+from finslercheck import curvature, numerics, suite
 from finslercheck.errors import (
     DegenerateK1,
     DomainViolation,
@@ -301,11 +302,13 @@ def assert_chunk_is_per_sample(prof, pvs, names=tuple(suite._CHUNK_CHECKS)):
     Returns the per-sample results by check.
     """
     cfg = numerics.FDConfig()
+    cols = fc.PointVector(np.stack([pv.z for pv in pvs], axis=1),
+                          np.stack([pv.v for pv in pvs], axis=1))
     out = {}
     for name in names:
         singles = [outcome(lambda: suite._CHUNK_CHECKS[name](prof, pv, cfg)) for pv in pvs]
         errors = [one for one in singles if isinstance(one, str)]
-        chunk = outcome(lambda: suite._chunk_columns(prof, pvs, (name,), cfg))
+        chunk = outcome(lambda: suite._chunk_columns(prof, cols, (name,), cfg))
         if errors:
             assert chunk == errors[0], name
         else:
@@ -361,6 +364,21 @@ class TestSamplesAsColumns:
         prof = profiles["model-km4"]
         assert_chunk_is_per_sample(prof, make_points(prof, n=2, count=8, seed=7,
                                                      t_range=(0.99, 0.995)))
+
+    def test_uw_domain_off_the_interval(self, profiles):
+        # t at the k = -4 pole t = c = 1 and past it: masked out without a
+        # floating-point error, which would send a chunk the per-sample way
+        prof = profiles["model-km4"]
+        t = np.array([0.5, 1.0, 1.5, 0.9])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="raise"):
+                margin, valid = curvature._uw_domain(prof, t, 0.5 * t)
+                with pytest.raises(DomainViolation,
+                                   match=r"^\(t, s\) = \(1.0, 0.5\) outside profile validity$"):
+                    fc.wk_residual_uw(prof, t, 0.5 * t)
+        assert margin.tolist() == [True] * 4
+        assert valid.tolist() == [True, False, False, True]
 
     def test_large_z(self, profiles):
         prof = profiles["model-k0"]

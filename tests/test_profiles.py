@@ -1,6 +1,7 @@
 """Profile construction, jet values, validity regions, jet self-consistency."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -211,3 +212,52 @@ def test_array_value_rejects_single_point(name, profiles):
     ss = np.array([0.2, 0.3, 0.9])     # s > t at the last point only
     with pytest.raises(DomainViolation, match=r"\(t, s\) = \(0.7, 0.9\)"):
         prof.value(ts, ss)
+
+
+def _predicate_points():
+    """(t, s) pairs on and off every catalog profile's region, as two arrays."""
+    inf, nan = math.inf, math.nan
+    ts = [0.05, 0.3, 0.5, 0.9, 0.999, 1.0, 1.2, 2.0, 7.5, 30.0]
+    pairs = [(t, f * t) for t in ts for f in (0.0, 1e-7, 1e-6, 0.2, 0.7, 1.0 - 1e-7, 1.0)]
+    pairs += [(t, 1.01 * t) for t in ts]                                 # s > t
+    pairs += [(-1.0, 0.1), (0.0, 0.0), (0.0, 0.1), (1e-300, 1e-301)]     # t at or below 0
+    pairs += [(nan, 0.1), (0.5, nan), (inf, 0.1), (-inf, 0.1), (0.5, inf), (0.5, -inf),
+              (inf, inf), (nan, nan)]
+    t, s = zip(*pairs)
+    return np.array(t), np.array(s)
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+@pytest.mark.parametrize("predicate", ["is_valid", "smooth_at"])
+def test_array_predicates_match_scalar(name, predicate, profiles):
+    # the k = -4 model (c = 1) takes t = 1, its pole, and t = 1.2, past it
+    t, s = _predicate_points()
+    fn = getattr(profiles[name], predicate)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="raise"):
+            mask = fn(t, s)
+            one_by_one = [fn(a, b) for a, b in zip(t.tolist(), s.tolist())]
+    assert mask.dtype == bool and mask.shape == t.shape
+    assert mask.tolist() == one_by_one
+    assert any(one_by_one) and not all(one_by_one)
+    # scalar t against an array s, and a 2-D array, broadcast the same way
+    assert fn(0.5, s[:7]).tolist() == [fn(0.5, b) for b in s[:7].tolist()]
+    assert fn(t.reshape(-1, 1)[:6], s[:6].reshape(-1, 1)).ravel().tolist() == one_by_one[:6]
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_array_predicates_overflow_as_floats_do(name, profiles):
+    # far out, Python floats overflow to inf silently, or raise OverflowError
+    # from pow and exp; the arrays do the same, without a floating-point error
+    prof = profiles[name]
+    t = np.array([1e200, 1e200, 1e155, 1e300])
+    s = np.array([0.5e200, 0.5, 1e154, 1e299])
+    with np.errstate(all="raise"):
+        try:
+            expected = [prof.is_valid(a, b) for a, b in zip(t.tolist(), s.tolist())]
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                prof.is_valid(t, s)
+            return
+        assert prof.is_valid(t, s).tolist() == expected

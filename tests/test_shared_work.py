@@ -72,6 +72,18 @@ class TestPerSampleWork:
         if "curvature" in checks:
             assert all("kf_wk" in rec for rec in report.records)
 
+    def test_residual_chunk_takes_one_uw_transform(self, monkeypatch):
+        # wk_uw and lemma share the chunk's U/W domain mask and U/W data
+        whole = run_k4(checks=RESIDUAL_CHECKS, count=7)
+        monkeypatch.setattr(suite, "CHUNK", 3)
+        uw_data = count_calls(monkeypatch, curvature, "_uw_data")
+        valid = count_calls(monkeypatch, MetricProfile, "is_valid")
+        report = run_k4(checks=RESIDUAL_CHECKS, count=7)
+        assert [len(t) for _, t, _ in uw_data] == [3, 3, 1]
+        # the sampler's mask over its first attempts, then one per chunk
+        assert [len(t) for _, t, _ in valid] == [7, 3, 3, 1]
+        assert report.records == whole.records
+
     def test_shared_objects_give_the_same_bits(self, profiles):
         prof = profiles["wk-exp"]
         for pv in make_points(prof, n=3, count=2, seed=9):

@@ -1,10 +1,14 @@
 """Suite execution and report serialization."""
 
 import json
+import math
+from collections import OrderedDict
 
+import numpy as np
 import pytest
 
 import finslercheck as fc
+from finslercheck import report
 from finslercheck.errors import ConfigError, ReportIOError
 from finslercheck.report import render_csv, render_json
 from finslercheck.suite import CHECK_NAMES, SuiteConfig, SuiteReport, run_suite
@@ -119,3 +123,58 @@ class TestReports:
         text = render_json(flat_report)
         val = flat_report.aggregates["kf_closed"]["mean"]
         assert format(val, ".17g") in text
+
+
+def _reference_json(obj, out):
+    """The JSON writer as it was before its exact-type fast paths, frozen."""
+    if obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    elif isinstance(obj, int):
+        out.append(str(obj))
+    elif isinstance(obj, float):
+        if obj != obj or obj in (float("inf"), float("-inf")):
+            raise ReportIOError(f"non-finite number {obj!r} in report")
+        out.append(format(float(obj), ".17g"))
+    elif isinstance(obj, dict):
+        out.append("{")
+        for i, key in enumerate(sorted(obj)):
+            if i:
+                out.append(",")
+            out.append(json.dumps(str(key)))
+            out.append(":")
+            _reference_json(obj[key], out)
+        out.append("}")
+    elif isinstance(obj, (list, tuple)):
+        out.append("[")
+        for i, item in enumerate(obj):
+            if i:
+                out.append(",")
+            _reference_json(item, out)
+        out.append("]")
+    else:
+        raise ReportIOError(f"cannot serialize {type(obj).__name__} in report")
+
+
+class TestJsonWriter:
+    def test_same_bytes_as_the_reference(self, flat_report):
+        odd = {"np": [np.float64(0.1), (1.5, -0.0)], "b": [True, False, None],
+               "int keys": {3: 1e-300, 12: {"é\"q": "s\n"}}, "n": OrderedDict(b=1, a=2.5)}
+        for obj in (vars(flat_report), odd, [], {}, 0.1, "x"):
+            expected = []
+            _reference_json(obj, expected)
+            assert report._json_text(obj) == "".join(expected) + "\n"
+
+    @pytest.mark.parametrize("bad", [float("nan"), np.float64("inf"), -math.inf, np.bool_(True),
+                                     np.int64(3), {1, 2}, b"x"])
+    def test_same_errors_as_the_reference(self, bad):
+        with pytest.raises(ReportIOError) as expected:
+            _reference_json({"a": [bad]}, [])
+        with pytest.raises(ReportIOError) as got:
+            report._json_text({"a": [bad]})
+        assert str(got.value) == str(expected.value)
