@@ -218,7 +218,7 @@ class Samples:
     def __len__(self):
         return len(self.index)
 
-    def columns(self, start: int = 0, stop: int | None = None) -> PointVector:
+    def columns(self, start: int, stop: int) -> PointVector:
         """Samples ``start`` to ``stop`` as one column PointVector."""
         return PointVector(self.z[:, start:stop], self.v[:, start:stop])
 

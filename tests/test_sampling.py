@@ -91,10 +91,16 @@ def test_seeded_unitary_properties():
         assert np.max(np.abs(a @ a.conj().T - np.eye(n))) < 1e-12
 
 
-# --- the batched sampler against the scalar loop it replaced ---
+# The per-index scalar sampler the batched rounds replaced, kept as their
+# reference: each index draws its attempts one by one on its own stream.
+
+def _reference_stream(seed, index):
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, index], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
 
 def _reference_draw(rng, n, t_range, s_range, profile):
-    """One attempt of the scalar sampler, frozen as it was before draws were batched."""
+    """One attempt of the scalar sampler: (PointVector, None) or (None, reason)."""
     t = rng.uniform(*t_range)
     sigma = rng.uniform(*s_range)
     u = rng.normal(size=n) + 1j * rng.normal(size=n)
@@ -125,8 +131,7 @@ def reference_sample(spec, profile, max_attempts=64):
     t_range = spec.t_range or default_t_range(profile)
     points, rejections, total = [], [], 0
     for index in range(spec.count):
-        key = np.array([spec.seed & 0xFFFFFFFFFFFFFFFF, index], dtype=np.uint64)
-        rng = np.random.Generator(np.random.Philox(key=key))
+        rng = _reference_stream(spec.seed, index)
         reason = "no attempt"
         for _ in range(max_attempts):
             total += 1
@@ -145,7 +150,7 @@ def outcome(sample, spec, profile):
     """Indices, z and v bytes and rejections of a sampler, or the class and text of its error."""
     try:
         points, rejections = sample(spec, profile)
-    except Exception as exc:   # noqa: BLE001 - the error itself is compared
+    except Exception as exc:   # the error itself is compared
         return f"{type(exc).__name__}: {exc}"
     if isinstance(points, sampling.Samples):
         points = [(index, points.point(k)) for k, index in enumerate(points.index)]
@@ -178,9 +183,8 @@ class TestSameDrawsAsTheScalarLoop:
         points, rejections = assert_same_as_reference(spec, prof)
         assert len(points) == 40 and not rejections
         # some index needed more than one attempt
-        first = [_reference_draw(np.random.Generator(np.random.Philox(
-            key=np.array([5, i], dtype=np.uint64))), n, RETRY_WINDOW, (0.1, 0.9), prof)[0]
-            for i in range(40)]
+        first = [_reference_draw(_reference_stream(5, index), n, RETRY_WINDOW, (0.1, 0.9),
+                                 prof)[0] for index in range(40)]
         assert any(pv is None for pv in first)
 
     def test_exhausted_indices_give_the_same_reasons(self, monkeypatch):
@@ -203,9 +207,8 @@ class TestSameDrawsAsTheScalarLoop:
         # attempt has t > 0.9
         prof = fc.model_profile(0, 1.0)
         spec = fc.SampleSpec(n=3, count=30, seed=9, t_range=(0.1, 1.0))
-        first_ts = [_reference_draw(np.random.Generator(np.random.Philox(
-            key=np.array([9, index], dtype=np.uint64))), 3, spec.t_range, (0.1, 0.9), prof)[0].t
-            for index in range(30)]
+        first_ts = [_reference_draw(_reference_stream(9, index), 3, spec.t_range, (0.1, 0.9),
+                                    prof)[0].t for index in range(30)]
         valid = prof._valid_fn
 
         def predicate(t, s):
