@@ -39,6 +39,14 @@ INVOCATIONS = (
                               "--samples", "20", "--seed", "14"), "csv"),
     ("verify-k4-n3", ("verify", "--model", "k4", "--n", "3",
                       "--samples", "20", "--seed", "15"), "json"),
+    # two chunks, the second of two samples
+    ("verify-wk-exp-n4-130", ("verify", "--profile", "wk-exp.json", "--n", "4",
+                              "--samples", "130", "--seed", "16"), "json"),
+    ("verify-wk-exp-n3-oracles", ("verify", "--profile", "wk-exp.json", "--n", "3",
+                                  "--checks", "levi_oracle,nconn,unitary",
+                                  "--samples", "20", "--seed", "17"), "json"),
+    ("verify-hermitian-exp-n8", ("verify", "--profile", "hermitian-exp.json", "--n", "8",
+                                 "--samples", "10", "--seed", "18"), "json"),
     ("curvature-k4", ("curvature", "--model", "k4", "--c", "0.5", "--n", "2",
                       "--samples", "40", "--seed", "21"), "json"),
     ("curvature-k0", ("curvature", "--model", "k0", "--c", "1.0", "--n", "3",

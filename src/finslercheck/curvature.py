@@ -57,8 +57,10 @@ from .tensors import (
     SprayData,
     _first,
     _g_alpha,
+    _spray,
     _spray_scalars,
     _spray_vector,
+    _sum_rows,
     connection_coefficients,
     levi_closed,
 )
@@ -294,13 +296,8 @@ def _wk_columns(profile, pv, jet):
         return np.ma.masked_array(_wk_formula(jet.value, d, t, s), mask=~applies)
 
 
-def _sum_rows(x):
-    """The sum over the first axis, entry by entry as the 1-D sum of one column."""
-    return np.sum(np.ascontiguousarray(x.T), axis=-1)
-
-
 def holomorphic_curvature_direct(profile: MetricProfile, pv: PointVector,
-                                 cfg: FDConfig | None = None):
+                                 cfg: FDConfig | None = None, k=None):
     """K_F from its definition, by Wirtinger FD of the closed-form spray.
 
     K_F = -(2/G^2) G_g delta_nubar(2 GG^g) vbar^nu with the conjugated
@@ -312,10 +309,11 @@ def holomorphic_curvature_direct(profile: MetricProfile, pv: PointVector,
     Both come from one stencil of spray(z + tau_z dz, v + tau_v dv) over
     (tau_z, tau_v) in C^2.  For columns of pairs the base point tau = 0, and
     so the step, is the same for every pair: one stencil serves them all.
+    ``k``, the ``k_scalars`` at the pair(s), gives the spray there when passed in.
     """
     cfg = cfg or FDConfig()
     z, v = pv.z, pv.v
-    spray0 = _spray_vector(profile, z, v)
+    spray0 = _spray_vector(profile, z, v) if k is None else _spray(k[1], k[2], pv.pairing, z, v)
     ga, phi = _g_alpha(profile, pv)
     G = pv.r * phi
 
@@ -358,7 +356,8 @@ def wk_spray_identities_residual(profile: MetricProfile, t: float, s: float):
 def kahler_classify(profile: MetricProfile, pv: PointVector,
                     cfg: FDConfig | None = None,
                     levi: LeviData | None = None,
-                    spray: SprayData | None = None) -> KahlerReport:
+                    spray: SprayData | None = None,
+                    max_columns=None) -> KahlerReport:
     """Residuals of the three Kahler notions from the connection antisymmetry.
 
     strong : max |Gamma^a_{b;g} - Gamma^a_{g;b}|               / max|Gamma|
@@ -366,40 +365,47 @@ def kahler_classify(profile: MetricProfile, pv: PointVector,
     weakly : max |G_a (Gamma^a_{b;g} - Gamma^a_{g;b}) v^g|     / (max|Gamma| * |v|_1 * |G_.|_1)
 
     ``levi`` and ``spray``, the sample's ``levi_closed`` and
-    ``spray_coefficients``, are built here when not passed in.
+    ``spray_coefficients``, are built here when not passed in.  Over columns
+    each residual is an array with one entry per pair.
     """
     cfg = cfg or FDConfig()
     if levi is None:
         levi = levi_closed(profile, pv, cfg)
-    conn = connection_coefficients(profile, pv, cfg, levi=levi, spray=spray)
+    conn = connection_coefficients(profile, pv, cfg, levi=levi, spray=spray,
+                                   max_columns=max_columns)
     gamma = conn.gamma
-    delta = gamma - np.transpose(gamma, (0, 2, 1))
-    scale_g = max(float(np.max(np.abs(gamma))), 1e-300)
-    v_l1 = float(np.sum(np.abs(pv.v)))
-    ga_l1 = float(np.sum(np.abs(levi.g_alpha)))
-    strong = float(np.max(np.abs(delta))) / scale_g
-    delta_v = np.einsum('abg,g->ab', delta, pv.v)
-    kahler = float(np.max(np.abs(delta_v))) / (scale_g * v_l1)
-    weakly_vec = np.einsum('a,ab->b', levi.g_alpha, delta_v)
-    weakly = float(np.max(np.abs(weakly_vec))) / (scale_g * v_l1 * ga_l1)
+    delta = gamma - np.swapaxes(gamma, -2, -1)
+    tensor = (-3, -2, -1)
+    scale_g = np.maximum(np.max(np.abs(gamma), axis=tensor), 1e-300)
+    v_l1 = _sum_rows(np.abs(pv.v))
+    ga_l1 = _sum_rows(np.abs(levi.g_alpha))
+    strong = np.max(np.abs(delta), axis=tensor) / scale_g
+    # one pair's einsum over each column: the same bits as alone
+    delta_v = np.einsum('...abg,g...->...ab', delta, pv.v)
+    kahler = np.max(np.abs(delta_v), axis=(-2, -1)) / (scale_g * v_l1)
+    weakly_vec = np.einsum('a...,...ab->...b', levi.g_alpha, delta_v)
+    weakly = np.max(np.abs(weakly_vec), axis=-1) / (scale_g * v_l1 * ga_l1)
+    if np.ndim(strong) == 0:
+        strong, kahler, weakly = float(strong), float(kahler), float(weakly)
     return KahlerReport(strong_residual=strong, kahler_residual=kahler,
                         weakly_residual=weakly)
 
 
 def curvature_report(profile: MetricProfile, pv: PointVector,
                      cfg: FDConfig | None = None,
-                     jet: Jet2 | None = None) -> CurvatureReport:
+                     jet: Jet2 | None = None, k=None) -> CurvatureReport:
     """K_F by all applicable methods plus the maximal pairwise deviation.
 
     The weakly-Kahler value is included only where the residual gate admits
     it.  For columns every field is an array, and ``kf_wk`` a masked array,
-    masked where ``holomorphic_curvature_wk`` would raise.
+    masked where ``holomorphic_curvature_wk`` would raise.  ``k``, the
+    ``k_scalars`` at the pair(s), is taken when not passed in.
     """
     cfg = cfg or FDConfig()
     if jet is None:
         jet = _phi_jet(profile, pv.t, pv.s)
     kf_closed = holomorphic_curvature_closed(profile, pv, jet)
-    kf_direct = holomorphic_curvature_direct(profile, pv, cfg)
+    kf_direct = holomorphic_curvature_direct(profile, pv, cfg, k)
     dev = abs(kf_direct - kf_closed)
     if isinstance(pv.t, np.ndarray):
         kf_wk = _wk_columns(profile, pv, jet)

@@ -26,11 +26,24 @@ stencil order, so it carries the same bits as a point-by-point evaluation.
 The package's own fields take columns natively: the FD oracles' metric
 ``r phi(t, s)`` and the closed-form spray and Levi matrix that the direct
 curvature and the connection coefficients differentiate.
+
+Base points.  The point of each derivative may be one point, shape (dim,),
+or B base points, the columns of a (dim, B) array.  Each base point keeps its
+own base step per coordinate, and all their stencils go to one field call of
+(dim, B * size) columns, base point by base point (``size`` columns each);
+the results then carry a leading axis of length B, and each base point's
+entries the bits of a call at that point alone.  ``max_columns`` splits the
+base points so that no field call exceeds that many columns (at least one
+base point per call).  The Hermitian-asymmetry and non-finite guards hold at
+every base point; the first base point that fails one raises.
+``wirtinger_mixed_hessian`` also takes ``carry``, values per base point that
+ride along below the stencil rows, unmoved, for fields that depend on more
+than the differentiated coordinates.  ``hermitian_inverse_det`` and
+``positive_definite`` take one matrix or a stack (B, n, n).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -108,11 +121,14 @@ _D2_CROSS = _Stencil(tuple(wa * wb for wa in _D1.weights for wb in _D1.weights),
                      144.0, 2)
 
 
-def _evaluate(field: Callable, columns: np.ndarray) -> np.ndarray:
-    """The field at the points ``columns`` (dim, m), policing domain and finiteness."""
+def _evaluate(field: Callable, columns: np.ndarray, carry=None) -> np.ndarray:
+    """The field at the points ``columns`` (dim, m), policing domain and finiteness.
+
+    ``carry``, rows of m columns, goes to the field below the points.
+    """
     m = columns.shape[1]
     try:
-        values = field(columns)
+        values = field(columns if carry is None else np.concatenate([columns, carry]))
     except DomainViolation as exc:
         raise StencilOutsideDomain(f"stencil point rejected: {exc}") from exc
     values = np.asarray(values, dtype=complex)
@@ -142,27 +158,35 @@ def _richardson(values: Sequence):
     return vals[0]
 
 
-def _base_step(point: np.ndarray, cfg: FDConfig) -> float:
-    scale = float(np.max(np.abs(point))) if point.size else 0.0
-    return cfg.step * max(1.0, scale)
+def _base_step(points: np.ndarray, cfg: FDConfig) -> np.ndarray:
+    """The base step of each base point, the columns of ``points`` (dim, B)."""
+    return cfg.step * np.maximum(1.0, np.max(np.abs(points), axis=0, initial=0.0))
 
 
-def _base_steps(point: np.ndarray, cfg: FDConfig, parts) -> np.ndarray:
-    """The base step of each coordinate: that of its block when ``parts`` splits the point."""
+def _base_steps(points: np.ndarray, cfg: FDConfig, parts) -> np.ndarray:
+    """The base step of each coordinate at each base point, (dim, B).
+
+    A coordinate takes the step of its block when ``parts`` splits the point.
+    """
+    dim = points.shape[0]
     if parts is None:
-        return np.full(point.size, _base_step(point, cfg))
-    if sum(parts) != point.size or min(parts, default=1) < 1:
-        raise ValueError(f"parts {tuple(parts)} do not split {point.size} coordinates")
+        return np.broadcast_to(_base_step(points, cfg), points.shape)
+    if sum(parts) != dim or min(parts, default=1) < 1:
+        raise ValueError(f"parts {tuple(parts)} do not split {dim} coordinates")
     ends = np.cumsum(parts)
-    return np.concatenate([np.full(size, _base_step(point[end - size:end], cfg))
+    return np.concatenate([np.broadcast_to(_base_step(points[end - size:end], cfg),
+                                           (size, points.shape[1]))
                            for size, end in zip(parts, ends)])
 
 
-def _as_point(point) -> np.ndarray:
-    point = np.atleast_1d(np.asarray(point, dtype=complex))
-    if not np.all(np.isfinite(point)):
+def _as_points(point):
+    """(points, lone): the base points as columns (dim, B), and whether ``point`` was one point."""
+    point = np.asarray(point, dtype=complex)
+    lone = point.ndim < 2
+    points = np.atleast_1d(point)[:, None] if lone else point
+    if not np.all(np.isfinite(points)):
         raise NonFiniteEvaluation("differentiation point is not finite")
-    return point
+    return points, lone
 
 
 @dataclass(frozen=True)
@@ -219,43 +243,66 @@ def _frozen(values, dtype) -> np.ndarray:
     return out
 
 
-def _estimates(field: Callable, point: np.ndarray, lines: tuple, cfg: FDConfig,
-               centre: bool = False, parts=None):
-    """Richardson-extrapolated stencil estimates along ``lines``, from one field call.
+def _estimates(field: Callable, points: np.ndarray, lines: tuple, cfg: FDConfig,
+               centre: bool = False, parts=None, carry=None, max_columns=None):
+    """Richardson-extrapolated stencil estimates along ``lines`` at the base points ``points``.
 
     A line is ``(stencil, axes)`` with one ``(coordinate, imaginary)`` axis per
-    offset coordinate of the stencil.  Returns the estimates, with one entry
-    per line on the last axis, and the field's value at ``point`` (None unless
-    ``centre``).  ``parts`` gives blocks of coordinates their own base steps.
+    offset coordinate of the stencil.  ``points`` holds B base points as
+    columns (dim, B).  Returns the estimates, shape (B,) + the field's leading
+    shape + (len(lines),), and the field's values at the base points (None
+    unless ``centre``).  ``parts`` gives blocks of coordinates their own base
+    steps; ``carry`` (k, B) rides along below each stencil column; one field
+    call covers at most ``max_columns`` columns.
     """
     plan = _plan(lines, cfg.richardson_levels, centre)
-    h0 = _base_steps(point, cfg, parts)
-    halvings = 2.0 ** np.arange(cfg.richardson_levels)
-    columns = np.repeat(point[:, None], plan.size, axis=1)
+    h0 = _base_steps(points, cfg, parts)
+    total = points.shape[1]
+    per_call = total if max_columns is None else max(1, max_columns // plan.size)
+    calls = [_slice_estimates(field, points[:, k:k + per_call], h0[:, k:k + per_call],
+                              None if carry is None else carry[:, k:k + per_call],
+                              plan, len(lines), cfg, centre)
+             for k in range(0, total, per_call)]
+    if len(calls) == 1:
+        return calls[0]
+    est, at_points = zip(*calls)
+    return np.concatenate(est), (np.concatenate(at_points) if centre else None)
+
+
+def _slice_estimates(field, points, h0, carry, plan, count, cfg, centre):
+    """``_estimates`` at the base points ``points`` (dim, B), from one field call."""
+    (dim, b), size = points.shape, plan.size
+    columns = np.repeat(points[:, :, None], size, axis=2)
     # p + (k h) e_a + (k' h) e_b with the bits of a point-by-point stencil
     for at, coord, imaginary, multiple in plan.moves:
-        columns[coord, at] += (multiple * h0[coord]) * _UNITS[imaginary]
-    values = _evaluate(field, columns)[..., plan.inverse]
+        columns[coord, :, at] += (multiple[:, None] * h0[coord]) * _UNITS[imaginary][:, None]
+    values = _evaluate(field, columns.reshape(dim, b * size),
+                       carry=None if carry is None else np.repeat(carry, size, axis=1))
+    # (B,) + lead + (rows,): the stencil rows of each base point
+    values = np.moveaxis(values.reshape(values.shape[:-1] + (b, size)), -2, 0)[..., plan.inverse]
 
-    lead = values.shape[:-1]
-    out = np.empty(lead + (len(lines),), dtype=complex)
+    halvings = 2.0 ** np.arange(cfg.richardson_levels)
+    lead = values.shape[1:-1]
+    out = np.empty((b,) + lead + (count,), dtype=complex)
     start = 0
     for stencil, idx, first in plan.groups:
         shape = (len(idx), len(halvings), len(stencil.weights))
-        size = shape[0] * shape[1] * shape[2]
-        block = values[..., start:start + size].reshape(lead + shape)
-        start += size
+        width = shape[0] * shape[1] * shape[2]
+        block = values[..., start:start + width].reshape(values.shape[:-1] + shape)
+        start += width
         acc = 0.0
         for k, w in enumerate(stencil.weights):
             acc = acc + w * block[..., k]
         # each line's step at each level: h0 of its first coordinate / 2^level
         # (only wirtinger_gradient takes parts, and its lines have one direction)
-        levels = acc / stencil.denominator(h0[first][:, None] / halvings)
+        steps = (h0[first].T[:, :, None] / halvings).reshape((b,) + (1,) * len(lead) + shape[:2])
+        levels = acc / stencil.denominator(steps)
         out[..., idx] = _richardson([levels[..., k] for k in range(len(halvings))])
     return out, (values[..., -1] if centre else None)
 
 
-def wirtinger_gradient(field: Callable, point, cfg: FDConfig | None = None, parts=None):
+def wirtinger_gradient(field: Callable, point, cfg: FDConfig | None = None, parts=None,
+                       max_columns=None):
     """Holomorphic and anti-holomorphic first derivatives of ``field`` at ``point``.
 
     ``field`` follows the column contract of this module; a vector or matrix
@@ -264,32 +311,36 @@ def wirtinger_gradient(field: Callable, point, cfg: FDConfig | None = None, part
     real-valued field ``anti = conj(holo)``.  ``parts``, block sizes summing to
     the dimension, gives each consecutive block of coordinates its own base
     step from the block alone, so its derivatives carry the bits of a separate
-    call at that block with the other coordinates held fixed.
+    call at that block with the other coordinates held fixed.  At B base points
+    (dim, B) both carry a leading axis of length B.
     """
     cfg = cfg or FDConfig()
-    point = _as_point(point)
+    points, lone = _as_points(point)
     lines = tuple((_D1, ((a, imaginary),))
-                  for a in range(point.size) for imaginary in (False, True))
-    est, _ = _estimates(field, point, lines, cfg, parts=parts)
+                  for a in range(points.shape[0]) for imaginary in (False, True))
+    est, _ = _estimates(field, points, lines, cfg, parts=parts, max_columns=max_columns)
     dx, dy = est[..., 0::2], est[..., 1::2]
-    holo = np.moveaxis(0.5 * (dx - 1j * dy), -1, 0)
-    anti = np.moveaxis(0.5 * (dx + 1j * dy), -1, 0)
+    holo = np.moveaxis(0.5 * (dx - 1j * dy), -1, 1)
+    anti = np.moveaxis(0.5 * (dx + 1j * dy), -1, 1)
+    if lone:
+        holo, anti = holo[0], anti[0]
     return np.ascontiguousarray(holo), np.ascontiguousarray(anti)
 
 
 def wirtinger_second(field: Callable, point, i, j,
-                     conj_i: bool, conj_j: bool, cfg: FDConfig | None = None):
+                     conj_i: bool, conj_j: bool, cfg: FDConfig | None = None,
+                     max_columns=None):
     """Mixed second Wirtinger derivatives of a scalar field, selected by index and bar-flags.
 
     Returns ``d^2 field / d w_i^(ci) d w_j^(cj)`` where a True flag picks the
     conjugated variable.  ``i`` and ``j`` may be integer arrays that broadcast
     together: every derivative they select then comes from one field call, in
-    an array of their broadcast shape.  The four real-axis second derivatives
-    entering each combination are true 2-D stencils, never nested first
-    differences.
+    an array of their broadcast shape (after a leading axis of length B at B
+    base points).  The four real-axis second derivatives entering each
+    combination are true 2-D stencils, never nested first differences.
     """
     cfg = cfg or FDConfig()
-    point = _as_point(point)
+    points, lone = _as_points(point)
     ii, jj = np.broadcast_arrays(np.asarray(i), np.asarray(j))
     lines, parts = [], []
 
@@ -305,101 +356,145 @@ def wirtinger_second(field: Callable, point, i, j,
         else:
             parts.append((line(_D2_CROSS, ex_a, ex_b), line(_D2_CROSS, ey_a, ey_b),
                           line(_D2_CROSS, ex_a, ey_b), line(_D2_CROSS, ey_a, ex_b)))
-    est, _ = _estimates(field, point, tuple(lines), cfg)
+    est, _ = _estimates(field, points, tuple(lines), cfg, max_columns=max_columns)
     cxx, cyy, cxy, cyx = (est[..., np.reshape(k, ii.shape)] for k in zip(*parts))
     s1 = 1.0 if conj_i else -1.0
     s2 = 1.0 if conj_j else -1.0
     out = 0.25 * (cxx + s2 * 1j * cxy + s1 * 1j * cyx - s1 * s2 * cyy)
-    return complex(out) if np.ndim(out) == 0 else out
+    if not lone:
+        return out
+    return complex(out[0]) if np.ndim(out[0]) == 0 else out[0]
 
 
-def wirtinger_mixed_hessian(field: Callable, point, cfg: FDConfig | None = None) -> np.ndarray:
+def wirtinger_mixed_hessian(field: Callable, point, cfg: FDConfig | None = None,
+                            carry=None, max_columns=None) -> np.ndarray:
     """Mixed Hessian H[a, b] ~ d^2 field / d w^a d wbar^b of a scalar field.
 
     For a real-valued field the result must be Hermitian; an asymmetry beyond
     ``cfg.tol_herm`` (absolute, on the unit-scaled matrix) raises
-    HermitianViolation, otherwise the Hermitian average is returned.
+    HermitianViolation, otherwise the Hermitian average is returned.  At B
+    base points (dim, B) the result is a stack (B, dim, dim), guarded at each
+    base point.  ``carry``, shape (k,) or (k, B), is appended below every
+    stencil column of its base point, so the field sees (dim + k) rows.
     """
     cfg = cfg or FDConfig()
-    point = _as_point(point)
-    m = point.size
+    points, lone = _as_points(point)
+    m, count = points.shape
+    if carry is not None:
+        carry = np.asarray(carry, dtype=complex).reshape(-1, count)
     pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
     lines = [(_D2, ((a, imaginary),)) for a in range(m) for imaginary in (False, True)]
     for a, b in pairs:
         ex_a, ey_a, ex_b, ey_b = (a, False), (a, True), (b, False), (b, True)
         lines += [(_D2_CROSS, (ex_a, ex_b)), (_D2_CROSS, (ey_a, ey_b)),
                   (_D2_CROSS, (ex_a, ey_b)), (_D2_CROSS, (ey_a, ex_b))]
-    est, at_point = _estimates(field, point, tuple(lines), cfg, centre=True)
-    center = complex(at_point.reshape(()))
-    H = np.zeros((m, m), dtype=complex)
+    est, at_points = _estimates(field, points, tuple(lines), cfg, centre=True,
+                                carry=carry, max_columns=max_columns)
+    center = at_points.reshape(count)
+    H = np.zeros((count, m, m), dtype=complex)
     diag = np.arange(m)
-    H[diag, diag] = 0.25 * (est[0:2 * m:2] + est[1:2 * m:2])
+    H[:, diag, diag] = 0.25 * (est[:, 0:2 * m:2] + est[:, 1:2 * m:2])
     if pairs:
-        cxx, cyy, cxy, cyx = (est[2 * m + k::4] for k in range(4))
+        cxx, cyy, cxy, cyx = (est[:, 2 * m + k::4] for k in range(4))
         # d^2/dw^a dwbar^b and d^2/dw^b dwbar^a from the same four stencils
         a, b = np.array(pairs).T
-        H[a, b] = 0.25 * ((cxx + cyy) + 1j * (cxy - cyx))
-        H[b, a] = 0.25 * ((cxx + cyy) + 1j * (cyx - cxy))
-    field_is_real = abs(center.imag) <= 1e-10 * max(1.0, abs(center))
-    if field_is_real:
-        scale = max(1.0, float(np.max(np.abs(H)))) if m else 1.0
-        asym = float(np.max(np.abs(H - H.conj().T)))
-        if asym > cfg.tol_herm * scale:
+        H[:, a, b] = 0.25 * ((cxx + cyy) + 1j * (cxy - cyx))
+        H[:, b, a] = 0.25 * ((cxx + cyy) + 1j * (cyx - cxy))
+    field_is_real = np.abs(center.imag) <= 1e-10 * np.maximum(
+        1.0, np.hypot(center.real, center.imag))
+    if field_is_real.any():
+        asym, scale = _asymmetry(H)
+        bad = field_is_real & (asym > cfg.tol_herm * scale)
+        if bad.any():
+            (asym,), where = _first_bad(bad[0] if lone else bad, asym[0] if lone else asym)
             raise HermitianViolation(
-                f"mixed Hessian of a real-valued field is asymmetric by {asym:.3e}")
-        H = 0.5 * (H + H.conj().T)
-    return H
+                f"mixed Hessian of a real-valued field is asymmetric by {asym:.3e}{where}")
+        H = np.where(field_is_real[:, None, None], 0.5 * (H + _adjoint(H)), H)
+    return H[0] if lone else H
+
+
+def _adjoint(m):
+    """The conjugate transpose of a matrix, or of each matrix of a stack."""
+    return np.conj(m).swapaxes(-1, -2)
+
+
+def _asymmetry(m):
+    """(max |m - m^H|, max(1, max |m|)) of a matrix, or of each matrix of a stack."""
+    return (np.max(np.abs(m - _adjoint(m)), axis=(-2, -1), initial=0.0),
+            np.maximum(1.0, np.max(np.abs(m), axis=(-2, -1), initial=0.0)))
+
+
+def _first_bad(bad, *values):
+    """(``values`` at the first matrix where the mask ``bad`` holds, where that is).
+
+    ``bad`` is a bool for one matrix, which gives no place, or a mask over a stack.
+    """
+    if np.ndim(bad) == 0:
+        return tuple(float(x) for x in values), ""
+    k = int(np.argmax(bad))
+    return tuple(float(x[k]) for x in values), f" at matrix {k} of the stack"
 
 
 def check_hermitian(m, tol: float = DEFAULT_TOL_HERM) -> np.ndarray:
-    """Validate conjugate symmetry of ``m`` within ``tol`` (unit-scaled, absolute)."""
+    """Validate conjugate symmetry of ``m`` within ``tol`` (unit-scaled, absolute).
+
+    ``m`` is one matrix or a stack (B, n, n), each matrix checked on its own scale.
+    """
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ValueError("expected a square matrix")
-    scale = max(1.0, float(np.max(np.abs(m))))
-    asym = float(np.max(np.abs(m - m.conj().T)))
-    if asym > tol * scale:
-        raise HermitianViolation(f"matrix asymmetric by {asym:.3e} (tol {tol:.1e})")
+    asym, scale = _asymmetry(m)
+    bad = asym > tol * scale
+    if np.any(bad):
+        (asym,), where = _first_bad(bad, asym)
+        raise HermitianViolation(f"matrix asymmetric by {asym:.3e} (tol {tol:.1e}){where}")
     return m
 
 
 def hermitian_inverse_det(m, tol_pd: float = DEFAULT_TOL_PD,
                           tol_herm: float = DEFAULT_TOL_HERM):
-    """Inverse and (real) determinant of a Hermitian matrix.
+    """Inverse and (real) determinant of a Hermitian matrix, or of each of a stack (B, n, n).
 
     Works through the eigendecomposition, so the determinant is a product of
     real eigenvalues and the inverse is Hermitian by construction.  An
-    eigenvalue of magnitude below ``tol_pd * max|eig|`` raises SingularMatrix.
+    eigenvalue of magnitude below ``tol_pd * max|eig|`` raises SingularMatrix,
+    at the first matrix of a stack where one does.  A stack gives B
+    determinants; one matrix gives a float.
     """
     m = check_hermitian(m, tol_herm)
     w, vecs = np.linalg.eigh(m)
-    wmax = float(np.max(np.abs(w))) if w.size else 0.0
-    if wmax == 0.0 or float(np.min(np.abs(w))) < tol_pd * wmax:
-        raise SingularMatrix(f"eigenvalue magnitude below threshold {tol_pd * wmax:.3e}")
-    det = float(np.prod(w))
-    inv = (vecs / w) @ vecs.conj().T
-    inv = 0.5 * (inv + inv.conj().T)
-    return inv, det
+    magnitude = np.abs(w)
+    wmax = np.max(magnitude, axis=-1, initial=0.0)
+    singular = (wmax == 0.0) | (np.min(magnitude, axis=-1, initial=np.inf) < tol_pd * wmax)
+    if np.any(singular):
+        (wmax,), where = _first_bad(singular, wmax)
+        raise SingularMatrix(f"eigenvalue magnitude below threshold {tol_pd * wmax:.3e}{where}")
+    det = np.prod(w, axis=-1)
+    inv = (vecs / w[..., None, :]) @ _adjoint(vecs)
+    inv = 0.5 * (inv + _adjoint(inv))
+    return inv, (float(det) if det.ndim == 0 else det)
 
 
-def positive_definite(m, tol_pd: float = DEFAULT_TOL_PD) -> bool:
+def positive_definite(m, tol_pd: float = DEFAULT_TOL_PD):
     """Positive definiteness via a pivoted Hermitian triangular factorization.
 
     The pivot threshold is ``tol_pd * trace / n``; any pivot at or below it
-    (or non-finite) makes the answer False.  Never raises.
+    (or non-finite) makes the answer False.  Never raises.  ``m`` is one
+    matrix (a bool) or a stack (B, n, n) (a mask, one entry per matrix).
     """
     m = np.asarray(m, dtype=complex)
-    n = m.shape[0]
-    tr = float(np.trace(m).real)
-    if not math.isfinite(tr) or tr <= 0.0:
-        return False
+    n = m.shape[-1]
+    tr = np.trace(m, axis1=-2, axis2=-1).real
+    ok = np.isfinite(tr) & (tr > 0.0)
     threshold = tol_pd * tr / n
-    L = np.zeros((n, n), dtype=complex)
-    for k in range(n):
-        pivot = m[k, k].real - float(np.sum(np.abs(L[k, :k]) ** 2))
-        if not math.isfinite(pivot) or pivot <= threshold:
-            return False
-        L[k, k] = math.sqrt(pivot)
-        for j in range(k + 1, n):
-            L[j, k] = (m[j, k] - np.sum(L[j, :k] * np.conj(L[k, :k]))) / L[k, k]
-    return True
+    L = np.zeros(m.shape, dtype=complex)
+    # a matrix that has failed goes on with a unit pivot; its answer stays False
+    with np.errstate(all="ignore"):
+        for k in range(n):
+            pivot = m[..., k, k].real - np.sum(np.abs(L[..., k, :k]) ** 2, axis=-1)
+            ok &= np.isfinite(pivot) & (pivot > threshold)
+            L[..., k, k] = np.sqrt(np.where(ok, pivot, 1.0))
+            for j in range(k + 1, n):
+                L[..., j, k] = (m[..., j, k] - np.sum(L[..., j, :k] * np.conj(L[..., k, :k]),
+                                                      axis=-1)) / L[..., k, k]
+    return bool(ok) if ok.ndim == 0 else ok

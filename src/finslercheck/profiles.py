@@ -46,7 +46,7 @@ from .functions1d import (
     function_from_descriptor,
     probe_positive,
 )
-from .jets import Jet2
+from .jets import INDICES, Jet2
 
 __all__ = [
     "PhiJet",
@@ -201,8 +201,17 @@ class MetricProfile:
         return _jet_to_phijet(self._jet_fn(t, s, 3))
 
     def jet_smooth(self, t: float, s: float) -> PhiJet:
-        """Jet on the smooth region only; used by diagnostics that report validity."""
-        return _jet_to_phijet(self._jet_smooth_fn(t, s, 3))
+        """Full order-3 jet on the smooth region only: ``smooth_jet`` as a ``PhiJet``."""
+        return _jet_to_phijet(self.smooth_jet(t, s, 3))
+
+    def smooth_jet(self, t, s, order: int) -> Jet2:
+        """Taylor jet on the smooth region at reduced order, guarded as ``PhiJet`` is.
+
+        At a point or at arrays of (t, s); used by diagnostics that report validity.
+        """
+        j = self._jet_smooth_fn(t, s, order)
+        _check_jet_entries([j.partial(i, k) for i, k in INDICES if i + k <= order])
+        return j
 
     def raw_jet(self, t, s, order: int) -> Jet2:
         """Validity-checked Taylor jet at reduced order, at a point or at arrays of (t, s)."""

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import datetime as _dt
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .errors import ConfigError, FinslerCheckError
 from .numerics import FDConfig, positive_definite
 from .profiles import profile_from_descriptor
 from .sampling import SampleSpec, default_t_range, sample_domain_detailed, seeded_unitary
-from .tensors import PointVector
+from .tensors import PointVector, _abs, _cmul, _matvec, _sum_rows
 
 __all__ = ["SuiteConfig", "SuiteReport", "run_suite", "CHECK_NAMES",
            "CHECK_COLUMNS", "TOLERANCES", "SCHEMA_VERSION"]
@@ -107,101 +108,148 @@ class SuiteReport:
     passed: bool
 
 
-class _SampleContext:
-    """Caches the expensive shared pieces across checks at one sample."""
+class _Chunk:
+    """The pieces the checks share over a chunk of samples, each built once, when first used.
 
-    def __init__(self, profile, pv, cfg):
+    ``pv`` holds the chunk's samples as columns, or one sample alone.  Every
+    piece is then a column form (a stack for matrices) or the lone sample's.
+    """
+
+    def __init__(self, profile, pv, cfg, unitary):
         self.profile = profile
         self.pv = pv
         self.cfg = cfg
-        self._levi = None
-        self._spray = None
-        self._nconn_fd = None
+        self.unitary = unitary
 
-    @property
+    @cached_property
+    def jet(self):
+        """The order-3 jet of phi."""
+        return curv._phi_jet(self.profile, self.pv.t, self.pv.s)
+
+    @cached_property
+    def uw(self):
+        """The U/W data of ``wk_uw`` and ``lemma``; the domain is checked before the jet."""
+        t, s = self.pv.t, self.pv.s
+        curv._check_uw_domain(self.profile, t, s)
+        return curv._uw_data(self.jet, t, s)
+
+    @cached_property
+    def k(self):
+        """The spray scalars k1, k2, k3."""
+        return tensors.k_scalars(self.profile, self.pv.t, self.pv.s)
+
+    @cached_property
+    def conds(self):
+        """The pseudo-convexity conditions (cond1, cond2, ok)."""
+        return tensors.pseudoconvexity_check(self.profile, self.pv.t, self.pv.s)
+
+    @cached_property
     def levi(self):
-        if self._levi is None:
-            self._levi = tensors.levi_closed(self.profile, self.pv, self.cfg)
-        return self._levi
+        """The closed-form Levi data."""
+        return tensors.levi_closed(self.profile, self.pv, self.cfg)
 
-    @property
+    @cached_property
     def spray(self):
-        if self._spray is None:
-            self._spray = tensors.spray_coefficients(self.profile, self.pv, self.cfg,
-                                                      levi=self.levi)
-        return self._spray
+        """The spray and the closed-form nonlinear connection."""
+        return tensors.spray_coefficients(self.profile, self.pv, self.cfg,
+                                          levi=self.levi, k=self.k)
 
-    @property
+    @cached_property
     def nconn_fd(self):
-        if self._nconn_fd is None:
-            self._nconn_fd = tensors.nonlinear_connection_fd(self.profile, self.pv, self.cfg,
-                                                             levi=self.levi)
-        return self._nconn_fd
+        """The FD oracle of the nonlinear connection, shared by ``nconn`` and ``spray_compat``."""
+        return tensors.nonlinear_connection_fd(self.profile, self.pv, self.cfg,
+                                               levi=self.levi, max_columns=FIELD_COLUMNS)
+
+
+# A check maps the chunk to its outputs: an array with one entry per sample
+# (a masked entry is left out of that sample's record), or one value for a
+# lone sample.  Matrices come as stacks (B, n, n), vectors as columns (n, B).
+
+def _max_entry(x, axes=(-2, -1)):
+    return np.max(np.abs(x), axis=axes)
 
 
 def _check_levi_oracle(ctx):
-    H = tensors.levi_oracle(ctx.profile, ctx.pv, ctx.cfg)
-    scale = max(float(np.max(np.abs(ctx.levi.levi))), 1e-300)
-    return {"levi_oracle_dev": float(np.max(np.abs(ctx.levi.levi - H))) / scale}
+    H = tensors.levi_oracle(ctx.profile, ctx.pv, ctx.cfg, max_columns=FIELD_COLUMNS)
+    levi = ctx.levi.levi
+    return {"levi_oracle_dev": _max_entry(levi - H) / np.maximum(_max_entry(levi), 1e-300)}
 
 
 def _check_determinant(ctx):
     dc = tensors.det_closed(ctx.profile, ctx.pv.t, ctx.pv.s, ctx.pv.n)
-    scale = max(abs(ctx.levi.det), 1e-300)
-    return {"det_dev": abs(dc - ctx.levi.det) / scale}
+    det = ctx.levi.det
+    return {"det_dev": abs(dc - det) / np.maximum(abs(det), 1e-300)}
 
 
 def _check_pseudoconvexity(ctx):
-    cond1, cond2, ok = tensors.pseudoconvexity_check(ctx.profile, ctx.pv.t, ctx.pv.s)
+    cond1, cond2, ok = ctx.conds
     pd = positive_definite(ctx.levi.levi, tol_pd=ctx.cfg.tol_pd)
-    return {"cond1": cond1, "cond2": cond2,
-            "pseudoconvex_ok": float(ok and pd)}
+    return {"cond1": cond1, "cond2": cond2, "pseudoconvex_ok": np.where(ok & pd, 1.0, 0.0)}
+
+
+def _quadratic_form(M, v):
+    """sum_ab M[a, b] v^a conj(v^b), in the order of the one-sample einsum('ab,a,b->').
+
+    That einsum forms each product as (M[a, b] v^a) conj(v^b) in complex
+    scalar arithmetic; at n = 2 it adds the two row sums, at larger n it keeps
+    one running sum in row-major order.
+    """
+    n = len(v)
+    vbar = np.conj(v)
+
+    def term(a, b):
+        return _cmul(_cmul(M[..., a, b], v[a]), vbar[b])
+
+    if n == 2:
+        return (term(0, 0) + term(0, 1)) + (term(1, 0) + term(1, 1))
+    acc = 0.0
+    for a in range(n):
+        for b in range(n):
+            acc = acc + term(a, b)
+    return acc
 
 
 def _check_euler(ctx):
-    levi = ctx.levi
-    e1 = abs(complex(np.sum(levi.g_alpha * ctx.pv.v)) - levi.G) / levi.G
-    quad = complex(np.einsum('ab,a,b->', levi.levi, ctx.pv.v, np.conj(ctx.pv.v)))
-    e2 = abs(quad - levi.G) / levi.G
-    return {"euler_dev": max(e1, e2)}
+    levi, v = ctx.levi, ctx.pv.v
+    e1 = _abs(_sum_rows(levi.g_alpha * v) - levi.G) / levi.G
+    e2 = _abs(_quadratic_form(levi.levi, v) - levi.G) / levi.G
+    return {"euler_dev": np.maximum(e1, e2)}
 
 
 def _check_nconn(ctx):
-    scale = max(float(np.max(np.abs(ctx.spray.nconn))), 1.0)
-    dev = float(np.max(np.abs(ctx.spray.nconn - ctx.nconn_fd))) / scale
-    return {"nconn_dev": dev}
+    nconn = ctx.spray.nconn
+    return {"nconn_dev": _max_entry(nconn - ctx.nconn_fd) / np.maximum(_max_entry(nconn), 1.0)}
 
 
 def _check_spray_compat(ctx):
-    lhs = ctx.nconn_fd @ ctx.pv.v
-    scale = max(float(np.max(np.abs(ctx.spray.spray))), 1.0)
-    return {"spray_compat_dev": float(np.max(np.abs(lhs - ctx.spray.spray))) / scale}
+    lhs = _matvec(ctx.nconn_fd, ctx.pv.v)
+    spray = ctx.spray.spray
+    scale = np.maximum(np.max(np.abs(spray), axis=0), 1.0)
+    return {"spray_compat_dev": _max_entry(lhs - np.moveaxis(spray, 0, -1), -1) / scale}
 
 
-# Checks without a per-sample FD oracle run over a chunk of samples at once:
-# ``pv`` holds the chunk's pairs as columns, ``jet`` is the chunk's order-3 jet
-# of phi and ``d`` its U/W data, which ``wk_uw`` and ``lemma`` share.  At one
-# sample (``pv`` a lone pair, neither passed in) each is the per-sample check.
-
-def _check_wk_phi(profile, pv, cfg, jet=None, d=None):
-    return {"wk_phi_residual": abs(curv.wk_residual_phi(profile, pv.t, pv.s, jet))}
+def _check_wk_phi(ctx):
+    return {"wk_phi_residual": abs(curv.wk_residual_phi(ctx.profile, ctx.pv.t, ctx.pv.s, ctx.jet))}
 
 
-def _check_wk_uw(profile, pv, cfg, jet=None, d=None):
-    return {"wk_uw_residual": abs(curv.wk_residual_uw(profile, pv.t, pv.s, jet, d))}
+def _check_wk_uw(ctx):
+    pv = ctx.pv
+    return {"wk_uw_residual": abs(curv.wk_residual_uw(ctx.profile, pv.t, pv.s, d=ctx.uw))}
 
 
-def _check_lemma(profile, pv, cfg, jet=None, d=None):
+def _check_lemma(ctx):
+    pv = ctx.pv
     return {"lemma_residual":
-            abs(curv.lemma_integrability_residual(profile, pv.t, pv.s, jet, d))}
+            abs(curv.lemma_integrability_residual(ctx.profile, pv.t, pv.s, d=ctx.uw))}
 
 
-def _check_k2k3(profile, pv, cfg, jet=None, d=None):
-    return {"k2k3_residual": abs(curv.k2_k3_identity_residual(profile, pv.t, pv.s, jet))}
+def _check_k2k3(ctx):
+    return {"k2k3_residual":
+            abs(curv.k2_k3_identity_residual(ctx.profile, ctx.pv.t, ctx.pv.s, ctx.jet))}
 
 
-def _check_curvature(profile, pv, cfg, jet=None, d=None):
-    rep = curv.curvature_report(profile, pv, cfg, jet)
+def _check_curvature(ctx):
+    rep = curv.curvature_report(ctx.profile, ctx.pv, ctx.cfg, ctx.jet, ctx.k)
     out = {"kf_closed": rep.kf_closed, "kf_direct": rep.kf_direct,
            "kf_dev_direct": abs(rep.kf_direct - rep.kf_closed)}
     # over columns kf_wk is masked, never None; masked entries are left out of the records
@@ -211,88 +259,87 @@ def _check_curvature(profile, pv, cfg, jet=None, d=None):
     return out
 
 
-_CHUNK_CHECKS = {
-    "wk_phi": _check_wk_phi,
-    "wk_uw": _check_wk_uw,
-    "lemma": _check_lemma,
-    "k2k3": _check_k2k3,
-    "curvature": _check_curvature,
-}
-
-# samples per chunk: bounds the direct curvature's stencil, (n, 24 CHUNK) columns
-CHUNK = 128
+def _rotate(unitary, x):
+    """unitary @ x for a vector or each column of (n, B), with the one-vector product's bits."""
+    return np.moveaxis(_matvec(unitary, x), -1, 0)
 
 
-def _check_unitary(ctx, unitary):
-    base = tensors.metric_scalars(ctx.profile, ctx.pv.z, ctx.pv.v, ctx.cfg, levi=ctx.levi)
-    moved = tensors.metric_scalars(ctx.profile, unitary @ ctx.pv.z, unitary @ ctx.pv.v, ctx.cfg)
-    dev = max(abs(base[k] - moved[k]) / max(abs(base[k]), 1.0) for k in base)
-    return {"unitary_dev": dev}
+def _check_unitary(ctx):
+    pv = ctx.pv
+    base = tensors.metric_scalars(ctx.profile, pv.z, pv.v, ctx.cfg,
+                                  levi=ctx.levi, k=ctx.k, conds=ctx.conds)
+    moved = tensors.metric_scalars(ctx.profile, _rotate(ctx.unitary, pv.z),
+                                   _rotate(ctx.unitary, pv.v), ctx.cfg)
+    devs = [abs(base[key] - moved[key]) / np.maximum(abs(base[key]), 1.0) for key in base]
+    return {"unitary_dev": np.max(devs, axis=0)}
 
 
 def _check_classify(ctx):
-    rep = curv.kahler_classify(ctx.profile, ctx.pv, ctx.cfg, levi=ctx.levi, spray=ctx.spray)
+    # the connection's field is the Levi matrix: n^2 values per column
+    rep = curv.kahler_classify(ctx.profile, ctx.pv, ctx.cfg, levi=ctx.levi, spray=ctx.spray,
+                               max_columns=FIELD_COLUMNS // ctx.pv.n ** 2)
     return {"classify_strong": rep.strong_residual,
             "classify_kahler": rep.kahler_residual,
             "classify_weakly": rep.weakly_residual}
 
 
-_SAMPLE_CHECKS = {
+_CHECKS = {
     "levi_oracle": _check_levi_oracle,
     "determinant": _check_determinant,
     "pseudoconvexity": _check_pseudoconvexity,
     "euler": _check_euler,
     "nconn": _check_nconn,
     "spray_compat": _check_spray_compat,
+    "wk_phi": _check_wk_phi,
+    "wk_uw": _check_wk_uw,
+    "lemma": _check_lemma,
+    "k2k3": _check_k2k3,
+    "curvature": _check_curvature,
+    "unitary": _check_unitary,
     "classify": _check_classify,
 }
 
+# samples per chunk: bounds the direct curvature's stencil, (n, 24 CHUNK) columns
+CHUNK = 128
+# columns per field call of a scalar FD oracle: bounds a stencil's temporaries
+# (the connection's Levi-matrix field, n^2 values per column, takes 1/n^2 of it)
+FIELD_COLUMNS = 4096
 
-def _rows(columns: dict) -> list:
-    """Per-sample dicts of Python floats from a check's columns, keys in order.
+
+def _check_rows(ctx, checks):
+    """G and the outputs of ``checks`` at each sample of ``ctx``: a list of dicts, keys in order.
 
     Masked entries are left out.
     """
-    values = [col.tolist() for col in columns.values()]
-    return [{key: x for key, x in zip(columns, row) if x is not None}
-            for row in zip(*values)]
-
-
-def _chunk_columns(profile, pv, checks, cfg):
-    """G and each chunked check in ``checks`` over the column PointVector ``pv`` at once.
-
-    Each comes back as a list with one entry per sample.
-    """
-    out = {"G": (pv.r * profile.value(pv.t, pv.s)).tolist()}
-    names = [name for name in checks if name in _CHUNK_CHECKS]
-    if names:
-        jet = curv._phi_jet(profile, pv.t, pv.s)
-        d = curv.uw(profile, pv.t, pv.s, jet) if {"wk_uw", "lemma"} & set(names) else None
-        for name in names:
-            out[name] = _rows(_CHUNK_CHECKS[name](profile, pv, cfg, jet, d))
-    return out
+    pv = ctx.pv
+    out = {"G": pv.r * ctx.profile.value(pv.t, pv.s)}
+    for name in checks:
+        out.update(_CHECKS[name](ctx))
+    values = [np.atleast_1d(col).tolist() for col in out.values()]
+    return [{key: x for key, x in zip(out, row) if x is not None} for row in zip(*values)]
 
 
 def _chunk_records(profile, indices, pv, config, unitary):
     """The records of a chunk of samples, the columns of ``pv``, in sample order.
 
-    The chunked checks run over the whole chunk first, the others sample by
-    sample.  When the chunked stage raises, the chunk runs again sample by
-    sample and check by check in ``config.checks`` order, so the error that
-    escapes is the first one that order meets.
+    Every check runs over the whole chunk at once.  When that raises, the
+    chunk runs again sample by sample, each sample alone, check by check in
+    ``config.checks`` order, so the error that escapes is the first one that
+    order meets.
     """
     try:
         # a floating-point event the per-sample floats would raise on, or
         # pass silently, sends the chunk the per-sample way too
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            columns = _chunk_columns(profile, pv, config.checks, config.fd)
+            rows = _check_rows(_Chunk(profile, pv, config.fd, unitary), config.checks)
     except (FinslerCheckError, ArithmeticError, ValueError):
-        columns = None
-    per_sample = columns is None or any(name not in _CHUNK_CHECKS for name in config.checks)
+        rows = [_check_rows(_Chunk(profile, PointVector(pv.z[:, k], pv.v[:, k]), config.fd,
+                                   unitary), config.checks)[0]
+                for k in range(len(indices))]
     records = []
-    for k, (index, t, s, r, pairing, z, v) in enumerate(zip(
-            indices, pv.t.tolist(), pv.s.tolist(), pv.r.tolist(), pv.pairing.tolist(),
-            pv.z.T.tolist(), pv.v.T.tolist())):
+    for index, row, t, s, r, pairing, z, v in zip(
+            indices, rows, pv.t.tolist(), pv.s.tolist(), pv.r.tolist(), pv.pairing.tolist(),
+            pv.z.T.tolist(), pv.v.T.tolist()):
         rec = {
             "index": index,
             "n": pv.n,
@@ -300,20 +347,11 @@ def _chunk_records(profile, indices, pv, config, unitary):
             "s": s,
             "r": r,
             "pairing": [pairing.real, pairing.imag],
-            "G": columns["G"][k] if columns is not None else r * profile.value(t, s),
+            "G": row.pop("G"),
             "z": [[x.real, x.imag] for x in z],
             "v": [[x.real, x.imag] for x in v],
         }
-        if per_sample:
-            ctx = _SampleContext(profile, PointVector(pv.z[:, k], pv.v[:, k]), config.fd)
-        for name in config.checks:
-            if name in _CHUNK_CHECKS:
-                rec.update(columns[name][k] if columns is not None
-                           else _CHUNK_CHECKS[name](profile, ctx.pv, config.fd))
-            elif name == "unitary":
-                rec.update(_check_unitary(ctx, unitary))
-            else:
-                rec.update(_SAMPLE_CHECKS[name](ctx))
+        rec.update(row)
         records.append(rec)
     return records
 

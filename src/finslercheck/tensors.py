@@ -135,7 +135,11 @@ class PointVector:
 
 @dataclass(frozen=True)
 class LeviData:
-    """Levi matrix M[a,b] = G_{a b-bar}, inverse G^{a b-bar} = conj(M^-1), det, gradient."""
+    """Levi matrix M[a,b] = G_{a b-bar}, inverse G^{a b-bar} = conj(M^-1), det, gradient.
+
+    Over B columns the matrices are stacks (B, n, n), det and G have length B
+    and g_alpha is (n, B).
+    """
 
     levi: np.ndarray
     inverse: np.ndarray
@@ -146,6 +150,8 @@ class LeviData:
 
 @dataclass(frozen=True)
 class SprayData:
+    """Over B columns k1..k3 have length B, spray is (n, B) and nconn a stack (B, n, n)."""
+
     k1: float
     k2: float
     k3: float
@@ -176,12 +182,35 @@ def _cmul(a, b):
 
 def _abs(x):
     """|x| of a complex number or array, as the libm hypot of Python's complex abs."""
-    return np.hypot(x.real, x.imag) if isinstance(x, np.ndarray) else abs(x)
+    return np.hypot(x.real, x.imag) if isinstance(x, (np.ndarray, np.generic)) else abs(x)
 
 
 def _outer(a, b):
     """outer(a, b) of two vectors, or of matching columns into shape (n, n, m)."""
     return a[:, None] * b[None, :]
+
+
+def _eye(n, like):
+    """The identity (n, n), with a trailing axis of length 1 when ``like`` holds columns."""
+    return np.eye(n, dtype=complex).reshape((n, n) + (1,) * np.ndim(like))
+
+
+def _stacked(M):
+    """A matrix (n, n) as it is; matrices (n, n, m) over columns as a stack (m, n, n)."""
+    return M if M.ndim == 2 else np.ascontiguousarray(np.moveaxis(M, -1, 0))
+
+
+def _matvec(A, x):
+    """A x for a matrix and a vector, or for a stack (B, n, n) and columns (n, B): (..., n).
+
+    A stacked matmul gives each product the bits of the one-sample ``A @ x``.
+    """
+    return np.matmul(A, np.moveaxis(x, 0, -1)[..., None])[..., 0]
+
+
+def _sum_rows(x):
+    """The sum over the first axis, entry by entry as the 1-D sum of one column."""
+    return np.sum(np.ascontiguousarray(x.T), axis=-1)
 
 
 def _first(mask, *values):
@@ -205,8 +234,7 @@ def _levi_matrix(profile, z, v):
     phi_s = j.partial(0, 1)
     phi_ss = j.partial(0, 2)
     sa = _s_alpha(z, v, r, pairing)
-    n = len(z)
-    M = (phi - s * phi_s) * np.eye(n, dtype=complex).reshape((n, n) + (1,) * np.ndim(t))
+    M = (phi - s * phi_s) * _eye(len(z), t)
     M += (r * phi_ss) * _outer(sa, np.conj(sa))
     M += phi_s * _outer(np.conj(z), z)
     return M
@@ -222,9 +250,13 @@ def _g_alpha(profile, pv):
 
 def levi_closed(profile: MetricProfile, pv: PointVector,
                 cfg: FDConfig | None = None) -> LeviData:
-    """LeviData from the closed forms; inverse/determinant via the eigensolver."""
+    """LeviData from the closed forms; inverse/determinant via the eigensolver.
+
+    Over columns the Levi matrix and its inverse are stacks (B, n, n), one
+    eigensolver call for all of them.
+    """
     cfg = cfg or FDConfig()
-    M = _levi_matrix(profile, pv.z, pv.v)
+    M = _stacked(_levi_matrix(profile, pv.z, pv.v))
     inv_plain, det = hermitian_inverse_det(M, tol_pd=cfg.tol_pd, tol_herm=cfg.tol_herm)
     ga, phi = _g_alpha(profile, pv)
     return LeviData(levi=M, inverse=np.conj(inv_plain), det=det,
@@ -232,43 +264,48 @@ def levi_closed(profile: MetricProfile, pv: PointVector,
 
 
 def levi_oracle(profile: MetricProfile, pv: PointVector,
-                cfg: FDConfig | None = None) -> np.ndarray:
+                cfg: FDConfig | None = None, max_columns=None) -> np.ndarray:
     """Mixed Wirtinger Hessian of v -> r phi(t, s(v)): the Levi matrix oracle.
 
     The whole stencil is one array evaluation of ``invariants`` and
-    ``profile.value``; no jet or chain-rule code is involved.
+    ``profile.value``; no jet or chain-rule code is involved.  Over columns
+    the result is a stack (B, n, n), from one field call per ``max_columns``.
     """
-    z = pv.z
+    n = pv.n
 
-    def metric_sq(v):
-        r, t, s, _ = invariants(z, v)
+    def metric_sq(w):
+        # the stencil's v over the base point's z, which rides along below it
+        r, t, s, _ = invariants(w[n:], w[:n])
         return r * profile.value(t, s)
 
-    return wirtinger_mixed_hessian(metric_sq, pv.v, cfg)
+    return wirtinger_mixed_hessian(metric_sq, pv.v, cfg, carry=pv.z, max_columns=max_columns)
 
 
-def det_closed(profile: MetricProfile, t: float, s: float, n: int) -> float:
-    """Closed-form determinant of the Levi matrix."""
+def det_closed(profile: MetricProfile, t, s, n: int):
+    """Closed-form determinant of the Levi matrix, at (t, s) or at arrays of points."""
     if n < 2:
         raise ValueError("dimension must be at least 2")
     j = profile.raw_jet(t, s, 2)
     phi = j.value
     phi_s = j.partial(0, 1)
     _, k1 = _levi_head(t, s, phi, phi_s, j.partial(0, 2))
-    return k1 * (phi - s * phi_s) ** (n - 2)
+    tail = phi - s * phi_s
+    return k1 * _pow_for(tail)(tail, n - 2)
 
 
-def pseudoconvexity_check(profile: MetricProfile, t: float, s: float):
-    """Strong pseudo-convexity conditions (cond1, cond2, ok).
+def pseudoconvexity_check(profile: MetricProfile, t, s):
+    """Strong pseudo-convexity conditions (cond1, cond2, ok), at (t, s) or at arrays of points.
 
     cond1 = phi - s phi_s and cond2 = the determinant head factor; the metric
     is strongly pseudo-convex at (t, s) iff both are positive.  Evaluates on
     the smooth region so boundary failures are reported rather than raised.
     """
-    j = profile.jet_smooth(t, s)
-    cond1 = j.phi - s * j.phi_s
-    _, cond2 = _levi_head(t, s, j.phi, j.phi_s, j.phi_ss)
-    return cond1, cond2, bool(cond1 > 0.0 and cond2 > 0.0)
+    j = profile.smooth_jet(t, s, 2)
+    phi, phi_s = j.value, j.partial(0, 1)
+    cond1 = phi - s * phi_s
+    _, cond2 = _levi_head(t, s, phi, phi_s, j.partial(0, 2))
+    ok = (cond1 > 0.0) & (cond2 > 0.0)
+    return cond1, cond2, ok if isinstance(ok, np.ndarray) else bool(ok)
 
 
 def _levi_head(t, s, phi, phi_s, phi_ss):
@@ -332,40 +369,41 @@ def _connection_matrix_closed(profile, z, v):
     phi_ss = j.partial(0, 2)
     pbar = np.conj(pairing)
     sbar = np.conj(_s_alpha(z, v, r, pairing))
-    n = z.size
-    D = (phi_s * pbar) * np.eye(n, dtype=complex)
-    D += phi_t * np.outer(v, np.conj(z))
-    D += (r * phi_ts) * np.outer(sbar, np.conj(z))
-    D += (phi_ss * pbar) * np.outer(sbar, np.conj(v))
+    D = (phi_s * pbar) * _eye(len(z), t)
+    D += phi_t * _outer(v, np.conj(z))
+    D += (r * phi_ts) * _outer(sbar, np.conj(z))
+    D += (phi_ss * pbar) * _outer(sbar, np.conj(v))
     return D
 
 
 def spray_coefficients(profile: MetricProfile, pv: PointVector,
                        cfg: FDConfig | None = None,
-                       levi: LeviData | None = None) -> SprayData:
+                       levi: LeviData | None = None, k=None) -> SprayData:
     """Spray scalars, spray vector and the closed-form nonlinear connection.
 
-    ``levi``, the sample's ``levi_closed``, is built here when not passed in.
+    ``levi``, the sample's ``levi_closed``, and ``k``, its ``k_scalars``, are
+    built here when not passed in.
     """
-    k1, k2, k3 = k_scalars(profile, pv.t, pv.s)
+    k1, k2, k3 = k if k is not None else k_scalars(profile, pv.t, pv.s)
     spray = _spray(k2, k3, pv.pairing, pv.z, pv.v)
     if levi is None:
         levi = levi_closed(profile, pv, cfg)
-    D = _connection_matrix_closed(profile, pv.z, pv.v)
+    D = _stacked(_connection_matrix_closed(profile, pv.z, pv.v))
     nconn = levi.inverse @ D
     return SprayData(k1=k1, k2=k2, k3=k3, spray=spray, nconn=nconn)
 
 
 def nonlinear_connection_fd(profile: MetricProfile, pv: PointVector,
                             cfg: FDConfig | None = None,
-                            levi: LeviData | None = None) -> np.ndarray:
+                            levi: LeviData | None = None, max_columns=None) -> np.ndarray:
     """FD oracle for N^a_b: cross-block second Wirtinger derivatives of G.
 
     D[g, b] = d^2 G / d vbar^g d z^b is taken directly from the scalar field
     G(z, v) = r phi(t, s) on the joint 2n-dimensional point, all n^2 entries
     from one stencil evaluation, then contracted with the closed-form inverse
     Levi matrix.  ``levi``, the sample's ``levi_closed``, is built here when
-    not passed in.
+    not passed in.  Over columns the result is a stack (B, n, n), from one
+    field call per ``max_columns``.
     """
     cfg = cfg or FDConfig()
     n = pv.n
@@ -377,7 +415,7 @@ def nonlinear_connection_fd(profile: MetricProfile, pv: PointVector,
     joint = np.concatenate([pv.z, pv.v])
     index = np.arange(n)
     D = wirtinger_second(joint_metric, joint, n + index[:, None], index[None, :],
-                         conj_i=True, conj_j=False, cfg=cfg)
+                         conj_i=True, conj_j=False, cfg=cfg, max_columns=max_columns)
     if levi is None:
         levi = levi_closed(profile, pv, cfg)
     return levi.inverse @ D
@@ -386,7 +424,8 @@ def nonlinear_connection_fd(profile: MetricProfile, pv: PointVector,
 def connection_coefficients(profile: MetricProfile, pv: PointVector,
                             cfg: FDConfig | None = None,
                             levi: LeviData | None = None,
-                            spray: SprayData | None = None) -> ConnectionData:
+                            spray: SprayData | None = None,
+                            max_columns=None) -> ConnectionData:
     """Chern-Finsler connection coefficients Gamma^a_{b;g} and C^a_{b g}.
 
     The z- and v-derivatives of the closed-form Levi matrix are taken by
@@ -394,6 +433,8 @@ def connection_coefficients(profile: MetricProfile, pv: PointVector,
     (z, v); the horizontal derivative is delta/delta z^g = d/dz^g - N^m_g d/dv^m
     with the closed-form N.  ``levi`` and ``spray``, the sample's
     ``levi_closed`` and ``spray_coefficients``, are built here when not passed in.
+    Over columns gamma and cee are stacks (B, n, n, n), from one field call
+    per ``max_columns``.
     """
     cfg = cfg or FDConfig()
     if levi is None:
@@ -405,26 +446,29 @@ def connection_coefficients(profile: MetricProfile, pv: PointVector,
 
     # z and v keep their own base steps, as if differentiated one at a time
     dM, _ = wirtinger_gradient(lambda w: _levi_matrix(profile, w[:n], w[n:]),
-                               np.concatenate([pv.z, pv.v]), cfg, parts=(n, n))
-    dMdz, dMdv = dM[:n], dM[n:]
+                               np.concatenate([pv.z, pv.v]), cfg, parts=(n, n),
+                               max_columns=max_columns)
+    dMdz, dMdv = dM[..., :n, :, :], dM[..., n:, :, :]
     # dMdz[g][b, e] = d M[b, e] / d z^g ; horizontal correction subtracts N^m_g d/dv^m
-    T = np.einsum('gbe->beg', dMdz) - np.einsum('mg,mbe->beg', N, dMdv)
-    gamma = np.einsum('ae,beg->abg', levi.inverse, T)
-    cee = np.einsum('ae,gbe->abg', levi.inverse, dMdv)
+    T = np.einsum('...gbe->...beg', dMdz) - np.einsum('...mg,...mbe->...beg', N, dMdv)
+    gamma = np.einsum('...ae,...beg->...abg', levi.inverse, T)
+    cee = np.einsum('...ae,...gbe->...abg', levi.inverse, dMdv)
     return ConnectionData(gamma=gamma, cee=cee)
 
 
 def metric_scalars(profile: MetricProfile, z, v, cfg: FDConfig | None = None,
-                   levi: LeviData | None = None) -> dict:
+                   levi: LeviData | None = None, k=None, conds=None) -> dict:
     """The scalar outputs at (z, v): G, det, k1, k2, k3, cond1, cond2.
 
     All are invariant under a simultaneous unitary rotation of z and v.
-    ``levi``, the ``levi_closed`` at (z, v), is built here when not passed in.
+    ``levi``, the ``levi_closed`` at (z, v), ``k``, its ``k_scalars``, and
+    ``conds``, its ``pseudoconvexity_check``, are built here when not passed
+    in.  Over columns (n, B) every output has length B.
     """
     pv = PointVector(np.asarray(z), np.asarray(v))
     if levi is None:
         levi = levi_closed(profile, pv, cfg)
-    k1, k2, k3 = k_scalars(profile, pv.t, pv.s)
-    cond1, cond2, _ = pseudoconvexity_check(profile, pv.t, pv.s)
+    k1, k2, k3 = k if k is not None else k_scalars(profile, pv.t, pv.s)
+    cond1, cond2, _ = conds if conds is not None else pseudoconvexity_check(profile, pv.t, pv.s)
     return {"G": levi.G, "det": levi.det, "k1": k1, "k2": k2, "k3": k3,
             "cond1": cond1, "cond2": cond2}

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import finslercheck as fc
+from finslercheck import cli as fc_cli
 from finslercheck import curvature, numerics, suite
 from finslercheck.errors import (
     DegenerateK1,
@@ -15,6 +16,8 @@ from finslercheck.errors import (
     StencilOutsideDomain,
 )
 from finslercheck.jets import NCOEF, Jet2
+from finslercheck.sampling import Samples
+from finslercheck.suite import SuiteConfig, run_suite
 from finslercheck.tensors import _levi_matrix, _spray_vector, invariants, k_scalars
 
 from conftest import CATALOG_NAMES, make_points
@@ -185,9 +188,9 @@ def count_field_calls(monkeypatch):
     calls = []
     evaluate = numerics._evaluate
 
-    def counted(field, columns):
+    def counted(field, columns, **kwargs):
         calls.append(columns.shape)
-        return evaluate(field, columns)
+        return evaluate(field, columns, **kwargs)
 
     monkeypatch.setattr(numerics, "_evaluate", counted)
     return calls
@@ -295,26 +298,34 @@ def outcome(evaluate):
         return f"{type(exc).__name__}: {exc}"
 
 
-def assert_chunk_is_per_sample(prof, pvs, names=tuple(suite._CHUNK_CHECKS)):
-    """Each chunked check over ``pvs`` at once gives, bit for bit, the per-sample records.
+def columns_of(pvs):
+    return fc.PointVector(np.stack([pv.z for pv in pvs], axis=1),
+                          np.stack([pv.v for pv in pvs], axis=1))
+
+
+def assert_chunk_is_per_sample(prof, pvs, names=suite.CHECK_NAMES):
+    """Each check over ``pvs`` at once gives, bit for bit, the per-sample records.
 
     Where some sample raises, the chunk raises the error of the first one.
-    Returns the per-sample results by check.
+    Returns the per-sample results (G and the check's outputs) by check.
     """
     cfg = numerics.FDConfig()
-    cols = fc.PointVector(np.stack([pv.z for pv in pvs], axis=1),
-                          np.stack([pv.v for pv in pvs], axis=1))
+    unitary = fc.seeded_unitary(pvs[0].n, 1)
+    cols = columns_of(pvs)
     out = {}
     for name in names:
-        singles = [outcome(lambda: suite._CHUNK_CHECKS[name](prof, pv, cfg)) for pv in pvs]
+        singles = [outcome(lambda: suite._check_rows(suite._Chunk(prof, pv, cfg, unitary),
+                                                     (name,))[0])
+                   for pv in pvs]
         errors = [one for one in singles if isinstance(one, str)]
-        chunk = outcome(lambda: suite._chunk_columns(prof, cols, (name,), cfg))
+        chunk = outcome(lambda: suite._check_rows(suite._Chunk(prof, cols, cfg, unitary),
+                                                  (name,)))
         if errors:
             assert chunk == errors[0], name
         else:
             # repr tells the bits apart (and -0.0 from 0.0) and shows the key order
-            assert [repr(row) for row in chunk[name]] == [repr(one) for one in singles], name
-            assert chunk["G"] == [pv.r * prof.value(pv.t, pv.s) for pv in pvs]
+            assert [repr(row) for row in chunk] == [repr(one) for one in singles], name
+            assert [row["G"] for row in chunk] == [pv.r * prof.value(pv.t, pv.s) for pv in pvs]
         out[name] = singles
     return out
 
@@ -322,8 +333,7 @@ def assert_chunk_is_per_sample(prof, pvs, names=tuple(suite._CHUNK_CHECKS)):
 class TestSamplesAsColumns:
     def test_point_vector_columns_carry_each_pair(self, profiles):
         pvs = make_points(profiles["wk-exp"], n=3, count=6, seed=2)
-        cols = fc.PointVector(np.stack([pv.z for pv in pvs], axis=1),
-                              np.stack([pv.v for pv in pvs], axis=1))
+        cols = columns_of(pvs)
         assert cols.n == 3
         for name in ("r", "t", "s", "pairing"):
             assert getattr(cols, name).tolist() == [getattr(pv, name) for pv in pvs]
@@ -389,8 +399,7 @@ class TestSamplesAsColumns:
     def test_public_functions_take_columns(self, name, profiles):
         prof = profiles[name]
         pvs = make_points(prof, n=3, count=5, seed=12)
-        cols = fc.PointVector(np.stack([pv.z for pv in pvs], axis=1),
-                              np.stack([pv.v for pv in pvs], axis=1))
+        cols = columns_of(pvs)
         for fn in (fc.holomorphic_curvature_closed, fc.holomorphic_curvature_direct,
                    fc.holomorphic_curvature_wk):
             singles = [outcome(lambda: fn(prof, pv)) for pv in pvs]
@@ -419,3 +428,130 @@ class TestSamplesAsColumns:
         ts = np.array([0.2, 3.0])
         with pytest.raises(DomainViolation, match=r"^non-finite jet entry$"):
             fc.wk_residual_phi(prof, ts, 0.1 * ts)
+
+
+def field_columns(monkeypatch):
+    """Record (field name, columns) of every field call the stencil engine makes."""
+    calls = []
+    evaluate = numerics._evaluate
+
+    def counted(field, columns, **kwargs):
+        calls.append((field.__qualname__.split(".")[0], columns.shape[1]))
+        return evaluate(field, columns, **kwargs)
+
+    monkeypatch.setattr(numerics, "_evaluate", counted)
+    return calls
+
+
+def per_sample_only(monkeypatch):
+    """Send every chunk the per-sample way: each sample alone, checks in order."""
+    rows = suite._check_rows
+
+    def lone_only(ctx, checks):
+        if np.ndim(ctx.pv.t):
+            raise ValueError("columns refused")
+        return rows(ctx, checks)
+
+    monkeypatch.setattr(suite, "_check_rows", lone_only)
+
+
+def run_cli(argv, capsys):
+    """(exit code, stderr lines) of one CLI run."""
+    code = fc_cli.main(argv)
+    return code, capsys.readouterr().err.splitlines()
+
+
+class TestOracleChunks:
+    """The FD-oracle checks over a chunk, in slices of suite.FIELD_COLUMNS columns."""
+
+    @staticmethod
+    def nconn_columns(prof, n):
+        """Columns of one sample's nconn stencil."""
+        with pytest.MonkeyPatch.context() as mp:
+            calls = field_columns(mp)
+            fc.nonlinear_connection_fd(prof, make_points(prof, n=n, count=1, seed=1)[0])
+        return calls[0][1]
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_records_match_a_per_sample_run(self, n, monkeypatch, profiles):
+        # three samples per nconn field call, five per chunk: counts 1, budget - 1,
+        # budget, budget + 1 and CHUNK + 1 cross every seam
+        prof = profiles["wk-exp"]
+        budget, chunk = 3, 5
+        monkeypatch.setattr(suite, "CHUNK", chunk)
+        monkeypatch.setattr(suite, "FIELD_COLUMNS", budget * self.nconn_columns(prof, n))
+        configs = [SuiteConfig(profile={"family": "wk-randers",
+                                        "f": {"kind": "exp", "c": 1.0, "a": 1.0}},
+                               sample=fc.SampleSpec(n=n, count=count, seed=20 + count))
+                   for count in (1, budget - 1, budget, budget + 1, chunk + 1)]
+        calls = field_columns(monkeypatch)
+        chunked = [run_suite(config) for config in configs]
+        nconn = [size for name, size in calls if name == "nonlinear_connection_fd"]
+        assert max(nconn) == suite.FIELD_COLUMNS
+        per_sample_only(monkeypatch)
+        for config, got in zip(configs, chunked):
+            want = run_suite(config)
+            assert len(got.records) == config.sample.count
+            assert [repr(rec) for rec in got.records] == [repr(rec) for rec in want.records]
+            assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_stencil_leaving_the_ball_mid_chunk(self, n, monkeypatch, capsys):
+        # the fifth of eight samples has t = 0.9985: its nconn stencil crosses t = 1
+        argv = ["verify", "--model", "km4", "--t-range", "0.9", "0.99999", "--n", str(n),
+                "--samples", "8", "--seed", "3"]
+        code, err = run_cli(argv, capsys)
+        assert code == 3 and len(err) == 1
+        assert re.fullmatch(r"numerical error: stencil point rejected: \(t, s\) = \(1\.0\d+, "
+                            r"[\d.]+\) outside validity region of randers profile", err[0])
+        per_sample_only(monkeypatch)
+        assert run_cli(argv, capsys) == (code, err)
+
+    @staticmethod
+    def singular_samples(monkeypatch):
+        """phi = 1 - s/2, whose k1 = 1 - t/2 vanishes at t = 2; of five samples the third has t = 2."""
+        def jet_fn(t, s, order):
+            c = [0.0 * t for _ in range(NCOEF[order])]
+            c[0] = 1.0 - 0.5 * s + 0.0 * t
+            c[2] = -0.5 + 0.0 * t
+            return Jet2(order, c)
+
+        prof = fc.MetricProfile({"family": "synthetic"}, jet_fn,
+                                lambda t, s: 1.0 - 0.5 * s + 0.0 * t,
+                                lambda t, s: True, lambda t, s: True, (0.0, float("inf")))
+        z = np.array([[1.0, 0.5], [0.8, 0.6], [1.0, 1.0], [1.2, 0.3], [0.9, 0.2]]).T + 0j
+        v = np.array([[0.3 + 0.2j, 1.0 - 0.4j]] * 5).T * np.array([1.0, 1.1, 0.9, 1.3, 0.7])
+        samples = Samples(list(range(5)), z, v)
+        monkeypatch.setattr(suite, "profile_from_descriptor", lambda desc: prof)
+        monkeypatch.setattr(suite, "sample_domain_detailed", lambda spec, prof: (samples, []))
+        return samples
+
+    @pytest.mark.parametrize("checks, error", [
+        (None, r"numerical error: eigenvalue magnitude below threshold \S+"),
+        ("curvature", r"numerical error: k1 = \S+ is degenerate relative to phi\^2 = \S+"),
+    ], ids=["singular-levi", "degenerate-k1"])
+    def test_degenerate_sample_mid_chunk(self, checks, error, monkeypatch, capsys):
+        samples = self.singular_samples(monkeypatch)
+        prof = suite.profile_from_descriptor(None)
+        names = (checks,) if checks else suite.CHECK_NAMES
+        alone = [outcome(lambda: suite._check_rows(
+            suite._Chunk(prof, samples.point(k), numerics.FDConfig(), np.eye(2)), names))
+            for k in range(5)]
+        # the third sample, t = 2, is the only one that raises
+        assert [isinstance(one, str) for one in alone] == [False, False, True, False, False]
+        argv = ["verify", "--model", "k4", "--n", "2", "--samples", "5", "--t-range", "0.5", "3"]
+        argv += ["--checks", checks] if checks else []
+        code, err = run_cli(argv, capsys)
+        assert code == 3 and len(err) == 1
+        assert re.fullmatch(error, err[0])
+        per_sample_only(monkeypatch)
+        assert run_cli(argv, capsys) == (code, err)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 9])
+def test_quadratic_form_keeps_the_one_sample_einsum_order(n, rng):
+    M = rng.normal(size=(50, n, n)) + 1j * rng.normal(size=(50, n, n))
+    v = rng.normal(size=(n, 50)) + 1j * rng.normal(size=(n, 50))
+    want = [complex(np.einsum('ab,a,b->', M[k], v[:, k], np.conj(v[:, k]))) for k in range(50)]
+    assert suite._quadratic_form(M, v).tolist() == want
+    assert [complex(suite._quadratic_form(M[k], v[:, k])) for k in range(50)] == want

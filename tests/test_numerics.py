@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import finslercheck as fc
+from finslercheck import numerics
 from finslercheck.errors import (
     ConfigError,
     DomainViolation,
@@ -328,6 +329,99 @@ class TestStencilEngine:
     def test_field_without_point_axis_is_rejected(self):
         with pytest.raises(ValueError, match="trailing axis"):
             fc.wirtinger_gradient(lambda w: 1.0, ENGINE_POINT)
+
+
+def base_points(count=7, seed=3):
+    """Base points (3, count) at scales on both sides of the unit step floor."""
+    rng = np.random.default_rng(seed)
+    scale = np.array([0.3, 1.0, 4.0, 0.8, 2.5, 0.1, 7.0][:count])
+    return ENGINE_POINT[:, None] * scale + 0.2 * (rng.normal(size=(3, count))
+                                                  + 1j * rng.normal(size=(3, count)))
+
+
+class TestBasePoints:
+    """(dim, B) base points: one stacked call, each base point's bits as alone."""
+
+    @pytest.mark.parametrize("max_columns", [None, 1, 100])
+    def test_each_base_point_as_alone(self, max_columns, monkeypatch):
+        points = base_points()
+        calls = []
+        evaluate = numerics._evaluate
+        monkeypatch.setattr(numerics, "_evaluate",
+                            lambda field, cols, **kw: (calls.append(cols.shape[1]),
+                                                       evaluate(field, cols, **kw))[1])
+        holo, anti = fc.wirtinger_gradient(smooth_field, points, max_columns=max_columns)
+        rows = np.arange(3)[:, None]
+        second = fc.wirtinger_second(smooth_field, points, rows, rows.T, conj_i=True,
+                                     conj_j=False, max_columns=max_columns)
+        H = fc.wirtinger_mixed_hessian(smooth_field, points, max_columns=max_columns)
+        assert holo.shape == anti.shape == (7, 3) and second.shape == H.shape == (7, 3, 3)
+        sizes = calls[:]
+        for k in range(7):
+            alone = fc.wirtinger_gradient(smooth_field, points[:, k])
+            assert np.array_equal(holo[k], alone[0]) and np.array_equal(anti[k], alone[1])
+            assert np.array_equal(second[k], fc.wirtinger_second(
+                smooth_field, points[:, k], rows, rows.T, conj_i=True, conj_j=False))
+            assert np.array_equal(H[k], fc.wirtinger_mixed_hessian(smooth_field, points[:, k]))
+        per_point = calls[-3:]
+        if max_columns is None:
+            assert sizes == [7 * size for size in per_point]
+        else:
+            per_call = [max(1, max_columns // size) for size in per_point]
+            assert sizes == [min(step, 7 - k) * size
+                             for step, size in zip(per_call, per_point)
+                             for k in range(0, 7, step)]
+
+    def test_carry_rides_along(self):
+        points, weights = base_points(), np.array([[0.5, 1.0, 2.0, 1.5, 0.7, 3.0, 1.1]])
+
+        def weighted(w):
+            return w[3].real * smooth_field(w[:3])
+
+        H = fc.wirtinger_mixed_hessian(weighted, points, carry=weights, max_columns=90)
+        for k in range(7):
+            assert np.array_equal(H[k], fc.wirtinger_mixed_hessian(
+                lambda w: weights[0, k] * smooth_field(w), points[:, k]))
+
+    def test_guards_name_the_first_bad_base_point(self):
+        # real at every base point; off-centre an imaginary part with a mixed
+        # second derivative leaks in at the base points flagged 1 (the first is 2)
+        points = np.array([[0.5, 0.7, 0.2, 0.9, 0.4], [0.25, 0.1, 0.3, 0.6, 0.8]]) + 0j
+        flags = np.array([[0.0, 0.0, 1.0, 0.0, 1.0]])
+
+        def field(w):
+            x, u = w[0].real - w[2].real, w[1].real - w[3].real
+            return abs(w[0]) ** 2 + 0.01j * w[4].real * x * u
+
+        carry = np.concatenate([points, flags])
+        with pytest.raises(HermitianViolation, match="at matrix 2 of the stack$"):
+            fc.wirtinger_mixed_hessian(field, points, carry=carry)
+        H = fc.wirtinger_mixed_hessian(field, points[:, :2], carry=carry[:, :2])
+        assert H.shape == (2, 2, 2)
+        bad = base_points()
+        bad[1, 4] = np.inf
+        with pytest.raises(NonFiniteEvaluation):
+            fc.wirtinger_gradient(smooth_field, bad)
+
+    def test_stacked_matrices(self, rng):
+        A = rng.normal(size=(6, 3, 3)) + 1j * rng.normal(size=(6, 3, 3))
+        M = A @ np.conj(A).swapaxes(-1, -2) + 0.1 * np.eye(3)
+        M[[1, 4]] = np.diag([1.0, 1.0, 1e-15])
+        M[5] = -M[5]
+        with pytest.raises(SingularMatrix, match=r"^eigenvalue magnitude below threshold "
+                                                 r"1\.000e-12 at matrix 1 of the stack$"):
+            fc.hermitian_inverse_det(M)
+        assert fc.positive_definite(M).tolist() == [fc.positive_definite(m) for m in M] \
+            == [True, False, True, True, False, False]
+        good = M[[0, 2, 3]]
+        inv, det = fc.hermitian_inverse_det(good)
+        for k in range(3):
+            one_inv, one_det = fc.hermitian_inverse_det(good[k])
+            assert np.array_equal(inv[k], one_inv) and det[k] == one_det
+        skew = good.copy()
+        skew[2, 0, 1] += 1e-3
+        with pytest.raises(HermitianViolation, match="at matrix 2 of the stack$"):
+            fc.hermitian_inverse_det(skew)
 
 
 # The point-by-point stencils the engine replaced, kept as its reference: one

@@ -63,13 +63,17 @@ def test_rejection_storm_raises():
         fc.sample_domain(fc.SampleSpec(count=10, seed=3, t_range=(0.5, 1.0)), prof)
 
 
-def test_partial_rejection_is_recorded():
+def test_partial_rejection_is_recorded(monkeypatch):
+    # f = e^{-3t} is valid for t < 1/3, about half of the window (0.2, 0.45):
+    # with two attempts per index some indices exhaust
+    monkeypatch.setattr(sampling, "_MAX_ATTEMPTS", 2)
     prof = fc.hermitian_profile(fc.Exponential(1.0, -3.0))
-    # window straddles the validity boundary t = 1/3: some indices exhaust
     points, rejections = sample_domain_detailed(
-        fc.SampleSpec(count=30, seed=5, t_range=(0.05, 0.3)), prof)
-    assert len(points) == 30
-    assert not rejections
+        fc.SampleSpec(count=30, seed=5, t_range=(0.2, 0.45)), prof)
+    assert rejections
+    assert all(r["reason"].startswith("profile rejects (t, s) = (") for r in rejections)
+    assert len(points) + len(rejections) == 30
+    assert sorted(points.index + [r["index"] for r in rejections]) == list(range(30))
 
 
 def test_spec_validation():

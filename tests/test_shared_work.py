@@ -43,18 +43,72 @@ class TestPerSampleWork:
         calls = count_calls(monkeypatch, tensors, "levi_closed", curvature)
         report = run_k4()
         assert len(report.records) == 3
-        assert len(calls) == 2 * len(report.records)
-        pvs = [pv for _, pv, *_ in calls]
-        for rec, sample, image in zip(report.records, pvs[0::2], pvs[1::2]):
-            assert (sample.t, sample.s) == (rec["t"], rec["s"])
-            assert image.t == pytest.approx(sample.t)
-            assert not np.allclose(image.z, sample.z)
+        # one chunk: the samples' columns, then their unitary images
+        sample, image = [pv for _, pv, *_ in calls]
+        assert sample.t.tolist() == [rec["t"] for rec in report.records]
+        assert image.t == pytest.approx(sample.t)
+        assert not np.allclose(image.z, sample.z)
 
     def test_verify_builds_the_spray_once_at_the_sample(self, monkeypatch):
         calls = count_calls(monkeypatch, tensors, "spray_coefficients")
         report = run_k4()
-        assert [(pv.t, pv.s) for _, pv, *_ in calls] == \
-            [(rec["t"], rec["s"]) for rec in report.records]
+        assert [pv.t.tolist() for _, pv, *_ in calls] == [[rec["t"] for rec in report.records]]
+
+    def test_verify_chunk_builds_each_piece_once(self, monkeypatch):
+        # per chunk of 3, 3 and 1 samples: k_scalars, levi_closed and
+        # pseudoconvexity_check once over the samples' columns and once over
+        # their unitary images (the direct curvature's stencil columns aside)
+        whole = run_k4(count=7)
+        monkeypatch.setattr(suite, "CHUNK", 3)
+        pieces = {"levi_closed": count_calls(monkeypatch, tensors, "levi_closed", curvature),
+                  "k_scalars": count_calls(monkeypatch, tensors, "k_scalars"),
+                  "pseudoconvexity_check": count_calls(monkeypatch, tensors,
+                                                       "pseudoconvexity_check")}
+        report = run_k4(count=7)
+        assert report.records == whole.records
+        ts = [rec["t"] for rec in report.records]
+        chunks = [ts[0:3], ts[3:6], ts[6:]]
+        for name, calls in pieces.items():
+            at = [np.atleast_1d(args[1].t if name == "levi_closed" else args[1]).tolist()
+                  for args in calls]
+            at = [t for t in at if len(t) <= 3]
+            assert at[0::2] == chunks, name
+            assert [len(t) for t in at[1::2]] == [3, 3, 1], name
+            assert np.concatenate(at[1::2]) == pytest.approx(ts), name
+
+    def test_one_field_call_per_oracle_per_slice(self, monkeypatch):
+        from test_columns import field_columns
+        whole = run_k4(count=7)
+        monkeypatch.setattr(suite, "CHUNK", 3)
+        calls = field_columns(monkeypatch)
+        run_k4(count=1)
+        one = dict(calls)
+        # two samples per nconn call, so a chunk of 3 takes two; the others take
+        # what the same budget gives (the connection's Levi-matrix field gives
+        # n^2 = 4 values per column)
+        monkeypatch.setattr(suite, "FIELD_COLUMNS", 2 * one["nonlinear_connection_fd"])
+        del calls[:]
+        report = run_k4(count=7)
+        assert report.records == whole.records
+        per_call = {"nonlinear_connection_fd": 2,
+                    "levi_oracle": suite.FIELD_COLUMNS // one["levi_oracle"],
+                    "connection_coefficients":
+                        suite.FIELD_COLUMNS // 4 // one["connection_coefficients"]}
+        assert min(per_call.values()) >= 1
+        for name, step in per_call.items():
+            sizes = [min(step, size - k) for size in (3, 3, 1) for k in range(0, size, step)]
+            assert [size for field, size in calls if field == name] == \
+                [k * one[name] for k in sizes], name
+        # the direct curvature's one stencil at tau = 0 serves the whole chunk
+        assert [size for field, size in calls if field == "holomorphic_curvature_direct"] == \
+            [one["holomorphic_curvature_direct"]] * 3
+        assert len(calls) == sum(len(range(0, size, step)) for size in (3, 3, 1)
+                                 for step in per_call.values()) + 3
+
+    def test_nconn_and_spray_compat_share_the_fd_connection(self, monkeypatch):
+        calls = count_calls(monkeypatch, tensors, "nonlinear_connection_fd")
+        report = run_k4(checks=("nconn", "spray_compat"))
+        assert [pv.t.tolist() for _, pv, *_ in calls] == [[rec["t"] for rec in report.records]]
 
     @pytest.mark.parametrize("checks", [("curvature",), RESIDUAL_CHECKS, CHECK_NAMES],
                              ids=["curvature", "residual", "verify"])
