@@ -5,9 +5,10 @@
 OLD_SRC and NEW_SRC are directories that each contain the ``finslercheck``
 package (for a checkout, its ``src``).  Each tree runs the same fixed list of
 fixed-seed invocations in one fresh interpreter, writing every report to a
-file; the reports and exit codes are then compared with ``cmp`` semantics.
-Exits 0 when every report matches, 1 naming the first invocation that
-differs, and 2 when a tree cannot be run.
+file; the reports, exit codes and stderr texts are then compared, the reports
+with ``cmp`` semantics.  A report that neither tree wrote (a run that exits 3
+before writing) compares equal.  Exits 0 when every invocation matches, 1
+naming the first invocation that differs, and 2 when a tree cannot be run.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ PROFILES = {
                      "g": {"kind": "linear", "c": 0.5}, "h": {"kind": "constant", "c": 0.5}},
     "wk-exp-h1.1.json": {"family": "wk-randers", "f": {"kind": "exp", "c": 1.0, "a": 1.0},
                          "h_scale": 1.1},
+    # f = e^{-3t}: valid for t < 1/3
+    "hermitian-decay.json": {"family": "hermitian", "f": {"kind": "exp", "c": 1.0, "a": -3.0}},
 }
 
 # (name, argv without --out, report format); every seed is fixed
@@ -62,10 +65,22 @@ INVOCATIONS = (
                           "--samples", "200", "--seed", "43"), "csv"),
     ("residual-wk-exp-h1.1", ("residual", "--profile", "wk-exp-h1.1.json", "--n", "3",
                               "--samples", "200", "--seed", "44"), "json"),
+    # the profile rejects part of the window, and the sampler draws again
+    ("residual-hermitian-decay", ("residual", "--profile", "hermitian-decay.json", "--n", "3",
+                                  "--t-range", "0.2", "0.45", "--samples", "40",
+                                  "--seed", "45"), "json"),
+    # ... or nearly all of it: exit 3, EmptyAfterRejection
+    ("residual-hermitian-decay-empty", ("residual", "--profile", "hermitian-decay.json",
+                                        "--n", "3", "--t-range", "0.32", "0.6",
+                                        "--samples", "40", "--seed", "46"), "json"),
+    # a stencil leaves the k = -4 ball: exit 3
+    ("curvature-km4-ball-edge", ("curvature", "--model", "km4", "--c", "1", "--n", "2",
+                                 "--t-range", "0.9", "0.99999", "--samples", "50",
+                                 "--seed", "3"), "json"),
 )
 
 # run inside the fresh interpreter: argv[1] is the source tree, argv[2] the
-# work directory, stdin the invocation list; prints the exit codes as JSON
+# work directory, stdin the invocation list; prints [exit code, stderr] by name as JSON
 _RUNNER = """
 import contextlib, io, json, os, sys
 tree, work = sys.argv[1], sys.argv[2]
@@ -75,16 +90,18 @@ from finslercheck import cli
 if not os.path.realpath(finslercheck.__file__).startswith(os.path.realpath(tree)):
     sys.exit("finslercheck imported from " + finslercheck.__file__ + ", not from " + tree)
 os.chdir(work)
-codes = {}
+runs = {}
 for name, argv, fmt in json.load(sys.stdin):
-    with contextlib.redirect_stderr(io.StringIO()):
-        codes[name] = cli.main(argv + ["--format", fmt, "--out", name + "." + fmt])
-print(json.dumps(codes))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(argv + ["--format", fmt, "--out", name + "." + fmt])
+    runs[name] = [code, err.getvalue()]
+print(json.dumps(runs))
 """
 
 
 def run_tree(tree: Path, work: Path) -> dict:
-    """Run every invocation against ``tree`` in one fresh interpreter; exit codes by name."""
+    """Run every invocation against ``tree`` in one fresh interpreter; [code, stderr] by name."""
     work.mkdir()
     for name, desc in PROFILES.items():
         (work / name).write_text(json.dumps(desc))
@@ -95,6 +112,11 @@ def run_tree(tree: Path, work: Path) -> dict:
         print(f"report_parity: {tree} failed:\n{done.stderr.strip()}", file=sys.stderr)
         sys.exit(2)
     return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def _read(path: Path):
+    """The report's bytes, or None where the run wrote none."""
+    return path.read_bytes() if path.exists() else None
 
 
 def main(argv=None) -> int:
@@ -109,22 +131,30 @@ def main(argv=None) -> int:
             return 2
     with tempfile.TemporaryDirectory() as tmp:
         old_dir, new_dir = Path(tmp) / "old", Path(tmp) / "new"
-        old_codes, new_codes = run_tree(trees[0], old_dir), run_tree(trees[1], new_dir)
+        old_runs, new_runs = run_tree(trees[0], old_dir), run_tree(trees[1], new_dir)
         for name, _, fmt in INVOCATIONS:
-            report = f"{name}.{fmt}"
-            old_bytes = (old_dir / report).read_bytes()
-            new_bytes = (new_dir / report).read_bytes()
-            if old_codes[name] != new_codes[name]:
-                print(f"{name}: exit codes differ ({old_codes[name]} vs {new_codes[name]})")
+            (old_code, old_err), (code, err) = old_runs[name], new_runs[name]
+            old_bytes, new_bytes = (_read(work / f"{name}.{fmt}") for work in (old_dir, new_dir))
+            if old_code != code:
+                print(f"{name}: exit codes differ ({old_code} vs {code})")
                 return 1
+            if old_err != err:
+                print(f"{name}: stderr differs:\n  {old_err!r}\n  {err!r}")
+                return 1
+            if old_bytes is None or new_bytes is None:
+                if old_bytes is not new_bytes:
+                    print(f"{name}: only one tree wrote a report")
+                    return 1
+                print(f"{name}: identical (no report, exit {code}, stderr {err.strip()!r})")
+                continue
             if old_bytes != new_bytes:
                 # cmp's report: the first differing byte, or EOF on the shorter file
                 where = next((k for k, (a, b) in enumerate(zip(old_bytes, new_bytes)) if a != b),
                              min(len(old_bytes), len(new_bytes)))
                 print(f"{name}: reports differ: byte {where + 1}")
                 return 1
-            print(f"{name}: identical ({len(new_bytes)} bytes, exit {new_codes[name]})")
-    print(f"all {len(INVOCATIONS)} reports identical")
+            print(f"{name}: identical ({len(new_bytes)} bytes, exit {code})")
+    print(f"all {len(INVOCATIONS)} invocations identical: reports, exit codes and stderr")
     return 0
 
 

@@ -60,7 +60,6 @@ from .numerics import (
 )
 from .profiles import (
     MetricProfile,
-    PhiJet,
     euclidean_profile,
     hermitian_profile,
     model_profile,

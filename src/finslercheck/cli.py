@@ -25,7 +25,8 @@ from .report import emit_json, emit_report
 from .sampling import SampleSpec
 from .suite import CHECK_NAMES, SuiteConfig, SuiteReport, run_suite
 
-# every other FinslerCheckError is a numerical or I/O error (exit 3)
+# every other FinslerCheckError, and an ArithmeticError such as a 1-D derivative
+# overflowing far out, is a numerical or I/O error (exit 3)
 _CONFIG_ERRORS = (ConfigError, InvalidCatalogEntry, InvalidCurvatureTag)
 
 _MODEL_TAGS = {"k4": (4, "+4"), "k0": (0, "0"), "km4": (-4, "-4")}
@@ -163,7 +164,7 @@ def main(argv=None) -> int:
     except _CONFIG_ERRORS as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except FinslerCheckError as exc:
+    except (FinslerCheckError, ArithmeticError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
 

@@ -125,7 +125,7 @@ class CurvatureReport:
 
 
 def _phi_jet(profile: MetricProfile, t, s) -> Jet2:
-    """The order-3 jet of phi at (t, s), or at arrays of points, guarded as ``PhiJet`` is."""
+    """The order-3 jet of phi at (t, s), or at arrays of points: entries finite, phi > 0."""
     j = profile.raw_jet(t, s, 3)
     _check_jet_entries([j.partial(i, k) for i, k in INDICES])
     return j

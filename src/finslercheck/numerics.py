@@ -136,7 +136,8 @@ def _evaluate(field: Callable, columns: np.ndarray, carry=None) -> np.ndarray:
     if not finite.all():
         per_point = finite.reshape(-1, finite.shape[-1]).all(axis=0) if finite.ndim else [False]
         where = columns[:, int(np.argmin(per_point)) % m]
-        raise NonFiniteEvaluation(f"field returned non-finite value at stencil point {where!r}")
+        where = np.array_repr(where, max_line_width=1 << 30)     # one line, as repr when short
+        raise NonFiniteEvaluation(f"field returned non-finite value at stencil point {where}")
     if values.shape[-1:] != (m,):
         raise ValueError(f"field returned shape {values.shape} for {m} points; "
                          "values need a trailing axis with one entry per point")

@@ -19,19 +19,17 @@ restriction.  Validity has two layers: ``smooth_at`` (the jet is evaluable) and
 f + t f' > 0 for Hermitian profiles).  Pseudo-convexity diagnostics evaluate on
 the smooth region so they can report *why* a point fails validity.
 
-Jet and value evaluators validate inline and raise DomainViolation, and fetch
-each 1-D derivative exactly once per call (a wk-randers profile fetches f's
-derivatives once and derives g and h from them).  ``MetricProfile.value`` and
-``MetricProfile.raw_jet`` also take arrays of (t, s): the finite-difference
-oracles and the closed forms they differentiate evaluate a whole stencil in
-one call, and a single point outside the region rejects the call, naming the
-first (t, s) where the guard fails.
+Each family writes its guard once (see ``MetricProfile``), and all five
+profile methods use it, fetch each 1-D derivative once per call (wk-randers
+derives g and h from f's) and take a point or arrays of (t, s).  Over arrays,
+one point outside the region rejects an evaluation with DomainViolation naming
+it.  ``value`` has no ``Jet2``: the FD oracles' field shares no code with the
+chain rule.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,13 +41,13 @@ from .functions1d import (
     Scaled,
     WkG,
     WkH,
+    _finite,
     function_from_descriptor,
     probe_positive,
 )
 from .jets import INDICES, Jet2
 
 __all__ = [
-    "PhiJet",
     "MetricProfile",
     "hermitian_profile",
     "randers_profile",
@@ -66,28 +64,8 @@ S_MIN_FRACTION = 1e-6
 _S_LE_T_SLACK = 1e-9
 
 
-@dataclass(frozen=True)
-class PhiJet:
-    """All partial derivatives of phi(t, s) up to total order 3."""
-
-    phi: float
-    phi_t: float
-    phi_s: float
-    phi_tt: float
-    phi_ts: float
-    phi_ss: float
-    phi_ttt: float
-    phi_tts: float
-    phi_tss: float
-    phi_sss: float
-
-    def __post_init__(self):
-        _check_jet_entries((self.phi, self.phi_t, self.phi_s, self.phi_tt, self.phi_ts,
-                           self.phi_ss, self.phi_ttt, self.phi_tts, self.phi_tss, self.phi_sss))
-
-
 def _check_jet_entries(entries):
-    """``PhiJet``'s guards on phi's partials, phi first, at a point or at every column.
+    """Guards on phi's partials, phi first, at a point or at every column.
 
     Every entry must be finite and phi positive; otherwise DomainViolation, naming
     the first column where phi is not.
@@ -100,15 +78,6 @@ def _check_jet_entries(entries):
         at = float(np.broadcast_to(phi, positive.shape).ravel()[np.argmin(positive)]) \
             if isinstance(positive, np.ndarray) else phi
         raise DomainViolation(f"phi must be positive, got {at}")
-
-
-def _jet_to_phijet(j: Jet2) -> PhiJet:
-    return PhiJet(
-        phi=j.partial(0, 0), phi_t=j.partial(1, 0), phi_s=j.partial(0, 1),
-        phi_tt=j.partial(2, 0), phi_ts=j.partial(1, 1), phi_ss=j.partial(0, 2),
-        phi_ttt=j.partial(3, 0), phi_tts=j.partial(2, 1), phi_tss=j.partial(1, 2),
-        phi_sss=j.partial(0, 3),
-    )
 
 
 def _s_in_bounds(t, s, s_min):
@@ -125,101 +94,114 @@ def _anywhere(mask) -> bool:
     return bool(mask.any()) if isinstance(mask, np.ndarray) else bool(mask)
 
 
-def _outside(t, s, mask, region):
-    """DomainViolation naming the first (t, s) where the guard ``mask`` fails."""
+def _require(t, s, mask, region):
+    """DomainViolation naming the first (t, s) where the guard ``mask`` fails, if it does."""
+    if _holds(mask):
+        return
     if isinstance(mask, np.ndarray):
         t, s, mask = np.broadcast_arrays(t, s, mask)
         k = int(np.argmin(mask.ravel()))
         t, s = float(t.ravel()[k]), float(s.ravel()[k])
-    return DomainViolation(f"(t, s) = ({t}, {s}) outside {region}")
+    raise DomainViolation(f"(t, s) = ({t}, {s}) outside {region}")
 
 
 def _sqrt(x):
     return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
 
 
-def _predicate(fn, t, s):
-    """The predicate ``fn`` where t and s are finite, False elsewhere.
-
-    At a point a bool.  At arrays a mask: ``fn`` sees the finite entries only,
-    and like Python floats it overflows to inf without a floating-point warning.
-    """
-    if not (isinstance(t, np.ndarray) or isinstance(s, np.ndarray)):
-        return math.isfinite(t) and math.isfinite(s) and bool(fn(t, s))
-    t, s = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(s, dtype=float))
-    mask = np.isfinite(t) & np.isfinite(s)
-    if mask.any():
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            mask[mask] = fn(t[mask], s[mask])
-    return mask
-
-
-def _inside(bounds, t, s, test):
-    """``test(t, s)`` where the mask ``bounds`` holds, False elsewhere (bools at a point).
-
-    ``test`` sees only the points inside, so 1-D derivatives are never taken
-    outside their interval.
-    """
-    if not isinstance(bounds, np.ndarray):
-        return bool(bounds) and bool(test(t, s))
-    out = bounds.copy()
-    if out.any():
-        out[out] = test(t[out], s[out])
-    return out
-
-
 class MetricProfile:
-    """A profile phi(t, s): order-3 jet evaluator plus validity predicates."""
+    """A profile phi(t, s) on the region of one domain guard.
 
-    def __init__(self, descriptor, jet_fn, value_fn, smooth_fn, valid_fn,
-                 t_interval, jet_smooth_fn=None):
+    A family gives its guard in two parts and phi in two forms, each a function
+    of a point or of arrays of (t, s):
+
+        in_bounds(t, s)        where the 1-D derivatives may be fetched
+        fetch(t, order)        the 1-D derivatives an order-``order`` jet reads
+        positive(t, s, d)      (smooth, valid) masks over the fetched derivatives d
+        value(t, s, d)         phi, a plain formula (the FD oracles' field)
+        jet(t, s, d, order)    phi's Taylor jet
+
+    ``name`` names the region in DomainViolation messages.
+    """
+
+    def __init__(self, descriptor, t_interval, name, in_bounds, fetch, positive, value, jet):
         self.descriptor = descriptor
-        self._jet_fn = jet_fn                  # (t, s, order) -> Jet2, self-validating
-        self._value_fn = value_fn              # (t, s) -> float, self-validating
-        self._smooth_fn = smooth_fn            # predicate, at a point or a mask over arrays
-        self._valid_fn = valid_fn              # the same (implies smooth)
-        self._jet_smooth_fn = jet_smooth_fn or jet_fn
         self.t_interval = t_interval
+        self._name = name
+        self._in_bounds = in_bounds
+        self._fetch = fetch
+        self._positive = positive
+        self._value = value
+        self._jet = jet
 
     @property
     def family(self) -> str:
         return self.descriptor["family"]
+
+    def _guarded(self, t, s, order, region="validity"):
+        """The derivatives fetched for ``order`` at (t, s), inside the ``region`` mask.
+
+        Raises DomainViolation naming the first (t, s) outside the region.
+        """
+        where = f"{region} region of {self._name}"
+        _require(t, s, self._in_bounds(t, s), where)
+        d = self._fetch(t, order)
+        smooth, valid = self._positive(t, s, d)
+        _require(t, s, smooth if region == "smooth" else valid, where)
+        return d
+
+    def _masks(self, t, s):
+        """(smooth, valid): bools at a point, masks at arrays, False at non-finite (t, s).
+
+        ``positive`` sees the points in bounds only, so 1-D derivatives are never
+        taken outside their interval; over arrays, like Python floats, it
+        overflows to inf without a floating-point warning.
+        """
+        if not (isinstance(t, np.ndarray) or isinstance(s, np.ndarray)):
+            if not (math.isfinite(t) and math.isfinite(s) and self._in_bounds(t, s)):
+                return False, False
+            smooth, valid = self._positive(t, s, self._fetch(t, 0))
+            return bool(smooth), bool(valid)
+        t, s = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(s, dtype=float))
+        inside = np.isfinite(t) & np.isfinite(s)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            inside[inside] = self._in_bounds(t[inside], s[inside])
+            smooth, valid = inside.copy(), inside.copy()
+            if inside.any():
+                t, s = t[inside], s[inside]
+                smooth[inside], valid[inside] = self._positive(t, s, self._fetch(t, 0))
+        return smooth, valid
 
     def smooth_at(self, t, s):
         """True where the jet is evaluable (all pieces finite, sqrt args positive).
 
         At a point a bool; at arrays of (t, s) a mask, each entry the bool of its point.
         """
-        return _predicate(self._smooth_fn, t, s)
+        return self._masks(t, s)[0]
 
     def is_valid(self, t, s):
         """smooth_at plus the family's metric-positivity requirements, at a point or arrays."""
-        return _predicate(self._valid_fn, t, s)
-
-    def jet(self, t: float, s: float) -> PhiJet:
-        """Full order-3 jet; requires (t, s) valid and s <= t."""
-        return _jet_to_phijet(self._jet_fn(t, s, 3))
-
-    def jet_smooth(self, t: float, s: float) -> PhiJet:
-        """Full order-3 jet on the smooth region only: ``smooth_jet`` as a ``PhiJet``."""
-        return _jet_to_phijet(self.smooth_jet(t, s, 3))
+        return self._masks(t, s)[1]
 
     def smooth_jet(self, t, s, order: int) -> Jet2:
-        """Taylor jet on the smooth region at reduced order, guarded as ``PhiJet`` is.
+        """Taylor jet on the smooth region at reduced order, its entries finite and phi > 0.
 
         At a point or at arrays of (t, s); used by diagnostics that report validity.
         """
-        j = self._jet_smooth_fn(t, s, order)
+        j = self._jet(t, s, self._guarded(t, s, order, "smooth"), order)
         _check_jet_entries([j.partial(i, k) for i, k in INDICES if i + k <= order])
         return j
 
     def raw_jet(self, t, s, order: int) -> Jet2:
-        """Validity-checked Taylor jet at reduced order, at a point or at arrays of (t, s)."""
-        return self._jet_fn(t, s, order)
+        """Validity-checked Taylor jet at reduced order, at a point or at arrays of (t, s).
+
+        ``raw_jet(t, s, 3).partial(i, j)`` is the partial of phi i times in t, j times in s.
+        """
+        return self._jet(t, s, self._guarded(t, s, order), order)
 
     def value(self, t, s):
         """phi(t, s) at a point, or at every point of broadcastable arrays t and s."""
-        return self._value_fn(t, s)
+        return self._value(t, s, self._guarded(t, s, 0))
 
     def __repr__(self):
         return f"MetricProfile({self.descriptor!r})"
@@ -237,50 +219,20 @@ def hermitian_profile(f: ScalarFunction1D) -> MetricProfile:
     if not probe_positive(f, strict=True):
         raise InvalidCatalogEntry("hermitian profile needs f > 0 on its interval")
 
-    def _check(t, s, mask, why):
-        if not _holds(mask):
-            raise _outside(t, s, mask, f"{why} region of hermitian profile")
+    def positive(t, s, d):
+        smooth = d[0] + s * d[1] > 0.0
+        return smooth, smooth & (d[0] + t * d[1] > 0.0)
 
-    def _fetch(t, s, order):
-        _check(t, s, _s_in_bounds(t, s, 0.0) & f.contains(t), "validity")
-        return f.derivs(t, order + 1)
-
-    def _build(s, d, order):
+    def jet(t, s, d, order):
         A = Jet2.from_t_derivs(d[: order + 1], order)
         B = Jet2.from_t_derivs(d[1: order + 2], order)
         return A + B * Jet2.var_s(s, order)
 
-    def jet_fn(t, s, order):
-        d = _fetch(t, s, order)
-        _check(t, s, (d[0] + s * d[1] > 0.0) & (d[0] + t * d[1] > 0.0), "validity")
-        return _build(s, d, order)
-
-    def jet_smooth_fn(t, s, order):
-        d = _fetch(t, s, order)
-        _check(t, s, d[0] + s * d[1] > 0.0, "smooth")
-        return _build(s, d, order)
-
-    def value_fn(t, s):
-        d = _fetch(t, s, 0)
-        phi = d[0] + s * d[1]
-        _check(t, s, (phi > 0.0) & (d[0] + t * d[1] > 0.0), "validity")
-        return phi
-
-    def smooth_fn(t, s):
-        def positive(t, s):
-            f0, f1 = f.derivs(t, 1)
-            return f0 + s * f1 > 0.0
-        return _inside(_s_in_bounds(t, s, 0.0) & f.contains(t), t, s, positive)
-
-    def valid_fn(t, s):
-        def positive(t, s):
-            f0, f1 = f.derivs(t, 1)
-            return (f0 + s * f1 > 0.0) & (f0 + t * f1 > 0.0)
-        return _inside(_s_in_bounds(t, s, 0.0) & f.contains(t), t, s, positive)
-
     descriptor = {"family": "hermitian", "f": f.descriptor()}
-    return MetricProfile(descriptor, jet_fn, value_fn, smooth_fn, valid_fn,
-                         f.t_interval, jet_smooth_fn=jet_smooth_fn)
+    return MetricProfile(descriptor, f.t_interval, "hermitian profile",
+                         lambda t, s: _s_in_bounds(t, s, 0.0) & f.contains(t),
+                         lambda t, order: f.derivs(t, order + 1), positive,
+                         lambda t, s, d: d[0] + s * d[1], jet)
 
 
 def randers_profile(f: ScalarFunction1D, g: ScalarFunction1D,
@@ -313,45 +265,32 @@ def randers_profile(f: ScalarFunction1D, g: ScalarFunction1D,
         def derivs(t, order):
             return f.derivs(t, order), g.derivs(t, order), h.derivs(t, order)
 
-    def _in_bounds(t, s):
+    def in_bounds(t, s):
         return (_s_in_bounds(t, s, S_MIN_FRACTION * t) & (s > 0.0)
                 & f.contains(t) & g.contains(t) & h.contains(t))
 
-    def _check(t, s, mask):
-        # a guard at one point is a plain True when it holds
-        if mask is not True and not _holds(mask):
-            raise _outside(t, s, mask, "validity region of randers profile")
+    def positive(t, s, d):
+        # a = f + g s and b = h s; a * b, the radicand, underflows for tiny a and b
+        f0, a, b = d[0][0], d[0][0] + d[1][0] * s, d[2][0] * s
+        ok = (f0 > 0.0) & (a > 0.0) & (b > 0.0) & (a * b > 0.0)
+        return ok, ok
 
-    def _positive(f0, a, b):
-        return (f0 > 0.0) & (a > 0.0) & (b > 0.0)
+    def value(t, s, d):
+        a, b = d[0][0] + d[1][0] * s, d[2][0] * s
+        return a + b + 2.0 * _sqrt(a * b)
 
-    def jet_fn(t, s, order):
-        _check(t, s, _in_bounds(t, s))
-        fd, gd, hd = derivs(t, order)
-        _check(t, s, _positive(fd[0], fd[0] + gd[0] * s, hd[0] * s))
+    def jet(t, s, d, order):
+        fd, gd, hd = d
         S = Jet2.var_s(s, order)
         A = Jet2.from_t_derivs(fd, order) + Jet2.from_t_derivs(gd, order) * S
         B = Jet2.from_t_derivs(hd, order) * S
         return A + B + 2.0 * (A * B).sqrt()
 
-    def value_fn(t, s):
-        _check(t, s, _in_bounds(t, s))
-        (f0,), (g0,), (h0,) = derivs(t, 0)
-        a = f0 + g0 * s
-        b = h0 * s
-        _check(t, s, _positive(f0, a, b))
-        return a + b + 2.0 * _sqrt(a * b)
-
-    def smooth_fn(t, s):
-        def positive(t, s):
-            (f0,), (g0,), (h0,) = derivs(t, 0)
-            return _positive(f0, f0 + g0 * s, h0 * s)
-        return _inside(_in_bounds(t, s), t, s, positive)
-
     if descriptor is None:
         descriptor = {"family": "randers", "f": f.descriptor(),
                       "g": g.descriptor(), "h": h.descriptor()}
-    return MetricProfile(descriptor, jet_fn, value_fn, smooth_fn, smooth_fn, (lo, hi))
+    return MetricProfile(descriptor, (lo, hi), "randers profile",
+                         in_bounds, derivs, positive, value, jet)
 
 
 def wk_randers_profile(f: ScalarFunction1D, h_scale: float = 1.0) -> MetricProfile:
@@ -387,18 +326,16 @@ def model_profile(k: int, c: float) -> MetricProfile:
     k = +4: f = t/(c^2 + t^2) on t > 0 (the punctured space C^n minus 0)
     k =  0: f = c t on C^n
     k = -4: f = t/(c^2 - t^2) on the ball t < c
+
+    k must equal 4, 0 or -4 (4.0 does, a bool or a string does not).
     """
-    if not (isinstance(c, (int, float)) and math.isfinite(c) and c > 0.0):
+    if isinstance(c, bool) or not (_finite(c) and c > 0.0):
         raise InvalidCatalogEntry(f"model profile needs c > 0, got {c!r}")
+    if isinstance(k, bool) or k not in (4, 0, -4):
+        raise InvalidCurvatureTag(f"model curvature must be +4, 0 or -4, got {k!r}")
     k = int(k)
-    if k == 4:
-        f = Rational(c * c, 1.0)
-    elif k == 0:
-        f = Linear(float(c))
-    elif k == -4:
-        f = Rational(c * c, -1.0)
-    else:
-        raise InvalidCurvatureTag(f"model curvature must be +4, 0 or -4, got {k}")
+    # k = +4: t/(c^2 + t^2); k = -4: t/(c^2 - t^2)
+    f = Linear(float(c)) if k == 0 else Rational(c * c, k / 4.0)
     profile = wk_randers_profile(f)
     profile.descriptor = {"family": "model", "k": k, "c": float(c), "f": f.descriptor()}
     return profile

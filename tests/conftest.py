@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,14 @@ def make_points(profile, n=2, count=5, seed=7, t_range=None, s_range=(0.1, 0.9))
     spec = fc.SampleSpec(n=n, count=count, seed=seed, t_range=t_range,
                          s_fraction_range=s_range)
     return fc.sample_domain(spec, profile)
+
+
+def synthetic_profile(jet, value):
+    """A MetricProfile from a hand-written jet(t, s, order) and value(t, s), valid everywhere."""
+    return fc.MetricProfile({"family": "synthetic"}, (0.0, math.inf), "synthetic profile",
+                            lambda t, s: True, lambda t, order: (),
+                            lambda t, s, d: (True, True), lambda t, s, d: value(t, s),
+                            lambda t, s, d, order: jet(t, s, order))
 
 
 def catalog():

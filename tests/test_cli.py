@@ -1,12 +1,18 @@
 """CLI surface: subcommands, exit codes, determinism."""
 
+import contextlib
+import io
 import json
+import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from finslercheck import cli, errors
+from finslercheck.suite import CHECK_NAMES
 
 BASE = [sys.executable, "-m", "finslercheck"]
 
@@ -180,3 +186,126 @@ def test_each_error_class_keeps_its_exit_code(error, monkeypatch, capsys):
     assert code == (2 if error in CONFIG_ERRORS else 3)
     prefix = "configuration error" if code == 2 else "numerical error"
     assert capsys.readouterr().err == f"{prefix}: boom\n"
+
+
+def main_in_process(argv):
+    """cli.main(argv) in this interpreter: (exit code, stderr lines)."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue().splitlines()
+
+
+def test_underflowing_randers_radicand_rejects_every_draw():
+    # k = 0 with c = 1e-300: a * b = c^2 t s underflows, so no draw is valid
+    code, lines = main_in_process(["verify", "--model", "k0", "--c", "1e-300", "--samples", "5"])
+    assert code == 3
+    assert len(lines) == 1 and lines[0].startswith("numerical error: ")
+    assert "draws rejected" in lines[0]
+
+
+@pytest.mark.parametrize("desc, message", [
+    ({"family": "model", "k": 4.5, "c": 1}, "model curvature must be +4, 0 or -4, got 4.5"),
+    ({"family": "model", "k": "4", "c": 1}, "model curvature must be +4, 0 or -4, got '4'"),
+    ({"family": "model", "k": True, "c": 1}, "model curvature must be +4, 0 or -4, got True"),
+    ({"family": "model", "k": 4, "c": True}, "model profile needs c > 0, got True"),
+], ids=["k-4.5", "k-string", "k-bool", "c-bool"])
+def test_bad_model_descriptor_is_config_error(desc, message, tmp_path):
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps(desc))
+    code, lines = main_in_process(["curvature", "--profile", str(profile), "--samples", "2"])
+    assert code == 2
+    assert lines == [f"configuration error: profile descriptor rejected: {message}"]
+
+
+# --- fuzz: malformed descriptors and option values never escape as exceptions ---
+
+PROFILE = "<profile file>"
+JUNK = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4),
+                 st.lists(st.integers(-2, 2), max_size=2),
+                 st.dictionaries(st.text(max_size=2), st.integers(-2, 2), max_size=2))
+NUMBERS = st.one_of(st.integers(-3, 5), st.floats(-3.0, 5.0), st.floats(), JUNK)
+KINDS = ["constant", "linear", "power", "exp", "rational", "sum", "scaled", "wk-g", "wk-h"]
+
+
+def _with_junk_keys(dicts):
+    """Each dict, sometimes with one more key of junk."""
+    return st.builds(lambda extra, d: {**extra, **d}, st.dictionaries(
+        st.text(max_size=3), JUNK, max_size=1), dicts)
+
+
+FUNCTIONS = st.recursive(
+    _with_junk_keys(st.fixed_dictionaries(
+        {"kind": st.one_of(st.sampled_from(KINDS), JUNK)},
+        optional={key: NUMBERS for key in ("c", "p", "a", "b", "factor")})),
+    lambda inner: st.one_of(inner, JUNK, _with_junk_keys(st.fixed_dictionaries(
+        {"kind": st.sampled_from(KINDS)},
+        optional={"base": inner, "factor": NUMBERS,
+                  "parts": st.one_of(st.lists(inner, max_size=3), inner, JUNK)}))),
+    max_leaves=4)
+DESCRIPTORS = st.one_of(JUNK, _with_junk_keys(st.fixed_dictionaries({}, optional={
+    "family": st.one_of(st.sampled_from(["hermitian", "randers", "wk-randers", "model"]), JUNK),
+    "f": FUNCTIONS, "g": FUNCTIONS, "h": FUNCTIONS, "parts": FUNCTIONS,
+    "k": st.one_of(st.sampled_from([4, 0, -4, 4.0]), NUMBERS),
+    "c": NUMBERS, "h_scale": NUMBERS})))
+
+# numbers argparse reads as option values; "-inf" and "-1e-05" would read as flags
+# after a space, so single values go as --name=value and pairs avoid them
+FLOATS = st.one_of(st.sampled_from([math.nan, math.inf, 0.0, -1.0, 1e-300, 1e300, 0.5, 2.0]),
+                   st.floats(-2.0, 3.0).map(lambda x: round(x, 3)))
+OPTIONS = st.fixed_dictionaries({}, optional={
+    "--samples": st.integers(-2, 3),           # at most 3 samples and n at most 8:
+    "--n": st.integers(-1, 8),                 # the stencils grow fast with n
+    "--c": st.one_of(st.floats(), FLOATS),
+    "--fd-step": st.one_of(st.floats(), FLOATS),
+    "--fd-levels": st.integers(-1, 6),
+    "--t-range": st.tuples(FLOATS, FLOATS),
+    "--s-range": st.tuples(FLOATS, FLOATS),
+    "--checks": st.lists(st.sampled_from(CHECK_NAMES + ("bogus", "", " ")), max_size=3)
+                .map(",".join),
+})
+
+
+@st.composite
+def invocations(draw):
+    """(argv, descriptor): argv names PROFILE where the descriptor's file goes."""
+    command = draw(st.sampled_from(["verify", "curvature", "residual", "classify", "models"]))
+    argv, desc = [command], None
+    if command != "models":
+        if draw(st.booleans()):
+            argv += ["--model", draw(st.sampled_from(["k4", "k0", "km4"]))]
+        else:
+            desc = draw(DESCRIPTORS)
+            argv += ["--profile", PROFILE]
+    for name, value in draw(OPTIONS).items():
+        if name == "--checks" and command != "verify":
+            continue
+        if isinstance(value, tuple):
+            argv += [name, *map(repr, value)]
+        else:
+            argv.append(f"{name}={value!r}" if name != "--checks" else f"{name}={value}")
+    return argv, desc
+
+
+@given(case=invocations())
+@example(case=(["verify", "--model", "k0", "--c=1e-300", "--samples=3"], None))
+@example(case=(["curvature", "--profile", PROFILE, "--samples=2"],
+               {"family": "model", "k": "4", "c": 1}))
+@example(case=(["curvature", "--profile", PROFILE, "--samples=2"],
+               {"family": "model", "k": 4.5, "c": 1}))
+# a 1-D derivative overflowing far out, and a non-finite field value in n = 2
+@example(case=(["curvature", "--model", "k0", "--t-range", "0.0", "1e+300"], None))
+@example(case=(["classify", "--model", "k0", "--c=1e+300"], None))
+@settings(max_examples=80, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_malformed_input_exits_with_one_line(case, tmp_path_factory):
+    argv, desc = case
+    if desc is not None:
+        path = tmp_path_factory.getbasetemp() / "fuzz-profile.json"
+        path.write_text(json.dumps(desc))
+        argv = [str(path) if arg == PROFILE else arg for arg in argv]
+    code, lines = main_in_process(argv)
+    assert code in (0, 1, 2, 3)
+    if code in (2, 3):
+        prefix = "configuration error: " if code == 2 else "numerical error: "
+        assert len(lines) == 1 and lines[0].startswith(prefix), lines

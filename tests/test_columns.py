@@ -20,7 +20,7 @@ from finslercheck.sampling import Samples
 from finslercheck.suite import SuiteConfig, run_suite
 from finslercheck.tensors import _levi_matrix, _spray_vector, invariants, k_scalars
 
-from conftest import CATALOG_NAMES, make_points
+from conftest import CATALOG_NAMES, make_points, synthetic_profile
 
 M = 9
 
@@ -265,8 +265,7 @@ class TestDomainEdgesOnColumns:
             c[2] = -0.5
             return Jet2(order, c)
 
-        prof = fc.MetricProfile({"family": "synthetic"}, jet_fn, lambda t, s: 1.0 - 0.5 * s,
-                                lambda t, s: True, lambda t, s: True, (0.0, float("inf")))
+        prof = synthetic_profile(jet_fn, lambda t, s: 1.0 - 0.5 * s)
         ts, ss = np.array([1.0, 2.0, 3.0]), np.array([0.5, 0.5, 0.5])
         with pytest.raises(DegenerateK1, match=r"k1 = 0.0 "):
             k_scalars(prof, ts, ss)
@@ -417,14 +416,13 @@ class TestSamplesAsColumns:
             c[-1] = np.where(t > 2.5, np.inf, 0.5)
             return Jet2(order, c)
 
-        prof = fc.MetricProfile({"family": "synthetic"}, jet_fn, lambda t, s: 1.0 - t,
-                                lambda t, s: True, lambda t, s: True, (0.0, float("inf")))
+        prof = synthetic_profile(jet_fn, lambda t, s: 1.0 - t)
         ts = np.array([0.2, 0.5, 1.5, 2.0])
         for t, s in ((ts, 0.1 * ts), (1.5, 0.15)):
             with pytest.raises(DomainViolation, match=r"^phi must be positive, got -0.5$"):
                 fc.wk_residual_phi(prof, t, s)
         with pytest.raises(DomainViolation, match=r"^phi must be positive, got -0.5$"):
-            prof.jet(1.5, 0.15)
+            prof.smooth_jet(1.5, 0.15, 3)
         ts = np.array([0.2, 3.0])
         with pytest.raises(DomainViolation, match=r"^non-finite jet entry$"):
             fc.wk_residual_phi(prof, ts, 0.1 * ts)
@@ -516,9 +514,7 @@ class TestOracleChunks:
             c[2] = -0.5 + 0.0 * t
             return Jet2(order, c)
 
-        prof = fc.MetricProfile({"family": "synthetic"}, jet_fn,
-                                lambda t, s: 1.0 - 0.5 * s + 0.0 * t,
-                                lambda t, s: True, lambda t, s: True, (0.0, float("inf")))
+        prof = synthetic_profile(jet_fn, lambda t, s: 1.0 - 0.5 * s + 0.0 * t)
         z = np.array([[1.0, 0.5], [0.8, 0.6], [1.0, 1.0], [1.2, 0.3], [0.9, 0.2]]).T + 0j
         v = np.array([[0.3 + 0.2j, 1.0 - 0.4j]] * 5).T * np.array([1.0, 1.1, 0.9, 1.3, 0.7])
         samples = Samples(list(range(5)), z, v)

@@ -213,7 +213,7 @@ class TestSameDrawsAsTheScalarLoop:
         spec = fc.SampleSpec(n=3, count=30, seed=9, t_range=(0.1, 1.0))
         first_ts = [_reference_draw(_reference_stream(9, index), 3, spec.t_range, (0.1, 0.9),
                                     prof)[0].t for index in range(30)]
-        valid = prof._valid_fn
+        valid = prof.is_valid
 
         def predicate(t, s):
             high = np.asarray(t)[np.asarray(t) > 0.9]
@@ -221,7 +221,7 @@ class TestSameDrawsAsTheScalarLoop:
                 raise ValueError(f"no t above 0.9, got {float(high[0])!r}")
             return (np.asarray(t) >= 0.5) & valid(t, s)
 
-        monkeypatch.setattr(prof, "_valid_fn", predicate)
+        monkeypatch.setattr(prof, "is_valid", predicate)
         error = assert_same_as_reference(spec, prof)
         assert error.startswith("ValueError: no t above 0.9, got ")
         assert error != f"ValueError: no t above 0.9, got {next(t for t in first_ts if t > 0.9)!r}"

@@ -8,7 +8,7 @@ from finslercheck.errors import DegenerateK1, StencilOutsideDomain, ZeroVector
 from finslercheck.jets import Jet2
 from finslercheck.tensors import k_scalars, metric_scalars
 
-from conftest import CATALOG_NAMES, make_points
+from conftest import CATALOG_NAMES, make_points, synthetic_profile
 
 
 class TestInvariants:
@@ -172,10 +172,7 @@ class TestSpray:
             c[2] = -0.5
             return Jet2(order, c)
 
-        prof = fc.MetricProfile({"family": "synthetic"}, jet_fn,
-                                lambda t, s: 1.0 - 0.5 * s,
-                                lambda t, s: True, lambda t, s: True,
-                                (0.0, float("inf")))
+        prof = synthetic_profile(jet_fn, lambda t, s: 1.0 - 0.5 * s)
         with pytest.raises(DegenerateK1):
             k_scalars(prof, 2.0, 0.5)
 
