@@ -356,8 +356,7 @@ def wk_spray_identities_residual(profile: MetricProfile, t: float, s: float):
 def kahler_classify(profile: MetricProfile, pv: PointVector,
                     cfg: FDConfig | None = None,
                     levi: LeviData | None = None,
-                    spray: SprayData | None = None,
-                    max_columns=None) -> KahlerReport:
+                    spray: SprayData | None = None) -> KahlerReport:
     """Residuals of the three Kahler notions from the connection antisymmetry.
 
     strong : max |Gamma^a_{b;g} - Gamma^a_{g;b}|               / max|Gamma|
@@ -371,8 +370,7 @@ def kahler_classify(profile: MetricProfile, pv: PointVector,
     cfg = cfg or FDConfig()
     if levi is None:
         levi = levi_closed(profile, pv, cfg)
-    conn = connection_coefficients(profile, pv, cfg, levi=levi, spray=spray,
-                                   max_columns=max_columns)
+    conn = connection_coefficients(profile, pv, cfg, levi=levi, spray=spray)
     gamma = conn.gamma
     delta = gamma - np.swapaxes(gamma, -2, -1)
     tensor = (-3, -2, -1)

@@ -38,7 +38,10 @@ _INF = math.inf
 
 
 def _finite(*xs) -> bool:
-    return all(isinstance(x, (int, float)) and math.isfinite(x) for x in xs)
+    try:
+        return all(isinstance(x, (int, float)) and math.isfinite(x) for x in xs)
+    except OverflowError:       # an int beyond float range
+        return False
 
 
 # exp and pow of an array go through libm entry by entry: numpy's vectorised

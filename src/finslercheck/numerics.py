@@ -17,9 +17,9 @@ array ``w`` of shape (dim, m): ``w[a]`` is coordinate a at every point.  It
 returns its values with a trailing axis of length m, so shape (m,) for a
 scalar field and (k, m) or (k, l, m) for a vector or matrix field.  Each call
 of ``wirtinger_gradient``, ``wirtinger_second`` or ``wirtinger_mixed_hessian``
-builds every point it needs (all axes, all index pairs, all Richardson levels
-and, for the Hessian, the centre) and calls the field once, with each distinct
-point once.  A DomainViolation raised by the field becomes
+at one point builds every point it needs (all axes, all index pairs, all
+Richardson levels and, for the Hessian, the centre) and calls the field once,
+with each distinct point once.  A DomainViolation raised by the field becomes
 StencilOutsideDomain, and a non-finite value at any point raises
 NonFiniteEvaluation.  Each estimate is accumulated as acc = acc + w_k F_k in
 stencil order, so it carries the same bits as a point-by-point evaluation.
@@ -29,17 +29,19 @@ curvature and the connection coefficients differentiate.
 
 Base points.  The point of each derivative may be one point, shape (dim,),
 or B base points, the columns of a (dim, B) array.  Each base point keeps its
-own base step per coordinate, and all their stencils go to one field call of
-(dim, B * size) columns, base point by base point (``size`` columns each);
-the results then carry a leading axis of length B, and each base point's
-entries the bits of a call at that point alone.  ``max_columns`` splits the
-base points so that no field call exceeds that many columns (at least one
-base point per call).  The Hermitian-asymmetry and non-finite guards hold at
-every base point; the first base point that fails one raises.
-``wirtinger_mixed_hessian`` also takes ``carry``, values per base point that
-ride along below the stencil rows, unmoved, for fields that depend on more
-than the differentiated coordinates.  ``hermitian_inverse_det`` and
-``positive_definite`` take one matrix or a stack (B, n, n).
+own base step per coordinate, and their stencils go to the field base point
+by base point (``size`` columns each); the results then carry a leading axis
+of length B, and each base point's entries the bits of a call at that point
+alone.  The routines slice the base points by themselves and take no budget:
+the first field call takes one base point, and each later call as many as
+keep it within ``FIELD_VALUES`` values (columns times the values per column
+that the previous call returned), at least one.  The Hermitian-asymmetry
+and non-finite guards hold at every base point; the first base point that
+fails one raises.  ``wirtinger_mixed_hessian`` also takes ``carry``, values
+per base point that ride along below the stencil rows, unmoved, for fields
+that depend on more than the differentiated coordinates.
+``hermitian_inverse_det`` and ``positive_definite`` take one matrix or a
+stack (B, n, n).
 """
 
 from __future__ import annotations
@@ -72,6 +74,8 @@ __all__ = [
 DEFAULT_STEP = 1e-3
 DEFAULT_TOL_HERM = 1e-8
 DEFAULT_TOL_PD = 1e-12
+# field values per field call (columns x values per column): bounds a stencil's temporaries
+FIELD_VALUES = 4096
 
 
 @dataclass(frozen=True)
@@ -245,7 +249,7 @@ def _frozen(values, dtype) -> np.ndarray:
 
 
 def _estimates(field: Callable, points: np.ndarray, lines: tuple, cfg: FDConfig,
-               centre: bool = False, parts=None, carry=None, max_columns=None):
+               centre: bool = False, parts=None, carry=None):
     """Richardson-extrapolated stencil estimates along ``lines`` at the base points ``points``.
 
     A line is ``(stencil, axes)`` with one ``(coordinate, imaginary)`` axis per
@@ -253,17 +257,20 @@ def _estimates(field: Callable, points: np.ndarray, lines: tuple, cfg: FDConfig,
     columns (dim, B).  Returns the estimates, shape (B,) + the field's leading
     shape + (len(lines),), and the field's values at the base points (None
     unless ``centre``).  ``parts`` gives blocks of coordinates their own base
-    steps; ``carry`` (k, B) rides along below each stencil column; one field
-    call covers at most ``max_columns`` columns.
+    steps; ``carry`` (k, B) rides along below each stencil column.  The field
+    calls are sliced by ``FIELD_VALUES``.
     """
     plan = _plan(lines, cfg.richardson_levels, centre)
     h0 = _base_steps(points, cfg, parts)
-    total = points.shape[1]
-    per_call = total if max_columns is None else max(1, max_columns // plan.size)
-    calls = [_slice_estimates(field, points[:, k:k + per_call], h0[:, k:k + per_call],
-                              None if carry is None else carry[:, k:k + per_call],
-                              plan, len(lines), cfg, centre)
-             for k in range(0, total, per_call)]
+    calls, start, per_call = [], 0, 1
+    while start < points.shape[1]:
+        part = slice(start, start + per_call)
+        calls.append(_slice_estimates(field, points[:, part], h0[:, part],
+                                      None if carry is None else carry[:, part],
+                                      plan, len(lines), cfg, centre))
+        start += per_call
+        values = plan.size * int(np.prod(calls[-1][0].shape[1:-1]))
+        per_call = max(1, FIELD_VALUES // values)
     if len(calls) == 1:
         return calls[0]
     est, at_points = zip(*calls)
@@ -302,8 +309,7 @@ def _slice_estimates(field, points, h0, carry, plan, count, cfg, centre):
     return out, (values[..., -1] if centre else None)
 
 
-def wirtinger_gradient(field: Callable, point, cfg: FDConfig | None = None, parts=None,
-                       max_columns=None):
+def wirtinger_gradient(field: Callable, point, cfg: FDConfig | None = None, parts=None):
     """Holomorphic and anti-holomorphic first derivatives of ``field`` at ``point``.
 
     ``field`` follows the column contract of this module; a vector or matrix
@@ -319,7 +325,7 @@ def wirtinger_gradient(field: Callable, point, cfg: FDConfig | None = None, part
     points, lone = _as_points(point)
     lines = tuple((_D1, ((a, imaginary),))
                   for a in range(points.shape[0]) for imaginary in (False, True))
-    est, _ = _estimates(field, points, lines, cfg, parts=parts, max_columns=max_columns)
+    est, _ = _estimates(field, points, lines, cfg, parts=parts)
     dx, dy = est[..., 0::2], est[..., 1::2]
     holo = np.moveaxis(0.5 * (dx - 1j * dy), -1, 1)
     anti = np.moveaxis(0.5 * (dx + 1j * dy), -1, 1)
@@ -329,8 +335,7 @@ def wirtinger_gradient(field: Callable, point, cfg: FDConfig | None = None, part
 
 
 def wirtinger_second(field: Callable, point, i, j,
-                     conj_i: bool, conj_j: bool, cfg: FDConfig | None = None,
-                     max_columns=None):
+                     conj_i: bool, conj_j: bool, cfg: FDConfig | None = None):
     """Mixed second Wirtinger derivatives of a scalar field, selected by index and bar-flags.
 
     Returns ``d^2 field / d w_i^(ci) d w_j^(cj)`` where a True flag picks the
@@ -357,7 +362,7 @@ def wirtinger_second(field: Callable, point, i, j,
         else:
             parts.append((line(_D2_CROSS, ex_a, ex_b), line(_D2_CROSS, ey_a, ey_b),
                           line(_D2_CROSS, ex_a, ey_b), line(_D2_CROSS, ey_a, ex_b)))
-    est, _ = _estimates(field, points, tuple(lines), cfg, max_columns=max_columns)
+    est, _ = _estimates(field, points, tuple(lines), cfg)
     cxx, cyy, cxy, cyx = (est[..., np.reshape(k, ii.shape)] for k in zip(*parts))
     s1 = 1.0 if conj_i else -1.0
     s2 = 1.0 if conj_j else -1.0
@@ -368,7 +373,7 @@ def wirtinger_second(field: Callable, point, i, j,
 
 
 def wirtinger_mixed_hessian(field: Callable, point, cfg: FDConfig | None = None,
-                            carry=None, max_columns=None) -> np.ndarray:
+                            carry=None) -> np.ndarray:
     """Mixed Hessian H[a, b] ~ d^2 field / d w^a d wbar^b of a scalar field.
 
     For a real-valued field the result must be Hermitian; an asymmetry beyond
@@ -389,8 +394,7 @@ def wirtinger_mixed_hessian(field: Callable, point, cfg: FDConfig | None = None,
         ex_a, ey_a, ex_b, ey_b = (a, False), (a, True), (b, False), (b, True)
         lines += [(_D2_CROSS, (ex_a, ex_b)), (_D2_CROSS, (ey_a, ey_b)),
                   (_D2_CROSS, (ex_a, ey_b)), (_D2_CROSS, (ey_a, ex_b))]
-    est, at_points = _estimates(field, points, tuple(lines), cfg, centre=True,
-                                carry=carry, max_columns=max_columns)
+    est, at_points = _estimates(field, points, tuple(lines), cfg, centre=True, carry=carry)
     center = at_points.reshape(count)
     H = np.zeros((count, m, m), dtype=complex)
     diag = np.arange(m)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, EmptyAfterRejection, FinslerCheckError
+from .errors import ConfigError, EmptyAfterRejection
 from .profiles import MetricProfile, S_MIN_FRACTION
 from .tensors import PointVector, invariants
 
@@ -239,15 +239,7 @@ def sample_domain_detailed(spec: SampleSpec, profile: MetricProfile):
         raise ConfigError(
             f"t_range {t_range} leaves the profile validity interval {profile.t_interval}")
     indices = list(range(spec.count))
-    try:
-        z, v, reasons, attempts = _draw_indices(spec, t_range, profile, indices)
-    except (FinslerCheckError, ArithmeticError, ValueError):
-        # index by index, so that the error that escapes is the first in index order
-        parts = [_draw_indices(spec, t_range, profile, [index]) for index in indices]
-        z = np.concatenate([part[0] for part in parts])
-        v = np.concatenate([part[1] for part in parts])
-        reasons = [part[2][0] for part in parts]
-        attempts = sum(part[3] for part in parts)
+    z, v, reasons, attempts = _draw_indices(spec, t_range, profile, indices)
     accepted = [index for index, reason in zip(indices, reasons) if reason is None]
     rejections = [{"index": index, "reason": reason}
                   for index, reason in zip(indices, reasons) if reason is not None]

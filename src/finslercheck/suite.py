@@ -32,22 +32,6 @@ __all__ = ["SuiteConfig", "SuiteReport", "run_suite", "CHECK_NAMES",
 
 SCHEMA_VERSION = "1"
 
-TOLERANCES = {
-    "levi_oracle": 1e-6,
-    "determinant": 1e-8,
-    "pseudoconvexity": 0.0,      # boolean check: all samples must pass
-    "euler": 1e-8,
-    "nconn": 1e-6,
-    "spray_compat": 1e-6,
-    "wk_phi": 1e-8,
-    "wk_uw": 1e-8,
-    "lemma": 1e-8,
-    "k2k3": 1e-7,
-    "curvature": 1e-4,           # direct-vs-closed; tighter sub-tolerances below
-    "unitary": 1e-8,
-    "classify": 0.0,             # verdict-type, not pass/fail
-}
-
 CURVATURE_TOL_DIRECT = 1e-4      # |kf_direct - kf_closed| and |kf_direct - k|
 CURVATURE_TOL_WK = 1e-6          # |kf_closed - kf_wk| and |kf_* - k|
 CURVATURE_TOL_STD = 1e-8         # sample stddev of kf_closed on models
@@ -55,57 +39,7 @@ CLASSIFY_ZERO = 1e-6             # residual counts as vanishing
 CLASSIFY_NONZERO = 1e-3          # residual counts as bounded away from zero
 CLASSIFY_FRACTION = 0.9
 
-# the primary per-sample column each check contributes to the CSV
-CHECK_COLUMNS = {
-    "levi_oracle": "levi_oracle_dev",
-    "determinant": "det_dev",
-    "pseudoconvexity": "pseudoconvex_ok",
-    "euler": "euler_dev",
-    "nconn": "nconn_dev",
-    "spray_compat": "spray_compat_dev",
-    "wk_phi": "wk_phi_residual",
-    "wk_uw": "wk_uw_residual",
-    "lemma": "lemma_residual",
-    "k2k3": "k2k3_residual",
-    "curvature": "kf_closed",
-    "unitary": "unitary_dev",
-    "classify": "classify_weakly",
-}
-
-CHECK_NAMES = tuple(CHECK_COLUMNS)
-
-DEFAULT_CHECKS = CHECK_NAMES
 _UNITARY_SEED_SALT = 0x5EED
-
-
-@dataclass(frozen=True)
-class SuiteConfig:
-    """Profile descriptor + sampling + FD configuration + check selection."""
-
-    profile: dict
-    sample: SampleSpec
-    fd: FDConfig = FDConfig()
-    checks: tuple = DEFAULT_CHECKS
-    include_timestamp: bool = False
-
-    def __post_init__(self):
-        bad = [c for c in self.checks if c not in CHECK_COLUMNS]
-        if bad:
-            raise ConfigError(f"unknown checks {bad}; available: {sorted(CHECK_COLUMNS)}")
-        if not self.checks:
-            raise ConfigError("at least one check must be selected")
-
-
-@dataclass
-class SuiteReport:
-    schema_version: str
-    config: dict
-    records: list
-    rejections: list
-    aggregates: dict
-    criteria: dict
-    verdicts: dict
-    passed: bool
 
 
 class _Chunk:
@@ -157,8 +91,7 @@ class _Chunk:
     @cached_property
     def nconn_fd(self):
         """The FD oracle of the nonlinear connection, shared by ``nconn`` and ``spray_compat``."""
-        return tensors.nonlinear_connection_fd(self.profile, self.pv, self.cfg,
-                                               levi=self.levi, max_columns=FIELD_COLUMNS)
+        return tensors.nonlinear_connection_fd(self.profile, self.pv, self.cfg, levi=self.levi)
 
 
 # A check maps the chunk to its outputs: an array with one entry per sample
@@ -170,7 +103,7 @@ def _max_entry(x, axes=(-2, -1)):
 
 
 def _check_levi_oracle(ctx):
-    H = tensors.levi_oracle(ctx.profile, ctx.pv, ctx.cfg, max_columns=FIELD_COLUMNS)
+    H = tensors.levi_oracle(ctx.profile, ctx.pv, ctx.cfg)
     levi = ctx.levi.levi
     return {"levi_oracle_dev": _max_entry(levi - H) / np.maximum(_max_entry(levi), 1e-300)}
 
@@ -275,35 +208,68 @@ def _check_unitary(ctx):
 
 
 def _check_classify(ctx):
-    # the connection's field is the Levi matrix: n^2 values per column
-    rep = curv.kahler_classify(ctx.profile, ctx.pv, ctx.cfg, levi=ctx.levi, spray=ctx.spray,
-                               max_columns=FIELD_COLUMNS // ctx.pv.n ** 2)
+    rep = curv.kahler_classify(ctx.profile, ctx.pv, ctx.cfg, levi=ctx.levi, spray=ctx.spray)
     return {"classify_strong": rep.strong_residual,
             "classify_kahler": rep.kahler_residual,
             "classify_weakly": rep.weakly_residual}
 
 
+# name: (check, the primary per-sample column it contributes to the CSV, tolerance)
 _CHECKS = {
-    "levi_oracle": _check_levi_oracle,
-    "determinant": _check_determinant,
-    "pseudoconvexity": _check_pseudoconvexity,
-    "euler": _check_euler,
-    "nconn": _check_nconn,
-    "spray_compat": _check_spray_compat,
-    "wk_phi": _check_wk_phi,
-    "wk_uw": _check_wk_uw,
-    "lemma": _check_lemma,
-    "k2k3": _check_k2k3,
-    "curvature": _check_curvature,
-    "unitary": _check_unitary,
-    "classify": _check_classify,
+    "levi_oracle": (_check_levi_oracle, "levi_oracle_dev", 1e-6),
+    "determinant": (_check_determinant, "det_dev", 1e-8),
+    # boolean check: all samples must pass
+    "pseudoconvexity": (_check_pseudoconvexity, "pseudoconvex_ok", 0.0),
+    "euler": (_check_euler, "euler_dev", 1e-8),
+    "nconn": (_check_nconn, "nconn_dev", 1e-6),
+    "spray_compat": (_check_spray_compat, "spray_compat_dev", 1e-6),
+    "wk_phi": (_check_wk_phi, "wk_phi_residual", 1e-8),
+    "wk_uw": (_check_wk_uw, "wk_uw_residual", 1e-8),
+    "lemma": (_check_lemma, "lemma_residual", 1e-8),
+    "k2k3": (_check_k2k3, "k2k3_residual", 1e-7),
+    # direct-vs-closed; the tighter sub-tolerances are the CURVATURE_TOL_* above
+    "curvature": (_check_curvature, "kf_closed", 1e-4),
+    "unitary": (_check_unitary, "unitary_dev", 1e-8),
+    # verdict-type, not pass/fail
+    "classify": (_check_classify, "classify_weakly", 0.0),
 }
+
+CHECK_NAMES = tuple(_CHECKS)
+CHECK_COLUMNS = {name: column for name, (_, column, _) in _CHECKS.items()}
+TOLERANCES = {name: tol for name, (_, _, tol) in _CHECKS.items()}
 
 # samples per chunk: bounds the direct curvature's stencil, (n, 24 CHUNK) columns
 CHUNK = 128
-# columns per field call of a scalar FD oracle: bounds a stencil's temporaries
-# (the connection's Levi-matrix field, n^2 values per column, takes 1/n^2 of it)
-FIELD_COLUMNS = 4096
+
+
+@dataclass(frozen=True)
+class SuiteConfig:
+    """Profile descriptor + sampling + FD configuration + check selection."""
+
+    profile: dict
+    sample: SampleSpec
+    fd: FDConfig = FDConfig()
+    checks: tuple = CHECK_NAMES
+    include_timestamp: bool = False
+
+    def __post_init__(self):
+        bad = [c for c in self.checks if c not in _CHECKS]
+        if bad:
+            raise ConfigError(f"unknown checks {bad}; available: {sorted(_CHECKS)}")
+        if not self.checks:
+            raise ConfigError("at least one check must be selected")
+
+
+@dataclass
+class SuiteReport:
+    schema_version: str
+    config: dict
+    records: list
+    rejections: list
+    aggregates: dict
+    criteria: dict
+    verdicts: dict
+    passed: bool
 
 
 def _check_rows(ctx, checks):
@@ -314,7 +280,8 @@ def _check_rows(ctx, checks):
     pv = ctx.pv
     out = {"G": pv.r * ctx.profile.value(pv.t, pv.s)}
     for name in checks:
-        out.update(_CHECKS[name](ctx))
+        check, _, _ = _CHECKS[name]
+        out.update(check(ctx))
     values = [np.atleast_1d(col).tolist() for col in out.values()]
     return [{key: x for key, x in zip(out, row) if x is not None} for row in zip(*values)]
 
@@ -333,9 +300,12 @@ def _chunk_records(profile, indices, pv, config, unitary):
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             rows = _check_rows(_Chunk(profile, pv, config.fd, unitary), config.checks)
     except (FinslerCheckError, ArithmeticError, ValueError):
-        rows = [_check_rows(_Chunk(profile, PointVector(pv.z[:, k], pv.v[:, k]), config.fd,
-                                   unitary), config.checks)[0]
-                for k in range(len(indices))]
+        # the array-valued pieces of a lone sample stay silent; its floats
+        # raise as Python floats do
+        with np.errstate(all="ignore"):
+            rows = [_check_rows(_Chunk(profile, PointVector(pv.z[:, k], pv.v[:, k]),
+                                       config.fd, unitary), config.checks)[0]
+                    for k in range(len(indices))]
     records = []
     for index, row, t, s, r, pairing, z, v in zip(
             indices, rows, pv.t.tolist(), pv.s.tolist(), pv.r.tolist(), pv.pairing.tolist(),
@@ -462,18 +432,16 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
     criteria = {}
     verdicts = {}
     for name in config.checks:
+        _, column, tol = _CHECKS[name]
         if name == "classify":
             verdicts["classification"] = _classify_verdict(records)
-            criteria[name] = {"kind": "verdict", "passed": None,
-                              "column": CHECK_COLUMNS[name]}
+            criteria[name] = {"kind": "verdict", "passed": None, "column": column}
             continue
         if name == "curvature":
             passed, detail = _curvature_criterion(aggregates, records, model_k)
-            criteria[name] = {"kind": "criterion", "tolerance": TOLERANCES[name],
-                              "passed": passed, "detail": detail,
-                              "column": CHECK_COLUMNS[name]}
+            criteria[name] = {"kind": "criterion", "tolerance": tol,
+                              "passed": passed, "detail": detail, "column": column}
             continue
-        column = CHECK_COLUMNS[name]
         agg = aggregates.get(column)
         if agg is None:
             criteria[name] = {"kind": "criterion", "passed": False,
@@ -486,7 +454,6 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
                               "tolerance": "all samples strongly pseudo-convex",
                               "column": column}
         else:
-            tol = TOLERANCES[name]
             criteria[name] = {"kind": "criterion", "tolerance": tol,
                               "passed": bool(agg["max"] < tol), "column": column}
 

@@ -264,12 +264,12 @@ def levi_closed(profile: MetricProfile, pv: PointVector,
 
 
 def levi_oracle(profile: MetricProfile, pv: PointVector,
-                cfg: FDConfig | None = None, max_columns=None) -> np.ndarray:
+                cfg: FDConfig | None = None) -> np.ndarray:
     """Mixed Wirtinger Hessian of v -> r phi(t, s(v)): the Levi matrix oracle.
 
-    The whole stencil is one array evaluation of ``invariants`` and
+    Each field call is one array evaluation of ``invariants`` and
     ``profile.value``; no jet or chain-rule code is involved.  Over columns
-    the result is a stack (B, n, n), from one field call per ``max_columns``.
+    the result is a stack (B, n, n).
     """
     n = pv.n
 
@@ -278,7 +278,7 @@ def levi_oracle(profile: MetricProfile, pv: PointVector,
         r, t, s, _ = invariants(w[n:], w[:n])
         return r * profile.value(t, s)
 
-    return wirtinger_mixed_hessian(metric_sq, pv.v, cfg, carry=pv.z, max_columns=max_columns)
+    return wirtinger_mixed_hessian(metric_sq, pv.v, cfg, carry=pv.z)
 
 
 def det_closed(profile: MetricProfile, t, s, n: int):
@@ -395,15 +395,14 @@ def spray_coefficients(profile: MetricProfile, pv: PointVector,
 
 def nonlinear_connection_fd(profile: MetricProfile, pv: PointVector,
                             cfg: FDConfig | None = None,
-                            levi: LeviData | None = None, max_columns=None) -> np.ndarray:
+                            levi: LeviData | None = None) -> np.ndarray:
     """FD oracle for N^a_b: cross-block second Wirtinger derivatives of G.
 
     D[g, b] = d^2 G / d vbar^g d z^b is taken directly from the scalar field
     G(z, v) = r phi(t, s) on the joint 2n-dimensional point, all n^2 entries
     from one stencil evaluation, then contracted with the closed-form inverse
     Levi matrix.  ``levi``, the sample's ``levi_closed``, is built here when
-    not passed in.  Over columns the result is a stack (B, n, n), from one
-    field call per ``max_columns``.
+    not passed in.  Over columns the result is a stack (B, n, n).
     """
     cfg = cfg or FDConfig()
     n = pv.n
@@ -415,7 +414,7 @@ def nonlinear_connection_fd(profile: MetricProfile, pv: PointVector,
     joint = np.concatenate([pv.z, pv.v])
     index = np.arange(n)
     D = wirtinger_second(joint_metric, joint, n + index[:, None], index[None, :],
-                         conj_i=True, conj_j=False, cfg=cfg, max_columns=max_columns)
+                         conj_i=True, conj_j=False, cfg=cfg)
     if levi is None:
         levi = levi_closed(profile, pv, cfg)
     return levi.inverse @ D
@@ -424,8 +423,7 @@ def nonlinear_connection_fd(profile: MetricProfile, pv: PointVector,
 def connection_coefficients(profile: MetricProfile, pv: PointVector,
                             cfg: FDConfig | None = None,
                             levi: LeviData | None = None,
-                            spray: SprayData | None = None,
-                            max_columns=None) -> ConnectionData:
+                            spray: SprayData | None = None) -> ConnectionData:
     """Chern-Finsler connection coefficients Gamma^a_{b;g} and C^a_{b g}.
 
     The z- and v-derivatives of the closed-form Levi matrix are taken by
@@ -433,8 +431,7 @@ def connection_coefficients(profile: MetricProfile, pv: PointVector,
     (z, v); the horizontal derivative is delta/delta z^g = d/dz^g - N^m_g d/dv^m
     with the closed-form N.  ``levi`` and ``spray``, the sample's
     ``levi_closed`` and ``spray_coefficients``, are built here when not passed in.
-    Over columns gamma and cee are stacks (B, n, n, n), from one field call
-    per ``max_columns``.
+    Over columns gamma and cee are stacks (B, n, n, n).
     """
     cfg = cfg or FDConfig()
     if levi is None:
@@ -446,8 +443,7 @@ def connection_coefficients(profile: MetricProfile, pv: PointVector,
 
     # z and v keep their own base steps, as if differentiated one at a time
     dM, _ = wirtinger_gradient(lambda w: _levi_matrix(profile, w[:n], w[n:]),
-                               np.concatenate([pv.z, pv.v]), cfg, parts=(n, n),
-                               max_columns=max_columns)
+                               np.concatenate([pv.z, pv.v]), cfg, parts=(n, n))
     dMdz, dMdv = dM[..., :n, :, :], dM[..., n:, :, :]
     # dMdz[g][b, e] = d M[b, e] / d z^g ; horizontal correction subtracts N^m_g d/dv^m
     T = np.einsum('...gbe->...beg', dMdz) - np.einsum('...mg,...mbe->...beg', N, dMdv)

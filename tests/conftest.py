@@ -28,6 +28,12 @@ def make_points(profile, n=2, count=5, seed=7, t_range=None, s_range=(0.1, 0.9))
     return fc.sample_domain(spec, profile)
 
 
+def slice_counts(total, per_call):
+    """Base points per field call: one first, then ``per_call`` (at least one) at a time."""
+    per_call = max(1, per_call)
+    return [1] + [min(per_call, total - k) for k in range(1, total, per_call)]
+
+
 def synthetic_profile(jet, value):
     """A MetricProfile from a hand-written jet(t, s, order) and value(t, s), valid everywhere."""
     return fc.MetricProfile({"family": "synthetic"}, (0.0, math.inf), "synthetic profile",

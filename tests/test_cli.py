@@ -296,8 +296,11 @@ def invocations(draw):
 # a 1-D derivative overflowing far out, and a non-finite field value in n = 2
 @example(case=(["curvature", "--model", "k0", "--t-range", "0.0", "1e+300"], None))
 @example(case=(["classify", "--model", "k0", "--c=1e+300"], None))
+# a sample replayed alone, whose array pieces overflow, warns nothing
+@example(case=(["classify", "--model", "k0", "--c=1e+300", "--samples=3"], None))
 @settings(max_examples=80, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_malformed_input_exits_with_one_line(case, tmp_path_factory):
     argv, desc = case
     if desc is not None:

@@ -20,7 +20,7 @@ from finslercheck.sampling import Samples
 from finslercheck.suite import SuiteConfig, run_suite
 from finslercheck.tensors import _levi_matrix, _spray_vector, invariants, k_scalars
 
-from conftest import CATALOG_NAMES, make_points, synthetic_profile
+from conftest import CATALOG_NAMES, make_points, slice_counts, synthetic_profile
 
 M = 9
 
@@ -460,7 +460,7 @@ def run_cli(argv, capsys):
 
 
 class TestOracleChunks:
-    """The FD-oracle checks over a chunk, in slices of suite.FIELD_COLUMNS columns."""
+    """The FD-oracle checks over a chunk, each field call within numerics.FIELD_VALUES values."""
 
     @staticmethod
     def nconn_columns(prof, n):
@@ -472,12 +472,12 @@ class TestOracleChunks:
 
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_records_match_a_per_sample_run(self, n, monkeypatch, profiles):
-        # three samples per nconn field call, five per chunk: counts 1, budget - 1,
-        # budget, budget + 1 and CHUNK + 1 cross every seam
+        # one sample, then three, per nconn field call, five per chunk: counts 1,
+        # budget - 1, budget, budget + 1 and CHUNK + 1 cross every seam
         prof = profiles["wk-exp"]
         budget, chunk = 3, 5
         monkeypatch.setattr(suite, "CHUNK", chunk)
-        monkeypatch.setattr(suite, "FIELD_COLUMNS", budget * self.nconn_columns(prof, n))
+        monkeypatch.setattr(numerics, "FIELD_VALUES", budget * self.nconn_columns(prof, n))
         configs = [SuiteConfig(profile={"family": "wk-randers",
                                         "f": {"kind": "exp", "c": 1.0, "a": 1.0}},
                                sample=fc.SampleSpec(n=n, count=count, seed=20 + count))
@@ -485,13 +485,26 @@ class TestOracleChunks:
         calls = field_columns(monkeypatch)
         chunked = [run_suite(config) for config in configs]
         nconn = [size for name, size in calls if name == "nonlinear_connection_fd"]
-        assert max(nconn) == suite.FIELD_COLUMNS
+        assert max(nconn) == numerics.FIELD_VALUES
         per_sample_only(monkeypatch)
         for config, got in zip(configs, chunked):
             want = run_suite(config)
             assert len(got.records) == config.sample.count
             assert [repr(rec) for rec in got.records] == [repr(rec) for rec in want.records]
             assert repr(got) == repr(want)
+
+    def test_library_oracle_slices_by_itself(self, monkeypatch, profiles):
+        # no budget passed: more samples than one field call holds, each with its bits alone
+        prof = profiles["wk-exp"]
+        pvs = make_points(prof, n=3, count=30, seed=4)
+        calls = field_columns(monkeypatch)
+        H = fc.levi_oracle(prof, columns_of(pvs))
+        size = calls[0][1]
+        assert [columns for _, columns in calls] == \
+            [k * size for k in slice_counts(30, numerics.FIELD_VALUES // size)]
+        assert len(calls) > 2
+        for k, pv in enumerate(pvs):
+            assert np.array_equal(H[k], fc.levi_oracle(prof, pv))
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_stencil_leaving_the_ball_mid_chunk(self, n, monkeypatch, capsys):

@@ -77,6 +77,16 @@ def test_nonfinite_parameters_rejected():
         fc.Exponential(float("inf"))
 
 
+def test_ints_beyond_float_range_rejected():
+    # math.isfinite(10**400) overflows converting to float; the entry is simply invalid
+    with pytest.raises(InvalidCatalogEntry):
+        fc.Constant(10 ** 400)
+    with pytest.raises(InvalidCatalogEntry):
+        fc.Power(1.0, -10 ** 400)
+    with pytest.raises(InvalidCatalogEntry, match="model profile needs c > 0"):
+        fc.model_profile(4, 10 ** 400)
+
+
 def test_sum_interval_is_intersection():
     s = fc.SumFn([fc.Rational(4.0, -1.0), fc.Linear(1.0)])
     assert s.t_interval == (0.0, 2.0)

@@ -19,6 +19,8 @@ from finslercheck.errors import (
 )
 from finslercheck.numerics import FDConfig
 
+from conftest import slice_counts
+
 
 class TestWirtingerGradient:
     def test_bilinear_exact(self):
@@ -340,21 +342,23 @@ def base_points(count=7, seed=3):
 
 
 class TestBasePoints:
-    """(dim, B) base points: one stacked call, each base point's bits as alone."""
+    """(dim, B) base points: field calls within the budget, each base point's bits as alone."""
 
-    @pytest.mark.parametrize("max_columns", [None, 1, 100])
-    def test_each_base_point_as_alone(self, max_columns, monkeypatch):
+    @pytest.mark.parametrize("budget", [None, 1, 100])
+    def test_each_base_point_as_alone(self, budget, monkeypatch):
+        if budget is not None:
+            monkeypatch.setattr(numerics, "FIELD_VALUES", budget)
         points = base_points()
         calls = []
         evaluate = numerics._evaluate
         monkeypatch.setattr(numerics, "_evaluate",
                             lambda field, cols, **kw: (calls.append(cols.shape[1]),
                                                        evaluate(field, cols, **kw))[1])
-        holo, anti = fc.wirtinger_gradient(smooth_field, points, max_columns=max_columns)
+        holo, anti = fc.wirtinger_gradient(smooth_field, points)
         rows = np.arange(3)[:, None]
         second = fc.wirtinger_second(smooth_field, points, rows, rows.T, conj_i=True,
-                                     conj_j=False, max_columns=max_columns)
-        H = fc.wirtinger_mixed_hessian(smooth_field, points, max_columns=max_columns)
+                                     conj_j=False)
+        H = fc.wirtinger_mixed_hessian(smooth_field, points)
         assert holo.shape == anti.shape == (7, 3) and second.shape == H.shape == (7, 3, 3)
         sizes = calls[:]
         for k in range(7):
@@ -363,22 +367,21 @@ class TestBasePoints:
             assert np.array_equal(second[k], fc.wirtinger_second(
                 smooth_field, points[:, k], rows, rows.T, conj_i=True, conj_j=False))
             assert np.array_equal(H[k], fc.wirtinger_mixed_hessian(smooth_field, points[:, k]))
+        # one base point first, then as many as the budget holds (a scalar field
+        # gives one value per column), at least one
         per_point = calls[-3:]
-        if max_columns is None:
-            assert sizes == [7 * size for size in per_point]
-        else:
-            per_call = [max(1, max_columns // size) for size in per_point]
-            assert sizes == [min(step, 7 - k) * size
-                             for step, size in zip(per_call, per_point)
-                             for k in range(0, 7, step)]
+        assert sizes == [count * size for size in per_point
+                         for count in slice_counts(7, numerics.FIELD_VALUES // size)]
+        assert max(sizes) <= max(numerics.FIELD_VALUES, max(per_point))
 
-    def test_carry_rides_along(self):
+    def test_carry_rides_along(self, monkeypatch):
+        monkeypatch.setattr(numerics, "FIELD_VALUES", 90)
         points, weights = base_points(), np.array([[0.5, 1.0, 2.0, 1.5, 0.7, 3.0, 1.1]])
 
         def weighted(w):
             return w[3].real * smooth_field(w[:3])
 
-        H = fc.wirtinger_mixed_hessian(weighted, points, carry=weights, max_columns=90)
+        H = fc.wirtinger_mixed_hessian(weighted, points, carry=weights)
         for k in range(7):
             assert np.array_equal(H[k], fc.wirtinger_mixed_hessian(
                 lambda w: weights[0, k] * smooth_field(w), points[:, k]))

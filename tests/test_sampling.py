@@ -204,28 +204,6 @@ class TestSameDrawsAsTheScalarLoop:
         spec = fc.SampleSpec(count=10, seed=3, t_range=(0.5, 1.0))
         assert assert_same_as_reference(spec, prof).startswith("EmptyAfterRejection: ")
 
-    def test_same_error_from_the_same_index(self, monkeypatch):
-        # the predicate rejects t below 0.5 and raises, naming its t, above 0.9:
-        # the scalar loop raises at the first index whose attempts reach t > 0.9
-        # before 0.5 <= t <= 0.9, which here is not the first index whose first
-        # attempt has t > 0.9
-        prof = fc.model_profile(0, 1.0)
-        spec = fc.SampleSpec(n=3, count=30, seed=9, t_range=(0.1, 1.0))
-        first_ts = [_reference_draw(_reference_stream(9, index), 3, spec.t_range, (0.1, 0.9),
-                                    prof)[0].t for index in range(30)]
-        valid = prof.is_valid
-
-        def predicate(t, s):
-            high = np.asarray(t)[np.asarray(t) > 0.9]
-            if high.size:
-                raise ValueError(f"no t above 0.9, got {float(high[0])!r}")
-            return (np.asarray(t) >= 0.5) & valid(t, s)
-
-        monkeypatch.setattr(prof, "is_valid", predicate)
-        error = assert_same_as_reference(spec, prof)
-        assert error.startswith("ValueError: no t above 0.9, got ")
-        assert error != f"ValueError: no t above 0.9, got {next(t for t in first_ts if t > 0.9)!r}"
-
 
 def test_sample_columns_slice_into_point_vectors():
     prof = fc.model_profile(4, 1.0)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from finslercheck import curvature, suite, tensors
+from finslercheck import curvature, numerics, suite, tensors
 from finslercheck.cli import _SUBCOMMAND_CHECKS
 from finslercheck.curvature import _order1_jets
 from finslercheck.errors import DegenerateK1
@@ -13,7 +13,7 @@ from finslercheck.sampling import SampleSpec
 from finslercheck.suite import CHECK_NAMES, SuiteConfig, run_suite
 from finslercheck.tensors import _spray_scalars, k_scalars
 
-from conftest import CATALOG_NAMES, make_points
+from conftest import CATALOG_NAMES, make_points, slice_counts
 
 K4 = {"family": "model", "k": 4, "c": 1.0}
 RESIDUAL_CHECKS = _SUBCOMMAND_CHECKS["residual"]
@@ -83,26 +83,27 @@ class TestPerSampleWork:
         calls = field_columns(monkeypatch)
         run_k4(count=1)
         one = dict(calls)
-        # two samples per nconn call, so a chunk of 3 takes two; the others take
-        # what the same budget gives (the connection's Levi-matrix field gives
-        # n^2 = 4 values per column)
-        monkeypatch.setattr(suite, "FIELD_COLUMNS", 2 * one["nonlinear_connection_fd"])
+        # one sample, then two, per nconn call, so a chunk of 3 takes two; the
+        # others take what the same budget gives (the connection's Levi-matrix
+        # field gives n^2 = 4 values per column, so it takes a quarter)
+        monkeypatch.setattr(numerics, "FIELD_VALUES", 2 * one["nonlinear_connection_fd"])
         del calls[:]
         report = run_k4(count=7)
         assert report.records == whole.records
-        per_call = {"nonlinear_connection_fd": 2,
-                    "levi_oracle": suite.FIELD_COLUMNS // one["levi_oracle"],
-                    "connection_coefficients":
-                        suite.FIELD_COLUMNS // 4 // one["connection_coefficients"]}
-        assert min(per_call.values()) >= 1
+        values = {"nonlinear_connection_fd": 1, "levi_oracle": 1, "connection_coefficients": 4}
+        per_call = {name: numerics.FIELD_VALUES // k // one[name] for name, k in values.items()}
+        assert per_call["nonlinear_connection_fd"] == 2 and min(per_call.values()) >= 1
         for name, step in per_call.items():
-            sizes = [min(step, size - k) for size in (3, 3, 1) for k in range(0, size, step)]
-            assert [size for field, size in calls if field == name] == \
-                [k * one[name] for k in sizes], name
+            sizes = [size for field, size in calls if field == name]
+            assert sizes == [k * one[name] for size in (3, 3, 1)
+                             for k in slice_counts(size, step)], name
+            # within the budget, unless one base point alone exceeds it
+            assert all(size * values[name] <= numerics.FIELD_VALUES or size == one[name]
+                       for size in sizes), name
         # the direct curvature's one stencil at tau = 0 serves the whole chunk
         assert [size for field, size in calls if field == "holomorphic_curvature_direct"] == \
             [one["holomorphic_curvature_direct"]] * 3
-        assert len(calls) == sum(len(range(0, size, step)) for size in (3, 3, 1)
+        assert len(calls) == sum(len(slice_counts(size, step)) for size in (3, 3, 1)
                                  for step in per_call.values()) + 3
 
     def test_nconn_and_spray_compat_share_the_fd_connection(self, monkeypatch):

@@ -11,7 +11,8 @@ import finslercheck as fc
 from finslercheck import report
 from finslercheck.errors import ConfigError, ReportIOError
 from finslercheck.report import render_csv, render_json
-from finslercheck.suite import CHECK_NAMES, SuiteConfig, SuiteReport, run_suite
+from finslercheck.suite import (CHECK_COLUMNS, CHECK_NAMES, TOLERANCES, SuiteConfig,
+                               SuiteReport, run_suite)
 
 
 def small_config(profile_desc, checks, count=8, seed=42, **kw):
@@ -68,6 +69,24 @@ class TestRunSuite:
     def test_bad_profile_rejected(self):
         with pytest.raises(ConfigError):
             run_suite(small_config({"family": "nope"}, ("lemma",)))
+
+    def test_check_table_names_columns_and_tolerances(self):
+        # one table in suite gives the three public views, in the report's column order
+        assert list(CHECK_COLUMNS.items()) == [
+            ("levi_oracle", "levi_oracle_dev"), ("determinant", "det_dev"),
+            ("pseudoconvexity", "pseudoconvex_ok"), ("euler", "euler_dev"),
+            ("nconn", "nconn_dev"), ("spray_compat", "spray_compat_dev"),
+            ("wk_phi", "wk_phi_residual"), ("wk_uw", "wk_uw_residual"),
+            ("lemma", "lemma_residual"), ("k2k3", "k2k3_residual"),
+            ("curvature", "kf_closed"), ("unitary", "unitary_dev"),
+            ("classify", "classify_weakly")]
+        assert list(TOLERANCES.items()) == [
+            ("levi_oracle", 1e-6), ("determinant", 1e-8), ("pseudoconvexity", 0.0),
+            ("euler", 1e-8), ("nconn", 1e-6), ("spray_compat", 1e-6), ("wk_phi", 1e-8),
+            ("wk_uw", 1e-8), ("lemma", 1e-8), ("k2k3", 1e-7), ("curvature", 1e-4),
+            ("unitary", 1e-8), ("classify", 0.0)]
+        assert CHECK_NAMES == tuple(CHECK_COLUMNS) == tuple(TOLERANCES)
+        assert SuiteConfig.__dataclass_fields__["checks"].default == CHECK_NAMES
 
     def test_record_count_plus_rejections(self, flat_report):
         assert len(flat_report.records) + len(flat_report.rejections) == 8
