@@ -327,7 +327,7 @@ def holomorphic_curvature_direct(profile: MetricProfile, pv: PointVector,
         return _spray_vector(profile, zs.reshape(pv.n, -1), vs.reshape(pv.n, -1)).reshape(zs.shape)
 
     # anti[0] = sum_nu d(2GG^g)/dzbar^nu vbar^nu / scale_z, anti[1] the v-term / scale_v
-    _, anti = wirtinger_gradient(field, np.zeros(2, dtype=complex), cfg)
+    _, anti = wirtinger_gradient(field, np.zeros(2, dtype=complex), cfg, shape=spray0.shape)
     term1 = anti[0] * scale_z
     # with spray0 = 0 there is no v-transport at all
     term2 = np.where(np.any(spray0, axis=0), anti[1] * scale_v, 0.0)

@@ -14,8 +14,10 @@ the analytic jet machinery.
 
 Field contract.  A field takes m points at once, as the columns of a complex
 array ``w`` of shape (dim, m): ``w[a]`` is coordinate a at every point.  It
-returns its values with a trailing axis of length m, so shape (m,) for a
-scalar field and (k, m) or (k, l, m) for a vector or matrix field.  Each call
+returns its values in the shape the caller declares, with a trailing axis of
+length m: (m,) for the scalar fields of ``wirtinger_second`` and
+``wirtinger_mixed_hessian``, and ``shape + (m,)``, say (k, m) or (k, l, m),
+for ``wirtinger_gradient``'s ``shape=``; others raise ValueError.  Each call
 of ``wirtinger_gradient``, ``wirtinger_second`` or ``wirtinger_mixed_hessian``
 at one point builds every point it needs (all axes, all index pairs, all
 Richardson levels and, for the Hessian, the centre) and calls the field once,
@@ -33,13 +35,14 @@ own base step per coordinate, and their stencils go to the field base point
 by base point (``size`` columns each); the results then carry a leading axis
 of length B, and each base point's entries the bits of a call at that point
 alone.  The routines slice the base points by themselves and take no budget:
-the first field call takes one base point, and each later call as many as
-keep it within ``FIELD_VALUES`` values (columns times the values per column
-that the previous call returned), at least one.  The Hermitian-asymmetry
-and non-finite guards hold at every base point; the first base point that
-fails one raises.  ``wirtinger_mixed_hessian`` also takes ``carry``, values
-per base point that ride along below the stencil rows, unmoved, for fields
-that depend on more than the differentiated coordinates.
+each field call takes as many base points as keep it within ``FIELD_VALUES``
+values (``size`` times the declared values per column for each), at least
+one; zero base points give empty results and no field call.  The
+Hermitian-asymmetry and non-finite guards hold at every base point; the
+first base point that fails one raises.  ``wirtinger_mixed_hessian`` also
+takes ``carry``, values per base point that ride along below the stencil
+rows, unmoved, for fields that depend on more than the differentiated
+coordinates.
 ``hermitian_inverse_det`` and ``positive_definite`` take one matrix or a
 stack (B, n, n).
 """
@@ -48,6 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import prod
 from typing import Callable, Sequence
 
 import numpy as np
@@ -125,10 +129,11 @@ _D2_CROSS = _Stencil(tuple(wa * wb for wa in _D1.weights for wb in _D1.weights),
                      144.0, 2)
 
 
-def _evaluate(field: Callable, columns: np.ndarray, carry=None) -> np.ndarray:
-    """The field at the points ``columns`` (dim, m), policing domain and finiteness.
+def _evaluate(field: Callable, columns: np.ndarray, shape: tuple, carry=None) -> np.ndarray:
+    """The field at the points ``columns`` (dim, m), policing domain, finiteness and shape.
 
-    ``carry``, rows of m columns, goes to the field below the points.
+    ``shape`` is the field's value shape at one point; ``carry``, rows of m
+    columns, goes to the field below the points.
     """
     m = columns.shape[1]
     try:
@@ -142,9 +147,9 @@ def _evaluate(field: Callable, columns: np.ndarray, carry=None) -> np.ndarray:
         where = columns[:, int(np.argmin(per_point)) % m]
         where = np.array_repr(where, max_line_width=1 << 30)     # one line, as repr when short
         raise NonFiniteEvaluation(f"field returned non-finite value at stencil point {where}")
-    if values.shape[-1:] != (m,):
-        raise ValueError(f"field returned shape {values.shape} for {m} points; "
-                         "values need a trailing axis with one entry per point")
+    if values.shape != shape + (m,):
+        raise ValueError(f"field returned shape {values.shape} for {m} points, not "
+                         f"{shape + (m,)}: values need the value shape and a trailing axis")
     return values
 
 
@@ -163,25 +168,20 @@ def _richardson(values: Sequence):
     return vals[0]
 
 
-def _base_step(points: np.ndarray, cfg: FDConfig) -> np.ndarray:
-    """The base step of each base point, the columns of ``points`` (dim, B)."""
-    return cfg.step * np.maximum(1.0, np.max(np.abs(points), axis=0, initial=0.0))
-
-
 def _base_steps(points: np.ndarray, cfg: FDConfig, parts) -> np.ndarray:
-    """The base step of each coordinate at each base point, (dim, B).
+    """The base step of each coordinate at each base point, the columns of ``points`` (dim, B).
 
-    A coordinate takes the step of its block when ``parts`` splits the point.
+    Each block of coordinates that ``parts`` splits the point into (one block
+    when None) takes the step of its block, ``cfg.step * max(1, |block|_inf)``.
     """
     dim = points.shape[0]
-    if parts is None:
-        return np.broadcast_to(_base_step(points, cfg), points.shape)
+    parts = (dim,) if parts is None else parts
     if sum(parts) != dim or min(parts, default=1) < 1:
         raise ValueError(f"parts {tuple(parts)} do not split {dim} coordinates")
-    ends = np.cumsum(parts)
-    return np.concatenate([np.broadcast_to(_base_step(points[end - size:end], cfg),
-                                           (size, points.shape[1]))
-                           for size, end in zip(parts, ends)])
+    blocks = np.split(points, np.cumsum(parts)[:-1])
+    return np.concatenate([np.broadcast_to(
+        cfg.step * np.maximum(1.0, np.max(np.abs(block), axis=0, initial=0.0)), block.shape)
+        for block in blocks])
 
 
 def _as_points(point):
@@ -249,71 +249,60 @@ def _frozen(values, dtype) -> np.ndarray:
 
 
 def _estimates(field: Callable, points: np.ndarray, lines: tuple, cfg: FDConfig,
-               centre: bool = False, parts=None, carry=None):
+               shape: tuple = (), centre: bool = False, parts=None, carry=None):
     """Richardson-extrapolated stencil estimates along ``lines`` at the base points ``points``.
 
     A line is ``(stencil, axes)`` with one ``(coordinate, imaginary)`` axis per
     offset coordinate of the stencil.  ``points`` holds B base points as
-    columns (dim, B).  Returns the estimates, shape (B,) + the field's leading
-    shape + (len(lines),), and the field's values at the base points (None
-    unless ``centre``).  ``parts`` gives blocks of coordinates their own base
-    steps; ``carry`` (k, B) rides along below each stencil column.  The field
-    calls are sliced by ``FIELD_VALUES``.
+    columns (dim, B); ``shape`` is the field's value shape at one point.
+    Returns the estimates, shape (B,) + ``shape`` + (len(lines),), and the
+    field's values at the base points (None unless ``centre``).  ``parts``
+    gives blocks of coordinates their own base steps; ``carry`` (k, B) rides
+    along below each stencil column.  Each field call takes as many base
+    points as keep it within ``FIELD_VALUES`` values, at least one.
     """
     plan = _plan(lines, cfg.richardson_levels, centre)
-    h0 = _base_steps(points, cfg, parts)
-    calls, start, per_call = [], 0, 1
-    while start < points.shape[1]:
-        part = slice(start, start + per_call)
-        calls.append(_slice_estimates(field, points[:, part], h0[:, part],
-                                      None if carry is None else carry[:, part],
-                                      plan, len(lines), cfg, centre))
-        start += per_call
-        values = plan.size * int(np.prod(calls[-1][0].shape[1:-1]))
-        per_call = max(1, FIELD_VALUES // values)
-    if len(calls) == 1:
-        return calls[0]
-    est, at_points = zip(*calls)
-    return np.concatenate(est), (np.concatenate(at_points) if centre else None)
-
-
-def _slice_estimates(field, points, h0, carry, plan, count, cfg, centre):
-    """``_estimates`` at the base points ``points`` (dim, B), from one field call."""
-    (dim, b), size = points.shape, plan.size
-    columns = np.repeat(points[:, :, None], size, axis=2)
-    # p + (k h) e_a + (k' h) e_b with the bits of a point-by-point stencil
-    for at, coord, imaginary, multiple in plan.moves:
-        columns[coord, :, at] += (multiple[:, None] * h0[coord]) * _UNITS[imaginary][:, None]
-    values = _evaluate(field, columns.reshape(dim, b * size),
-                       carry=None if carry is None else np.repeat(carry, size, axis=1))
-    # (B,) + lead + (rows,): the stencil rows of each base point
-    values = np.moveaxis(values.reshape(values.shape[:-1] + (b, size)), -2, 0)[..., plan.inverse]
-
+    h0, size = _base_steps(points, cfg, parts), plan.size
     halvings = 2.0 ** np.arange(cfg.richardson_levels)
-    lead = values.shape[1:-1]
-    out = np.empty((b,) + lead + (count,), dtype=complex)
-    start = 0
-    for stencil, idx, first in plan.groups:
-        shape = (len(idx), len(halvings), len(stencil.weights))
-        width = shape[0] * shape[1] * shape[2]
-        block = values[..., start:start + width].reshape(values.shape[:-1] + shape)
-        start += width
-        acc = 0.0
-        for k, w in enumerate(stencil.weights):
-            acc = acc + w * block[..., k]
-        # each line's step at each level: h0 of its first coordinate / 2^level
-        # (only wirtinger_gradient takes parts, and its lines have one direction)
-        steps = (h0[first].T[:, :, None] / halvings).reshape((b,) + (1,) * len(lead) + shape[:2])
-        levels = acc / stencil.denominator(steps)
-        out[..., idx] = _richardson([levels[..., k] for k in range(len(halvings))])
-    return out, (values[..., -1] if centre else None)
+    out = np.empty(points.shape[1:] + shape + (len(lines),), dtype=complex)
+    at_points = np.empty(points.shape[1:] + shape, dtype=complex) if centre else None
+    per_call = max(1, FIELD_VALUES // (size * prod(shape)))
+    for start in range(0, points.shape[1], per_call):
+        part = slice(start, start + per_call)
+        columns, h = np.repeat(points[:, part, None], size, axis=2), h0[:, part]
+        # p + (k h) e_a + (k' h) e_b with the bits of a point-by-point stencil
+        for at, coord, imaginary, multiple in plan.moves:
+            columns[coord, :, at] += (multiple[:, None] * h[coord]) * _UNITS[imaginary][:, None]
+        carried = None if carry is None else np.repeat(carry[:, part], size, axis=1)
+        values = _evaluate(field, columns.reshape(len(points), -1), shape=shape, carry=carried)
+        # (b,) + shape + (rows,): the stencil rows of each base point of the slice
+        values = np.moveaxis(values.reshape(shape + (-1, size)), -2, 0)[..., plan.inverse]
+        row = 0
+        for stencil, idx, first in plan.groups:
+            dims = (len(idx), len(halvings), len(stencil.weights))
+            block = values[..., row:row + prod(dims)].reshape(values.shape[:-1] + dims)
+            row += prod(dims)
+            acc = 0.0
+            for k, w in enumerate(stencil.weights):
+                acc = acc + w * block[..., k]
+            # each line's step at each level: h0 of its first coordinate / 2^level
+            # (only wirtinger_gradient takes parts, and its lines have one direction)
+            steps = (h[first].T[:, :, None] / halvings).reshape(
+                (-1,) + (1,) * len(shape) + dims[:2])
+            levels = acc / stencil.denominator(steps)
+            out[part][..., idx] = _richardson([levels[..., k] for k in range(len(halvings))])
+        if centre:
+            at_points[part] = values[..., -1]
+    return out, at_points
 
 
-def wirtinger_gradient(field: Callable, point, cfg: FDConfig | None = None, parts=None):
+def wirtinger_gradient(field: Callable, point, cfg: FDConfig | None = None, parts=None,
+                       shape=()):
     """Holomorphic and anti-holomorphic first derivatives of ``field`` at ``point``.
 
-    ``field`` follows the column contract of this module; a vector or matrix
-    field is differentiated componentwise.  Returns ``(holo, anti)`` with
+    ``field`` follows the column contract of this module with values of
+    ``shape`` at one point; a vector or matrix field is differentiated
+    componentwise.  Returns ``(holo, anti)``, each (dim,) + ``shape``, with
     ``holo[a] ~ d field / d w^a`` and ``anti[a] ~ d field / d wbar^a``.  For a
     real-valued field ``anti = conj(holo)``.  ``parts``, block sizes summing to
     the dimension, gives each consecutive block of coordinates its own base
@@ -325,7 +314,7 @@ def wirtinger_gradient(field: Callable, point, cfg: FDConfig | None = None, part
     points, lone = _as_points(point)
     lines = tuple((_D1, ((a, imaginary),))
                   for a in range(points.shape[0]) for imaginary in (False, True))
-    est, _ = _estimates(field, points, lines, cfg, parts=parts)
+    est, _ = _estimates(field, points, lines, cfg, tuple(shape), parts=parts)
     dx, dy = est[..., 0::2], est[..., 1::2]
     holo = np.moveaxis(0.5 * (dx - 1j * dy), -1, 1)
     anti = np.moveaxis(0.5 * (dx + 1j * dy), -1, 1)
@@ -387,15 +376,14 @@ def wirtinger_mixed_hessian(field: Callable, point, cfg: FDConfig | None = None,
     points, lone = _as_points(point)
     m, count = points.shape
     if carry is not None:
-        carry = np.asarray(carry, dtype=complex).reshape(-1, count)
+        carry = np.asarray(carry, dtype=complex).reshape(len(carry), count)
     pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
     lines = [(_D2, ((a, imaginary),)) for a in range(m) for imaginary in (False, True)]
     for a, b in pairs:
         ex_a, ey_a, ex_b, ey_b = (a, False), (a, True), (b, False), (b, True)
         lines += [(_D2_CROSS, (ex_a, ex_b)), (_D2_CROSS, (ey_a, ey_b)),
                   (_D2_CROSS, (ex_a, ey_b)), (_D2_CROSS, (ey_a, ex_b))]
-    est, at_points = _estimates(field, points, tuple(lines), cfg, centre=True, carry=carry)
-    center = at_points.reshape(count)
+    est, center = _estimates(field, points, tuple(lines), cfg, centre=True, carry=carry)
     H = np.zeros((count, m, m), dtype=complex)
     diag = np.arange(m)
     H[:, diag, diag] = 0.25 * (est[:, 0:2 * m:2] + est[:, 1:2 * m:2])

@@ -141,11 +141,19 @@ class MetricProfile:
     def _guarded(self, t, s, order, region="validity"):
         """The derivatives fetched for ``order`` at (t, s), inside the ``region`` mask.
 
-        Raises DomainViolation naming the first (t, s) outside the region.
+        Raises DomainViolation naming the first (t, s) outside the region, and
+        at a point, naming (t, s) where the derivatives leave float range.
         """
         where = f"{region} region of {self._name}"
         _require(t, s, self._in_bounds(t, s), where)
-        d = self._fetch(t, order)
+        try:
+            d = self._fetch(t, order)
+        except ArithmeticError as exc:    # far out, before the guard reads them
+            if np.ndim(t) or np.ndim(s):
+                raise
+            _require(t, s, self._masks(t, s)[region != "smooth"], where)
+            raise DomainViolation(f"(t, s) = ({t}, {s}): the order-{order} derivatives of "
+                                  f"{self._name} leave float range ({exc})") from exc
         smooth, valid = self._positive(t, s, d)
         _require(t, s, smooth if region == "smooth" else valid, where)
         return d

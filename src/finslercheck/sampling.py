@@ -38,11 +38,14 @@ __all__ = ["SampleSpec", "Samples", "sample_domain", "sample_domain_detailed",
            "default_t_range", "seeded_unitary"]
 
 _MAX_ATTEMPTS = 64
+# the largest dimension: one pair's connection stencil, which no field-call
+# slice splits, holds about n^3 values (about 180 MB of peak memory at n = 32)
+MAX_N = 32
 
 
 @dataclass(frozen=True)
 class SampleSpec:
-    """What to draw: dimension, count, seed and the (t, s/t) windows."""
+    """What to draw: dimension (2 to ``MAX_N``), count, seed and the (t, s/t) windows."""
 
     n: int = 2
     count: int = 100
@@ -51,8 +54,8 @@ class SampleSpec:
     s_fraction_range: tuple[float, float] = (0.1, 0.9)
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ConfigError(f"dimension must be >= 2, got {self.n}")
+        if not 2 <= self.n <= MAX_N:
+            raise ConfigError(f"dimension must lie in [2, {MAX_N}], got {self.n}")
         if self.count < 1:
             raise ConfigError(f"count must be positive, got {self.count}")
         if not isinstance(self.seed, int):

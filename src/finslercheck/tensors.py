@@ -443,7 +443,7 @@ def connection_coefficients(profile: MetricProfile, pv: PointVector,
 
     # z and v keep their own base steps, as if differentiated one at a time
     dM, _ = wirtinger_gradient(lambda w: _levi_matrix(profile, w[:n], w[n:]),
-                               np.concatenate([pv.z, pv.v]), cfg, parts=(n, n))
+                               np.concatenate([pv.z, pv.v]), cfg, parts=(n, n), shape=(n, n))
     dMdz, dMdv = dM[..., :n, :, :], dM[..., n:, :, :]
     # dMdz[g][b, e] = d M[b, e] / d z^g ; horizontal correction subtracts N^m_g d/dv^m
     T = np.einsum('...gbe->...beg', dMdz) - np.einsum('...mg,...mbe->...beg', N, dMdv)

@@ -29,9 +29,9 @@ def make_points(profile, n=2, count=5, seed=7, t_range=None, s_range=(0.1, 0.9))
 
 
 def slice_counts(total, per_call):
-    """Base points per field call: one first, then ``per_call`` (at least one) at a time."""
+    """Base points per field call: ``per_call`` (at least one) at a time."""
     per_call = max(1, per_call)
-    return [1] + [min(per_call, total - k) for k in range(1, total, per_call)]
+    return [min(per_call, total - k) for k in range(0, total, per_call)]
 
 
 def synthetic_profile(jet, value):

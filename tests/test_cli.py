@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from finslercheck import cli, errors
+from finslercheck.sampling import MAX_N
 from finslercheck.suite import CHECK_NAMES
 
 BASE = [sys.executable, "-m", "finslercheck"]
@@ -196,6 +197,13 @@ def main_in_process(argv):
     return code, err.getvalue().splitlines()
 
 
+def test_dimension_above_the_bound_is_config_error():
+    code, lines = main_in_process(["verify", "--model", "k4", "--samples", "1",
+                                   "--n", str(MAX_N + 1)])
+    assert (code, lines) == (2, [f"configuration error: dimension must lie in [2, {MAX_N}], "
+                                 f"got {MAX_N + 1}"])
+
+
 def test_underflowing_randers_radicand_rejects_every_draw():
     # k = 0 with c = 1e-300: a * b = c^2 t s underflows, so no draw is valid
     code, lines = main_in_process(["verify", "--model", "k0", "--c", "1e-300", "--samples", "5"])
@@ -255,7 +263,8 @@ FLOATS = st.one_of(st.sampled_from([math.nan, math.inf, 0.0, -1.0, 1e-300, 1e300
                    st.floats(-2.0, 3.0).map(lambda x: round(x, 3)))
 OPTIONS = st.fixed_dictionaries({}, optional={
     "--samples": st.integers(-2, 3),           # at most 3 samples and n at most 8:
-    "--n": st.integers(-1, 8),                 # the stencils grow fast with n
+    # the stencils grow fast with n; an n above MAX_N exits 2 before sampling
+    "--n": st.one_of(st.integers(-1, 8), st.sampled_from([MAX_N + 1, 200, 10**9])),
     "--c": st.one_of(st.floats(), FLOATS),
     "--fd-step": st.one_of(st.floats(), FLOATS),
     "--fd-levels": st.integers(-1, 6),
@@ -298,6 +307,7 @@ def invocations(draw):
 @example(case=(["classify", "--model", "k0", "--c=1e+300"], None))
 # a sample replayed alone, whose array pieces overflow, warns nothing
 @example(case=(["classify", "--model", "k0", "--c=1e+300", "--samples=3"], None))
+@example(case=(["models", f"--n={10**9}"], None))
 @settings(max_examples=80, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -309,6 +319,8 @@ def test_malformed_input_exits_with_one_line(case, tmp_path_factory):
         argv = [str(path) if arg == PROFILE else arg for arg in argv]
     code, lines = main_in_process(argv)
     assert code in (0, 1, 2, 3)
+    if any(arg.startswith("--n=") and int(arg[4:]) > MAX_N for arg in argv):
+        assert code == 2
     if code in (2, 3):
         prefix = "configuration error: " if code == 2 else "numerical error: "
         assert len(lines) == 1 and lines[0].startswith(prefix), lines

@@ -472,7 +472,7 @@ class TestOracleChunks:
 
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_records_match_a_per_sample_run(self, n, monkeypatch, profiles):
-        # one sample, then three, per nconn field call, five per chunk: counts 1,
+        # three samples per nconn field call, five per chunk: counts 1,
         # budget - 1, budget, budget + 1 and CHUNK + 1 cross every seam
         prof = profiles["wk-exp"]
         budget, chunk = 3, 5
@@ -498,8 +498,9 @@ class TestOracleChunks:
         prof = profiles["wk-exp"]
         pvs = make_points(prof, n=3, count=30, seed=4)
         calls = field_columns(monkeypatch)
+        fc.levi_oracle(prof, pvs[0])
+        size = calls.pop()[1]
         H = fc.levi_oracle(prof, columns_of(pvs))
-        size = calls[0][1]
         assert [columns for _, columns in calls] == \
             [k * size for k in slice_counts(30, numerics.FIELD_VALUES // size)]
         assert len(calls) > 2

@@ -237,6 +237,11 @@ def smooth_field(w):
     return abs(w[0]) ** 2 * abs(w[1]) ** 2 + np.cos(w[2] + np.conj(w[2])).real
 
 
+def vector_field(w):
+    # d(w0 conj w1)/dw0 = conj(w1), d|w2|^2/dwbar2 = w2
+    return np.stack([w[0] * np.conj(w[1]), abs(w[2]) ** 2])
+
+
 class TestStencilEngine:
     """One field call per derivative request, with every stencil point policed."""
 
@@ -307,12 +312,8 @@ class TestStencilEngine:
             fc.wirtinger_gradient(smooth_field, point, parts=(1, 1))
 
     def test_vector_field_gradient_shape(self):
-        def field(w):
-            return np.stack([w[0] * np.conj(w[1]), abs(w[2]) ** 2])
-
-        holo, anti = fc.wirtinger_gradient(field, ENGINE_POINT)
+        holo, anti = fc.wirtinger_gradient(vector_field, ENGINE_POINT, shape=(2,))
         assert holo.shape == anti.shape == (3, 2)
-        # d(w0 conj w1)/dw0 = conj(w1), d|w2|^2/dwbar2 = w2
         assert abs(holo[0, 0] - np.conj(ENGINE_POINT[1])) < 1e-9
         assert abs(anti[2, 1] - ENGINE_POINT[2]) < 1e-9
 
@@ -331,6 +332,16 @@ class TestStencilEngine:
     def test_field_without_point_axis_is_rejected(self):
         with pytest.raises(ValueError, match="trailing axis"):
             fc.wirtinger_gradient(lambda w: 1.0, ENGINE_POINT)
+
+    @pytest.mark.parametrize("call", ENGINE_CALLS + [
+        lambda field, point: fc.wirtinger_gradient(field, point, shape=(3,)),
+        lambda field, point: fc.wirtinger_gradient(field, point, shape=(2, 1))],
+        ids=["gradient", "second", "hessian", "gradient-3", "gradient-2x1"])
+    def test_value_shape_other_than_declared_is_rejected(self, call):
+        # the vector field's values are (2, m): none of these calls declares (2,)
+        with pytest.raises(ValueError, match=r"for \d+ points, not \(.*\): values need the "
+                                             "value shape and a trailing axis"):
+            call(vector_field, ENGINE_POINT)
 
 
 def base_points(count=7, seed=3):
@@ -367,12 +378,23 @@ class TestBasePoints:
             assert np.array_equal(second[k], fc.wirtinger_second(
                 smooth_field, points[:, k], rows, rows.T, conj_i=True, conj_j=False))
             assert np.array_equal(H[k], fc.wirtinger_mixed_hessian(smooth_field, points[:, k]))
-        # one base point first, then as many as the budget holds (a scalar field
-        # gives one value per column), at least one
+        # as many base points as the budget holds (a scalar field gives one
+        # value per column), at least one
         per_point = calls[-3:]
         assert sizes == [count * size for size in per_point
                          for count in slice_counts(7, numerics.FIELD_VALUES // size)]
         assert max(sizes) <= max(numerics.FIELD_VALUES, max(per_point))
+
+    def test_zero_base_points_give_empty_results(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_evaluate", lambda *args, **kw: pytest.fail("field call"))
+        empty = np.zeros((3, 0), dtype=complex)
+        holo, anti = fc.wirtinger_gradient(vector_field, empty, shape=(2,))
+        rows = np.arange(3)[:, None]
+        second = fc.wirtinger_second(smooth_field, empty, rows, rows.T, conj_i=True,
+                                     conj_j=False)
+        H = fc.wirtinger_mixed_hessian(smooth_field, empty, carry=np.zeros((1, 0)))
+        assert holo.shape == anti.shape == (0, 3, 2)
+        assert second.shape == H.shape == (0, 3, 3)
 
     def test_carry_rides_along(self, monkeypatch):
         monkeypatch.setattr(numerics, "FIELD_VALUES", 90)

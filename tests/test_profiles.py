@@ -284,7 +284,7 @@ def _raises_domain_violation(evaluate) -> bool:
 def test_one_guard_for_every_method(name, profiles):
     prof = GUARDED[name] or profiles[name]
     # the guard reads f and f' only: at t = 1e-300 an order-3 jet's higher
-    # derivatives overflow, which the guard does not foresee, so it is left out
+    # derivatives overflow where the point may be valid (see below), so it is left out
     t, s = _predicate_points()
     points = [(a, b) for a, b in zip(t.tolist(), s.tolist()) if a != 1e-300]
     points += [(0.25, 0.2), (0.25, 0.4), (0.5, 0.2), (0.5, 0.4), (1.0, 0.5), (1.0, 0.5e-300)]
@@ -305,6 +305,18 @@ def test_one_guard_for_every_method(name, profiles):
         for evaluate in (lambda: prof.value(ts, ss), lambda: prof.raw_jet(ts, ss, 3)):
             with pytest.raises(DomainViolation, match=where):
                 evaluate()
+
+
+@pytest.mark.parametrize("name", ["wk-exp", "h-square", "model-k4", "model-k0", "model-km4"])
+@pytest.mark.parametrize("order", [2, 3])
+def test_lone_jet_at_extreme_t_raises_domain_violation(name, order, profiles):
+    # the higher derivatives leave float range before the guard reads them,
+    # also where the point is valid (wk-exp)
+    prof = profiles[name]
+    assert prof.is_valid(1e-300, 1e-301) is (name == "wk-exp")
+    for jet in (prof.raw_jet, prof.smooth_jet):
+        with pytest.raises(DomainViolation, match=r"^\(t, s\) = \(1e-300, 1e-301\)"):
+            jet(1e-300, 1e-301, order)
 
 
 def test_underflowing_radicand_is_outside_validity():

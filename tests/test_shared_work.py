@@ -83,9 +83,9 @@ class TestPerSampleWork:
         calls = field_columns(monkeypatch)
         run_k4(count=1)
         one = dict(calls)
-        # one sample, then two, per nconn call, so a chunk of 3 takes two; the
-        # others take what the same budget gives (the connection's Levi-matrix
-        # field gives n^2 = 4 values per column, so it takes a quarter)
+        # two samples per nconn call, so a chunk of 3 takes two calls; the others
+        # take what the same budget gives (the connection's Levi-matrix field
+        # gives n^2 = 4 values per column, so it takes a quarter)
         monkeypatch.setattr(numerics, "FIELD_VALUES", 2 * one["nonlinear_connection_fd"])
         del calls[:]
         report = run_k4(count=7)
