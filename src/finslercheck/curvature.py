@@ -33,11 +33,11 @@ Universal identities (no Kahler hypothesis), each exposed as a residual:
 Columns.  ``uw``, the residuals and the three curvatures take (t, s), or a
 ``PointVector``, at one point or at many: arrays of (t, s), or a
 ``PointVector`` of (n, m) columns.  Each entry of a result carries the bits of
-its point alone, and a guard that fails at any point fails the call
-(``curvature_report`` masks ``kf_wk`` instead).  An optional ``jet`` is the
-order-3 jet of phi at the point(s), taken when not passed in, so that a
-caller can share one between them; likewise the U/W data ``d`` of
-``wk_residual_uw`` and ``lemma_integrability_residual``.
+its point alone.  Guards take one path for both: one failing point fails the
+call as it fails alone (``curvature_report`` masks ``kf_wk`` instead).  An
+optional ``jet``, phi's order-3 jet at the point(s), and the U/W data ``d`` of
+``wk_residual_uw`` and ``lemma_integrability_residual`` are built when not
+passed in, so that a caller can share them.
 """
 
 from __future__ import annotations
@@ -50,12 +50,11 @@ from .errors import DegenerateUs, DomainViolation, NotWeaklyKahler
 from .functions1d import _pow_for
 from .jets import INDICES, Jet2
 from .numerics import FDConfig, wirtinger_gradient
-from .profiles import MetricProfile, _anywhere, _check_jet_entries, _holds
+from .profiles import MetricProfile, _check_jet_entries, _first
 from .tensors import (
     LeviData,
     PointVector,
     SprayData,
-    _first,
     _g_alpha,
     _spray,
     _spray_scalars,
@@ -121,7 +120,6 @@ class CurvatureReport:
     kf_direct: float
     kf_closed: float
     kf_wk: float | None
-    pairwise_dev: float
 
 
 def _phi_jet(profile: MetricProfile, t, s) -> Jet2:
@@ -163,19 +161,19 @@ def _uw_domain(profile, t, s):
 
 def _check_uw_domain(profile, t, s):
     margin, valid = _uw_domain(profile, t, s)
-    if not _holds(margin):
+    if not np.all(margin):
         t_at, s_at = _first(np.logical_not(margin), t, s)
         raise DomainViolation(
             f"U/W transform needs 0 < s <= (1 - 1e-6) t, got (t, s) = ({t_at}, {s_at})")
-    if not _holds(valid):
+    if not np.all(valid):
         t_at, s_at = _first(np.logical_not(valid), t, s)
         raise DomainViolation(f"(t, s) = ({t_at}, {s_at}) outside profile validity")
 
 
-def uw(profile: MetricProfile, t, s, jet: Jet2 | None = None) -> UWData:
+def uw(profile: MetricProfile, t, s) -> UWData:
     """U, W and their first partials at (t, s)."""
     _check_uw_domain(profile, t, s)
-    return _uw_data(jet if jet is not None else _phi_jet(profile, t, s), t, s)
+    return _uw_data(_phi_jet(profile, t, s), t, s)
 
 
 def _uw_data(j: Jet2, t, s) -> UWData:
@@ -205,23 +203,21 @@ def _uw_residual(d: UWData, t, s):
             - 2.0 * (d.U - s) * d.U_s)
 
 
-def wk_residual_uw(profile: MetricProfile, t, s, jet: Jet2 | None = None,
-                   d: UWData | None = None):
+def wk_residual_uw(profile: MetricProfile, t, s, d: UWData | None = None):
     """Left side of the weakly-Kahler equation in U, W (already scale-free).
 
     ``d``, when passed in, is ``uw(profile, t, s)``.
     """
-    return _uw_residual(d if d is not None else uw(profile, t, s, jet), t, s)
+    return _uw_residual(d if d is not None else uw(profile, t, s), t, s)
 
 
-def lemma_integrability_residual(profile: MetricProfile, t, s, jet: Jet2 | None = None,
-                                 d: UWData | None = None):
+def lemma_integrability_residual(profile: MetricProfile, t, s, d: UWData | None = None):
     """s (U_t + U_s) - s^2 (t-s) W_s - U; zero for every profile (phi_ts = phi_st).
 
     ``d``, when passed in, is ``uw(profile, t, s)``.
     """
     if d is None:
-        d = uw(profile, t, s, jet)
+        d = uw(profile, t, s)
     return s * (d.U_t + d.U_s) - s * s * (t - s) * d.W_s - d.U
 
 
@@ -274,11 +270,11 @@ def holomorphic_curvature_wk(profile: MetricProfile, pv: PointVector,
         jet = _phi_jet(profile, t, s)
     d = _uw_data(jet, t, s)
     residual, gated, degenerate = _wk_gate(d, t, s)
-    if _anywhere(gated):
+    if np.any(gated):
         (residual,) = _first(gated, residual)
         raise NotWeaklyKahler(
             f"weakly-Kahler residual {residual:.3e} exceeds gate {WK_RESIDUAL_GATE:.1e}")
-    if _anywhere(degenerate):
+    if np.any(degenerate):
         (U_s,) = _first(degenerate, d.U_s)
         raise DegenerateUs(f"U_s = {U_s} is degenerate")
     return _wk_formula(jet.value, d, t, s)
@@ -392,7 +388,7 @@ def kahler_classify(profile: MetricProfile, pv: PointVector,
 def curvature_report(profile: MetricProfile, pv: PointVector,
                      cfg: FDConfig | None = None,
                      jet: Jet2 | None = None, k=None) -> CurvatureReport:
-    """K_F by all applicable methods plus the maximal pairwise deviation.
+    """K_F by all applicable methods.
 
     The weakly-Kahler value is included only where the residual gate admits
     it.  For columns every field is an array, and ``kf_wk`` a masked array,
@@ -404,18 +400,11 @@ def curvature_report(profile: MetricProfile, pv: PointVector,
         jet = _phi_jet(profile, pv.t, pv.s)
     kf_closed = holomorphic_curvature_closed(profile, pv, jet)
     kf_direct = holomorphic_curvature_direct(profile, pv, cfg, k)
-    dev = abs(kf_direct - kf_closed)
     if isinstance(pv.t, np.ndarray):
         kf_wk = _wk_columns(profile, pv, jet)
-        dev_wk = np.maximum(dev, np.maximum(abs(kf_direct - kf_wk.data),
-                                            abs(kf_closed - kf_wk.data)))
-        dev = np.where(kf_wk.mask, dev, dev_wk)
     else:
         try:
             kf_wk = holomorphic_curvature_wk(profile, pv, jet)
         except (NotWeaklyKahler, DegenerateUs, DomainViolation):
             kf_wk = None
-        if kf_wk is not None:
-            dev = max(dev, abs(kf_direct - kf_wk), abs(kf_closed - kf_wk))
-    return CurvatureReport(kf_direct=kf_direct, kf_closed=kf_closed,
-                           kf_wk=kf_wk, pairwise_dev=dev)
+    return CurvatureReport(kf_direct=kf_direct, kf_closed=kf_closed, kf_wk=kf_wk)

@@ -25,17 +25,6 @@ _POS = {ij: k for k, ij in enumerate(INDICES)}
 _FACT = (1.0, 1.0, 2.0, 6.0)
 
 
-def _fails(guard) -> bool:
-    """A guard comparison failed: a bool at one point, or at some entry of an array.
-
-    The comparison itself tells floats from arrays, so the float path pays for
-    no type test.
-    """
-    if guard is True or guard is False:
-        return guard
-    return bool(guard.any())
-
-
 def _coefficient(x):
     return x if isinstance(x, np.ndarray) else float(x)
 
@@ -159,7 +148,8 @@ class Jet2:
             return self * (1.0 / other)
         u, v = self.c, other.c
         zero = v[0] == 0.0
-        if zero is not False and _fails(zero):
+        # the comparison tells floats from arrays: the float path skips np.any
+        if zero is not False and np.any(zero):
             raise ZeroDivisionError("jet division by a jet with zero value")
         w = [0.0] * len(u)
         w[0] = u[0] / v[0]
@@ -179,7 +169,7 @@ class Jet2:
         negative = u[0] <= 0.0
         if negative is False:
             root = math.sqrt(u[0])
-        elif _fails(negative):
+        elif np.any(negative):
             raise ValueError("jet sqrt of a non-positive value")
         else:
             root = np.sqrt(u[0])

@@ -21,10 +21,11 @@ the smooth region so they can report *why* a point fails validity.
 
 Each family writes its guard once (see ``MetricProfile``), and all five
 profile methods use it, fetch each 1-D derivative once per call (wk-randers
-derives g and h from f's) and take a point or arrays of (t, s).  Over arrays,
-one point outside the region rejects an evaluation with DomainViolation naming
-it.  ``value`` has no ``Jet2``: the FD oracles' field shares no code with the
-chain rule.
+derives g and h from f's) and take a point or arrays of (t, s).  The guards
+take one path for both, a point being 0-d: over arrays, one point outside the
+region, or whose derivatives leave float range, rejects an evaluation with the
+DomainViolation of that point alone.  ``value`` has no ``Jet2``: the FD
+oracles' field shares no code with the chain rule.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .functions1d import (
     function_from_descriptor,
     probe_positive,
 )
-from .jets import INDICES, Jet2
+from .jets import INDICES, NCOEF, Jet2
 
 __all__ = [
     "MetricProfile",
@@ -64,45 +65,41 @@ S_MIN_FRACTION = 1e-6
 _S_LE_T_SLACK = 1e-9
 
 
+def _first(fails, *values):
+    """``values`` as Python floats at the first point where the mask ``fails`` holds."""
+    fails, *values = np.broadcast_arrays(fails, *values)
+    return tuple(float(x.flat[np.argmax(fails)]) for x in values)
+
+
 def _check_jet_entries(entries):
     """Guards on phi's partials, phi first, at a point or at every column.
 
     Every entry must be finite and phi positive; otherwise DomainViolation, naming
     the first column where phi is not.
     """
-    if not all(_holds(np.isfinite(x)) for x in entries):
+    if not all(np.all(np.isfinite(x)) for x in entries):
         raise DomainViolation("non-finite jet entry")
     phi = entries[0]
-    positive = phi > 0.0
-    if not _holds(positive):
-        at = float(np.broadcast_to(phi, positive.shape).ravel()[np.argmin(positive)]) \
-            if isinstance(positive, np.ndarray) else phi
-        raise DomainViolation(f"phi must be positive, got {at}")
+    if np.any(phi <= 0.0):
+        raise DomainViolation(f"phi must be positive, got {_first(phi <= 0.0, phi)[0]}")
 
 
 def _s_in_bounds(t, s, s_min):
     return (s >= s_min) & (s <= t * (1.0 + _S_LE_T_SLACK) + 1e-300)
 
 
-def _holds(mask) -> bool:
-    """A guard holds: a bool at one point, or a numpy mask at every point of an array."""
-    return bool(mask.all()) if isinstance(mask, np.ndarray) else bool(mask)
-
-
-def _anywhere(mask) -> bool:
-    """A condition holds at one point (a bool) or at some point of an array (a mask)."""
-    return bool(mask.any()) if isinstance(mask, np.ndarray) else bool(mask)
-
-
 def _require(t, s, mask, region):
     """DomainViolation naming the first (t, s) where the guard ``mask`` fails, if it does."""
-    if _holds(mask):
-        return
-    if isinstance(mask, np.ndarray):
-        t, s, mask = np.broadcast_arrays(t, s, mask)
-        k = int(np.argmin(mask.ravel()))
-        t, s = float(t.ravel()[k]), float(s.ravel()[k])
-    raise DomainViolation(f"(t, s) = ({t}, {s}) outside {region}")
+    if not np.all(mask):
+        t, s = _first(np.logical_not(mask), t, s)
+        raise DomainViolation(f"(t, s) = ({t}, {s}) outside {region}")
+
+
+def _jet_order(order):
+    """``order`` if a Jet2 has it, else ValueError naming the orders it has."""
+    if order not in NCOEF or isinstance(order, float):
+        raise ValueError(f"jet order must be 1, 2 or 3, got {order!r}")
+    return order
 
 
 def _sqrt(x):
@@ -141,62 +138,74 @@ class MetricProfile:
     def _guarded(self, t, s, order, region="validity"):
         """The derivatives fetched for ``order`` at (t, s), inside the ``region`` mask.
 
-        Raises DomainViolation naming the first (t, s) outside the region, and
-        at a point, naming (t, s) where the derivatives leave float range.
+        Raises DomainViolation naming the first (t, s) outside the region or
+        whose derivatives leave float range, as that point alone would.
         """
         where = f"{region} region of {self._name}"
         _require(t, s, self._in_bounds(t, s), where)
         try:
-            d = self._fetch(t, order)
-        except ArithmeticError as exc:    # far out, before the guard reads them
-            if np.ndim(t) or np.ndim(s):
-                raise
-            _require(t, s, self._masks(t, s)[region != "smooth"], where)
-            raise DomainViolation(f"(t, s) = ({t}, {s}): the order-{order} derivatives of "
-                                  f"{self._name} leave float range ({exc})") from exc
+            # a Python float raises on x / 0; numpy then flags divide or invalid
+            with np.errstate(divide="raise", invalid="raise"):
+                d = self._fetch(t, order)
+        except ArithmeticError:    # far out, before the guard reads them
+            inside = self._masks(t, s)[region != "smooth"]
+            for a, b, ok in zip(*(x.ravel().tolist() for x in np.broadcast_arrays(t, s, inside))):
+                _require(a, b, ok, where)
+                try:
+                    self._fetch(a, order)
+                except ArithmeticError as exc:
+                    raise DomainViolation(f"(t, s) = ({a}, {b}): the order-{order} derivatives "
+                                          f"of {self._name} leave float range ({exc})") from exc
+            raise
         smooth, valid = self._positive(t, s, d)
         _require(t, s, smooth if region == "smooth" else valid, where)
         return d
 
     def _masks(self, t, s):
-        """(smooth, valid): bools at a point, masks at arrays, False at non-finite (t, s).
+        """(smooth, valid) masks over (t, s), 0-d at a point, False at non-finite (t, s).
 
         ``positive`` sees the points in bounds only, so 1-D derivatives are never
-        taken outside their interval; over arrays, like Python floats, it
-        overflows to inf without a floating-point warning.
+        taken outside their interval; like Python floats, it overflows to inf
+        without a floating-point warning.
         """
-        if not (isinstance(t, np.ndarray) or isinstance(s, np.ndarray)):
-            if not (math.isfinite(t) and math.isfinite(s) and self._in_bounds(t, s)):
-                return False, False
-            smooth, valid = self._positive(t, s, self._fetch(t, 0))
-            return bool(smooth), bool(valid)
         t, s = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(s, dtype=float))
-        inside = np.isfinite(t) & np.isfinite(s)
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        inside = np.array(np.isfinite(t) & np.isfinite(s))
+        with np.errstate(divide="raise", over="ignore", under="ignore", invalid="ignore"):
             inside[inside] = self._in_bounds(t[inside], s[inside])
             smooth, valid = inside.copy(), inside.copy()
             if inside.any():
-                t, s = t[inside], s[inside]
-                smooth[inside], valid[inside] = self._positive(t, s, self._fetch(t, 0))
+                smooth[inside], valid[inside] = self._fetched_positive(t[inside], s[inside])
         return smooth, valid
+
+    def _fetched_positive(self, t, s):
+        """``positive`` over 1-D (t, s), False where the order-0 derivatives leave float range."""
+        try:
+            return self._positive(t, s, self._fetch(t, 0))
+        except ArithmeticError:    # at some point: ask each point alone
+            if t.size == 1:
+                return False, False
+            alone = [self._fetched_positive(t[k:k + 1], s[k:k + 1]) for k in range(t.size)]
+            return tuple(np.hstack(mask) for mask in zip(*alone))
 
     def smooth_at(self, t, s):
         """True where the jet is evaluable (all pieces finite, sqrt args positive).
 
         At a point a bool; at arrays of (t, s) a mask, each entry the bool of its point.
         """
-        return self._masks(t, s)[0]
+        smooth = self._masks(t, s)[0]
+        return smooth if smooth.ndim else bool(smooth)
 
     def is_valid(self, t, s):
         """smooth_at plus the family's metric-positivity requirements, at a point or arrays."""
-        return self._masks(t, s)[1]
+        valid = self._masks(t, s)[1]
+        return valid if valid.ndim else bool(valid)
 
     def smooth_jet(self, t, s, order: int) -> Jet2:
         """Taylor jet on the smooth region at reduced order, its entries finite and phi > 0.
 
         At a point or at arrays of (t, s); used by diagnostics that report validity.
         """
-        j = self._jet(t, s, self._guarded(t, s, order, "smooth"), order)
+        j = self._jet(t, s, self._guarded(t, s, _jet_order(order), "smooth"), order)
         _check_jet_entries([j.partial(i, k) for i, k in INDICES if i + k <= order])
         return j
 
@@ -205,7 +214,7 @@ class MetricProfile:
 
         ``raw_jet(t, s, 3).partial(i, j)`` is the partial of phi i times in t, j times in s.
         """
-        return self._jet(t, s, self._guarded(t, s, order), order)
+        return self._jet(t, s, self._guarded(t, s, _jet_order(order)), order)
 
     def value(self, t, s):
         """phi(t, s) at a point, or at every point of broadcastable arrays t and s."""

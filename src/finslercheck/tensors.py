@@ -38,7 +38,7 @@ from .numerics import (
     wirtinger_mixed_hessian,
     wirtinger_second,
 )
-from .profiles import MetricProfile, _anywhere
+from .profiles import MetricProfile, _first
 
 __all__ = [
     "PointVector",
@@ -84,10 +84,10 @@ def invariants(z, v):
         r = r + (br * br + bi * bi)
         p_re = p_re + (ar * br - ai * -bi)
         p_im = p_im + (ar * -bi + ai * br)
-    if _anywhere(r == 0.0):
+    if np.any(r == 0.0):
         raise ZeroVector("tangent vector v must be nonzero")
     s = (p_re * p_re + p_im * p_im) / r
-    if _anywhere(s > t * (1.0 + 1e-9) + 1e-300):
+    if np.any(s > t * (1.0 + 1e-9) + 1e-300):
         raise ValueError(f"s exceeds t beyond rounding slack (s - t up to {np.max(s - t):.3e})")
     if isinstance(s, np.ndarray):
         return r, t, np.minimum(s, t), p_re + 1j * p_im
@@ -213,14 +213,6 @@ def _sum_rows(x):
     return np.sum(np.ascontiguousarray(x.T), axis=-1)
 
 
-def _first(mask, *values):
-    """``values`` at the first entry where ``mask`` holds (as they are for one point)."""
-    if not isinstance(mask, np.ndarray):
-        return values
-    at = int(np.argmax(mask))
-    return tuple(float(np.broadcast_to(x, mask.shape)[at]) for x in values)
-
-
 def _s_alpha(z, v, r, pairing):
     pw = _pow_for(r)
     return -np.conj(v) * pw(_abs(pairing), 2) / pw(r, 2) + pairing * np.conj(z) / r
@@ -330,7 +322,7 @@ def _spray_scalars(t, s, phi, phi_t, phi_s, phi_ts, phi_ss):
     head, k1 = _levi_head(t, s, phi, phi_s, phi_ss)
     k1_0, phi_0 = (k1.value, phi.value) if isinstance(phi, Jet2) else (k1, phi)
     degenerate = abs(k1_0) < K1_DEGENERACY * phi_0 * phi_0
-    if _anywhere(degenerate):
+    if np.any(degenerate):
         k1_at, phi_at = _first(degenerate, k1_0, phi_0)
         raise DegenerateK1(f"k1 = {k1_at} is degenerate relative to phi^2 = {phi_at * phi_at}")
     k2 = ((head + s * (t - s) * phi_ss) * (phi_t + phi_s)

@@ -212,6 +212,18 @@ def test_underflowing_randers_radicand_rejects_every_draw():
     assert "draws rejected" in lines[0]
 
 
+def test_overflowing_derivatives_reject_every_draw(tmp_path):
+    # f = t^-0.5: near t = 1e-300, f' = -t^-1.5 / 2 leaves float range, so no draw is valid
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps({"family": "hermitian",
+                                   "f": {"kind": "power", "c": 1.0, "p": -0.5}}))
+    code, lines = main_in_process(["verify", "--profile", str(profile),
+                                   "--t-range", "1e-300", "1e-299", "--samples", "3"])
+    assert code == 3
+    assert len(lines) == 1 and lines[0].startswith("numerical error: ")
+    assert lines[0].endswith("draws rejected")
+
+
 @pytest.mark.parametrize("desc, message", [
     ({"family": "model", "k": 4.5, "c": 1}, "model curvature must be +4, 0 or -4, got 4.5"),
     ({"family": "model", "k": "4", "c": 1}, "model curvature must be +4, 0 or -4, got '4'"),

@@ -1,5 +1,6 @@
 """Closed forms on stencil columns: the bits of the lone point, one field call per stencil."""
 
+import math
 import re
 import warnings
 
@@ -11,8 +12,10 @@ from finslercheck import cli as fc_cli
 from finslercheck import curvature, numerics, suite
 from finslercheck.errors import (
     DegenerateK1,
+    DegenerateUs,
     DomainViolation,
     FinslerCheckError,
+    NotWeaklyKahler,
     StencilOutsideDomain,
 )
 from finslercheck.jets import NCOEF, Jet2
@@ -231,7 +234,63 @@ class TestOneFieldCall:
         assert len(built) == 1
 
 
+def s_profile(derivs):
+    """A synthetic profile phi(s), from ``derivs(s)``: phi and its s-derivatives to order 3."""
+    def jet(t, s, order):
+        c = [0.0 * t] * NCOEF[order]
+        for j, d in enumerate(derivs(s)[: order + 1]):
+            c[(0, 2, 5, 9)[j]] = d / math.factorial(j) + 0.0 * t
+        return Jet2(order, c)
+
+    return synthetic_profile(jet, lambda t, s: derivs(s)[0])
+
+
+def pairs(t, s):
+    """Pairs (z, v) at n = 2 with invariants (t, s): one pair, or pairs as columns."""
+    t, s = np.asarray(t), np.asarray(s)
+    return fc.PointVector(np.array([np.sqrt(t), 0.0 * t]) + 0j,
+                          np.array([np.sqrt(s / t), np.sqrt(1.0 - s / t)]) + 0j)
+
+
+# phi = exp(-s): U_s = 1 - t + 2 s, and the weakly-Kahler residual is -U_s (s^3 - s)
+# on t = 1 + 2 s - U_s; 1e-10 off that line both the gate and U_s pass
+EXP_MINUS_S = s_profile(lambda s: (np.exp(-s), -np.exp(-s), np.exp(-s), -np.exp(-s)))
+NEAR_LINE = [1.0 + 2.0 * s - 1e-10 for s in (0.3, 0.4, 0.5, 0.6)]
+EXTREME = ([0.5, 0.6, 1e-300, 0.7], [0.1, 0.2, 1e-301, 0.3])
+
+# guard: (profile, evaluate(profile, t, s), ts, ss, error); the failing point is column 2
+GUARDS = {
+    "region": ("wk-exp", lambda p, t, s: p.raw_jet(t, s, 2),
+               [0.5, 0.6, 0.7, 0.8], [0.2, 0.3, 0.5e-6 * 0.7, 0.4], DomainViolation),
+    "phi": (s_profile(lambda s: (1.0 - s, -1.0, 0.0, 0.0)), fc.wk_residual_phi,
+            [2.0] * 4, [0.2, 0.5, 1.5, 0.7], DomainViolation),
+    "uw-margin": ("wk-exp", fc.uw, [0.5, 0.6, 0.7, 0.8], [0.2, 0.3, 0.7, 0.4], DomainViolation),
+    "uw-validity": ("wk-exp", fc.uw, [0.5, 0.6, 0.7, 0.8], [0.2, 0.3, 0.5e-6 * 0.7, 0.4],
+                    DomainViolation),
+    # k1 = 1 - t/2
+    "k1": (s_profile(lambda s: (1.0 - 0.5 * s, -0.5, 0.0, 0.0)), k_scalars,
+           [1.0, 0.5, 2.0, 3.0], [0.5] * 4, DegenerateK1),
+    "wk-gate": (EXP_MINUS_S, lambda p, t, s: fc.holomorphic_curvature_wk(p, pairs(t, s)),
+                NEAR_LINE[:2] + [1.0] + NEAR_LINE[3:], [0.3, 0.4, 0.5, 0.6], NotWeaklyKahler),
+    "us": (EXP_MINUS_S, lambda p, t, s: fc.holomorphic_curvature_wk(p, pairs(t, s)),
+           NEAR_LINE[:2] + [2.0] + NEAR_LINE[3:], [0.3, 0.4, 0.5, 0.6], DegenerateUs),
+    "extreme-t-region": (fc.hermitian_profile(fc.Power(1.0, -0.5)),
+                         lambda p, t, s: p.raw_jet(t, s, 3), *EXTREME, DomainViolation),
+    "extreme-t-fetch": ("wk-exp", lambda p, t, s: p.raw_jet(t, s, 3), *EXTREME, DomainViolation),
+}
+
+
 class TestDomainEdgesOnColumns:
+    @pytest.mark.parametrize("guard", list(GUARDS))
+    def test_a_failing_column_raises_as_that_point_alone(self, guard, profiles):
+        prof, evaluate, ts, ss, error = GUARDS[guard]
+        prof = profiles[prof] if isinstance(prof, str) else prof
+        alone = outcome(lambda: evaluate(prof, ts[2], ss[2]))
+        assert isinstance(alone, str) and alone.startswith(f"{error.__name__}: "), alone
+        assert outcome(lambda: evaluate(prof, np.array(ts), np.array(ss))) == alone
+        for t, s in ((ts[2], ss[2]), (math.nan, ss[2])):
+            assert type(prof.is_valid(t, s)) is bool and type(prof.smooth_at(t, s)) is bool
+
     def test_one_column_outside_the_ball(self):
         # k = -4, c = 1 lives on t < 1; with dz = v only the column tau_z = +2h leaves it
         prof = fc.model_profile(-4, 1.0)

@@ -307,16 +307,45 @@ def test_one_guard_for_every_method(name, profiles):
                 evaluate()
 
 
-@pytest.mark.parametrize("name", ["wk-exp", "h-square", "model-k4", "model-k0", "model-km4"])
+# f = t^-0.5: at t = 1e-300, f' = -t^-1.5 / 2 leaves float range inside the region
+INVERSE_SQRT = fc.hermitian_profile(fc.Power(1.0, -0.5))
+EXTREME_TS, EXTREME_SS = np.array([0.5, 0.6, 1e-300, 0.7]), np.array([0.1, 0.2, 1e-301, 0.3])
+
+
+@pytest.mark.parametrize("name", ["wk-exp", "h-square", "model-k4", "model-k0", "model-km4",
+                                  "h-inverse-sqrt"])
 @pytest.mark.parametrize("order", [2, 3])
 def test_lone_jet_at_extreme_t_raises_domain_violation(name, order, profiles):
     # the higher derivatives leave float range before the guard reads them,
-    # also where the point is valid (wk-exp)
-    prof = profiles[name]
+    # also where the point is valid (wk-exp); as a column among valid ones,
+    # the point raises the error it raises alone
+    prof = INVERSE_SQRT if name == "h-inverse-sqrt" else profiles[name]
     assert prof.is_valid(1e-300, 1e-301) is (name == "wk-exp")
     for jet in (prof.raw_jet, prof.smooth_jet):
-        with pytest.raises(DomainViolation, match=r"^\(t, s\) = \(1e-300, 1e-301\)"):
+        with pytest.raises(DomainViolation, match=r"^\(t, s\) = \(1e-300, 1e-301\)") as alone:
             jet(1e-300, 1e-301, order)
+        with pytest.raises(DomainViolation) as column:
+            jet(EXTREME_TS, EXTREME_SS, order)
+        assert str(column.value) == str(alone.value)
+
+
+def test_order0_derivatives_leaving_float_range_are_outside_validity():
+    prof = INVERSE_SQRT
+    assert prof.is_valid(1e-300, 1e-301) is False and prof.smooth_at(1e-300, 1e-301) is False
+    assert prof.is_valid(EXTREME_TS, EXTREME_SS).tolist() == [True, True, False, True]
+    assert prof.smooth_at(EXTREME_TS, EXTREME_SS).tolist() == [True, True, False, True]
+    for t, s in ((1e-300, 1e-301), (EXTREME_TS, EXTREME_SS)):
+        with pytest.raises(DomainViolation, match=r"^\(t, s\) = \(1e-300, 1e-301\) outside "
+                                                  r"validity region of hermitian profile$"):
+            prof.value(t, s)
+
+
+@pytest.mark.parametrize("order", [0, 4, -1, None, 2.0])
+def test_jet_order_outside_one_to_three_is_rejected(order, profiles):
+    prof = profiles["h-exp"]
+    for jet in (prof.raw_jet, prof.smooth_jet):
+        with pytest.raises(ValueError, match=r"^jet order must be 1, 2 or 3, got "):
+            jet(0.5, 0.1, order)
 
 
 def test_underflowing_radicand_is_outside_validity():
