@@ -28,6 +28,9 @@ PROFILES = {
                          "h_scale": 1.1},
     # f = e^{-3t}: valid for t < 1/3
     "hermitian-decay.json": {"family": "hermitian", "f": {"kind": "exp", "c": 1.0, "a": -3.0}},
+    # f = 1e-300 e^{70.9 t}: a t passes 709 inside the stencils near t = 10
+    "hermitian-exp-edge.json": {"family": "hermitian", "f": {"kind": "exp", "c": 1e-300,
+                                                            "a": 70.9}},
 }
 
 # (name, argv without --out, report format); every seed is fixed
@@ -77,6 +80,15 @@ INVOCATIONS = (
     ("curvature-km4-ball-edge", ("curvature", "--model", "km4", "--c", "1", "--n", "2",
                                  "--t-range", "0.9", "0.99999", "--samples", "50",
                                  "--seed", "3"), "json"),
+    # stencil exps above 709, taken by libm entry by entry: exit 1 (nconn and
+    # spray_compat fail, the step being coarse against e^{70.9 t}) ...
+    ("verify-hermitian-exp-edge", ("verify", "--profile", "hermitian-exp-edge.json",
+                                   "--t-range", "9.965", "9.97", "--n", "3",
+                                   "--samples", "20", "--seed", "41"), "json"),
+    # ... and past float range: exit 3, OverflowError replayed as a domain violation
+    ("verify-hermitian-exp-overflow", ("verify", "--profile", "hermitian-exp-edge.json",
+                                       "--t-range", "9.995", "10.0", "--n", "3",
+                                       "--samples", "20", "--seed", "41"), "json"),
 )
 
 # run inside the fresh interpreter: argv[1] is the source tree, argv[2] the

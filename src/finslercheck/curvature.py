@@ -336,13 +336,17 @@ def wk_spray_identities_residual(profile: MetricProfile, t: float, s: float):
     """(k1 - U_s phi^2, k2 - (W U_s - U W_s)/U_s, k3 - W_s/U_s).
 
     These hold for every unitary-invariant profile, with no Kahler hypothesis.
+    Over arrays t, s each residual is an array.  U_s is guarded before the
+    spray: k1 = U_s phi^2 degenerates with it.
     """
     _check_uw_domain(profile, t, s)
     j = _phi_jet(profile, t, s)
-    k1, k2, k3 = _spray_scalars(**_order1_jets(j, t, s))
     d = _uw_data(j, t, s)
-    if abs(d.U_s) < US_DEGENERACY:
-        raise DegenerateUs(f"U_s = {d.U_s} is degenerate")
+    degenerate = abs(d.U_s) < US_DEGENERACY
+    if np.any(degenerate):
+        (U_s,) = _first(degenerate, d.U_s)
+        raise DegenerateUs(f"U_s = {U_s} is degenerate")
+    k1, k2, k3 = _spray_scalars(**_order1_jets(j, t, s))
     r1 = k1.value - d.U_s * j.value * j.value
     r2 = k2.value - (d.W * d.U_s - d.U * d.W_s) / d.U_s
     r3 = k3.value - d.W_s / d.U_s

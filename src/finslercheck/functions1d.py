@@ -44,14 +44,22 @@ def _finite(*xs) -> bool:
         return False
 
 
-# exp and pow of an array go through libm entry by entry: numpy's vectorised
-# versions differ from it in the last ulp on a few percent of inputs, and an
-# array result must carry the same bits as the scalar one at each point
+# An array result must carry the same bits as the scalar one at each point.
+# numpy's real exp and pow differ from libm in the last ulp on a few percent
+# of inputs; the real part of its complex exp matches math.exp up to 709.0
+# (above, where cexp rescales, it does not), so exp takes one call below
+# 709.0 and libm entry by entry above it, and pow goes entry by entry
 
 def _exp(t):
-    if isinstance(t, np.ndarray):
-        return np.array([math.exp(x) for x in t.ravel().tolist()]).reshape(t.shape)
-    return math.exp(t)
+    if not isinstance(t, np.ndarray):
+        return math.exp(t)
+    z = t.astype(complex)
+    with np.errstate(all="ignore"):
+        out = np.exp(z, out=z).real
+    libm = ~(t <= 709.0)        # and nan
+    if libm.any():              # math.exp's OverflowError past 709.78
+        out[libm] = [math.exp(x) for x in t[libm].tolist()]
+    return out
 
 
 def _array_pow(x, p):
@@ -255,9 +263,7 @@ class Scaled(ScalarFunction1D):
 
 
 class _WkDerived(ScalarFunction1D):
-    """Common machinery for (t f' -+ f) / (2 t)."""
-
-    _sign = 0.0
+    """Common machinery for (t f' -+ f) / (2 t); ``_part`` picks g or h of ``_wk_pair``."""
 
     def __init__(self, base: ScalarFunction1D):
         self.base = base
@@ -270,29 +276,32 @@ class _WkDerived(ScalarFunction1D):
 
     def derivs(self, t, order):
         self._check_order(order)
-        return self.from_base(t, self.base.derivs(t, order + 1), order)
+        return _wk_pair(t, self.base.derivs(t, order + 1), order)[self._part]
 
-    def from_base(self, t, f, order):
-        """The derivatives to ``order`` from the base's, f = (f, f', ..., f^(order + 1)) at t."""
-        e = self._sign
-        pw = _pow_for(t)
-        out = [0.5 * f[1] + e * 0.5 * f[0] / t]
-        if order >= 1:
-            t2 = pw(t, 2)
-            out.append(0.5 * f[2] + e * (0.5 * f[1] / t - 0.5 * f[0] / t2))
-        if order >= 2:
-            t3 = pw(t, 3)
-            out.append(0.5 * f[3] + e * (0.5 * f[2] / t - f[1] / t2 + f[0] / t3))
-        if order >= 3:
-            out.append(0.5 * f[4] + e * (0.5 * f[3] / t - 1.5 * f[2] / t2
-                                         + 3.0 * f[1] / t3 - 3.0 * f[0] / pw(t, 4)))
-        return tuple(out)
+
+def _wk_pair(t, f, order):
+    """(g, h) = (a - b, a + b): the derivatives to ``order`` of (t f' -+ f) / (2 t).
+
+    f = (f, f', ..., f^(order + 1)) at t; g and h share each power of t.
+    """
+    pw = _pow_for(t)
+    a = [0.5 * f[k + 1] for k in range(order + 1)]
+    b = [0.5 * f[0] / t]
+    if order >= 1:
+        t2 = pw(t, 2)
+        b.append(0.5 * f[1] / t - 0.5 * f[0] / t2)
+    if order >= 2:
+        t3 = pw(t, 3)
+        b.append(0.5 * f[2] / t - f[1] / t2 + f[0] / t3)
+    if order >= 3:
+        b.append(0.5 * f[3] / t - 1.5 * f[2] / t2 + 3.0 * f[1] / t3 - 3.0 * f[0] / pw(t, 4))
+    return tuple(x - y for x, y in zip(a, b)), tuple(x + y for x, y in zip(a, b))
 
 
 class WkG(_WkDerived):
     """(t f'(t) - f(t)) / (2 t)."""
 
-    _sign = -1.0
+    _part = 0
 
     def descriptor(self):
         return {"kind": "wk-g", "base": self.base.descriptor()}
@@ -301,7 +310,7 @@ class WkG(_WkDerived):
 class WkH(_WkDerived):
     """(t f'(t) + f(t)) / (2 t)."""
 
-    _sign = 1.0
+    _part = 1
 
     def descriptor(self):
         return {"kind": "wk-h", "base": self.base.descriptor()}

@@ -43,6 +43,7 @@ from .functions1d import (
     WkG,
     WkH,
     _finite,
+    _wk_pair,
     function_from_descriptor,
     probe_positive,
 )
@@ -328,10 +329,10 @@ def wk_randers_profile(f: ScalarFunction1D, h_scale: float = 1.0) -> MetricProfi
     def derivs(t, order):
         # f's derivatives are fetched once and feed g and h too
         fd = f.derivs(t, order + 1)
-        hd = wk_h.from_base(t, fd, order)
+        gd, hd = _wk_pair(t, fd, order)
         if h is not wk_h:
             hd = tuple(h.factor * d for d in hd)
-        return fd[:order + 1], g.from_base(t, fd, order), hd
+        return fd[:order + 1], gd, hd
 
     descriptor = {"family": "wk-randers", "f": f.descriptor(), "h_scale": float(h_scale)}
     return randers_profile(f, g, h, descriptor=descriptor, derivs=derivs)

@@ -274,6 +274,9 @@ GUARDS = {
                 NEAR_LINE[:2] + [1.0] + NEAR_LINE[3:], [0.3, 0.4, 0.5, 0.6], NotWeaklyKahler),
     "us": (EXP_MINUS_S, lambda p, t, s: fc.holomorphic_curvature_wk(p, pairs(t, s)),
            NEAR_LINE[:2] + [2.0] + NEAR_LINE[3:], [0.3, 0.4, 0.5, 0.6], DegenerateUs),
+    "spray-identities-us": (EXP_MINUS_S, fc.wk_spray_identities_residual,
+                            NEAR_LINE[:2] + [2.0] + NEAR_LINE[3:], [0.3, 0.4, 0.5, 0.6],
+                            DegenerateUs),
     "extreme-t-region": (fc.hermitian_profile(fc.Power(1.0, -0.5)),
                          lambda p, t, s: p.raw_jet(t, s, 3), *EXTREME, DomainViolation),
     "extreme-t-fetch": ("wk-exp", lambda p, t, s: p.raw_jet(t, s, 3), *EXTREME, DomainViolation),
@@ -467,6 +470,9 @@ class TestSamplesAsColumns:
         for fn in (fc.wk_residual_phi, fc.wk_residual_uw, fc.lemma_integrability_residual,
                    fc.k2_k3_identity_residual):
             assert fn(prof, cols.t, cols.s).tolist() == [fn(prof, pv.t, pv.s) for pv in pvs]
+        singles = [fc.wk_spray_identities_residual(prof, pv.t, pv.s) for pv in pvs]
+        got = fc.wk_spray_identities_residual(prof, cols.t, cols.s)
+        assert [r.tolist() for r in got] == [list(r) for r in zip(*singles)]
 
     def test_phi_jet_guards_every_column(self):
         def jet_fn(t, s, order):
@@ -553,15 +559,16 @@ class TestOracleChunks:
             assert repr(got) == repr(want)
 
     def test_library_oracle_slices_by_itself(self, monkeypatch, profiles):
-        # no budget passed: more samples than one field call holds, each with its bits alone
+        # no budget passed: more samples than two field calls hold, each with its bits alone
         prof = profiles["wk-exp"]
-        pvs = make_points(prof, n=3, count=30, seed=4)
         calls = field_columns(monkeypatch)
-        fc.levi_oracle(prof, pvs[0])
+        fc.levi_oracle(prof, make_points(prof, n=3, count=1, seed=4)[0])
         size = calls.pop()[1]
+        per_call = numerics.FIELD_VALUES // size
+        pvs = make_points(prof, n=3, count=2 * per_call + 1, seed=4)
         H = fc.levi_oracle(prof, columns_of(pvs))
         assert [columns for _, columns in calls] == \
-            [k * size for k in slice_counts(30, numerics.FIELD_VALUES // size)]
+            [k * size for k in slice_counts(len(pvs), per_call)]
         assert len(calls) > 2
         for k, pv in enumerate(pvs):
             assert np.array_equal(H[k], fc.levi_oracle(prof, pv))

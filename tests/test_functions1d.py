@@ -7,7 +7,7 @@ import pytest
 
 import finslercheck as fc
 from finslercheck.errors import InvalidCatalogEntry
-from finslercheck.functions1d import function_from_descriptor
+from finslercheck.functions1d import _exp, function_from_descriptor
 
 
 def fd4(fn, t, h):
@@ -114,3 +114,44 @@ def test_array_derivs_match_scalar_bitwise(name, fn, ts):
         expected = fn.derivs(t, fn.max_order)
         assert [float(np.broadcast_to(d, arr.shape)[k]) for d in got] == list(expected)
     assert np.array_equal(fn.contains(arr), [fn.contains(t) for t in ts])
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def _libm_exp(t):
+    return np.array([math.exp(x) for x in np.ravel(t).tolist()]).reshape(np.shape(t))
+
+
+# dense grids over (-746, 709.78], subnormal results included, and the special values
+EXP_GRID = np.concatenate([np.linspace(-746.0, 709.78, 100_003),
+                           np.linspace(-746.0, -700.0, 20_001),
+                           np.linspace(-1.0, 1.0, 20_001),
+                           np.linspace(708.9, 709.78, 20_001),
+                           [0.0, -0.0, math.inf, -math.inf, math.nan, -744.44, -708.5]])
+
+
+@pytest.mark.parametrize("t", [EXP_GRID, np.stack([EXP_GRID, EXP_GRID[::-1]])], ids=["1d", "2d"])
+def test_exp_of_an_array_carries_libm_bits(t):
+    # one complex-exp call below 709.0 and libm above it
+    got = _exp(t)
+    assert got.shape == t.shape
+    assert np.array_equal(_bits(got), _bits(_libm_exp(t)))
+
+
+def test_exp_of_a_0d_array_is_a_0d_array_with_libm_bits():
+    for x in EXP_GRID[::997].tolist() + [-0.0, math.inf, -math.inf, math.nan, 709.5]:
+        got = _exp(np.array(x))
+        assert type(got) is np.ndarray and got.shape == ()
+        assert _bits(got) == _bits(math.exp(x))
+
+
+def test_exp_of_an_array_raises_as_libm_past_float_range():
+    with pytest.raises(OverflowError) as libm:
+        math.exp(710.0)
+    with pytest.raises(OverflowError) as info:
+        _exp(np.array([1.0, 710.0]))
+    assert str(info.value) == str(libm.value)
+    with pytest.raises(OverflowError):
+        _exp(np.array(709.79))

@@ -92,6 +92,23 @@ class TestWkRanders:
         g = fc.WkG(fc.Exponential(1.0))
         assert g.value(1.0) == pytest.approx(0.0, abs=1e-14)
 
+    @pytest.mark.parametrize("h_scale", [1.0, 1.1])
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_fetch_matches_separate_g_and_h(self, order, h_scale):
+        # one fetch of f feeds g and h, each power of t taken once, with the bits
+        # of separate WkG and WkH calls
+        f = fc.SumFn([fc.Exponential(1.0), fc.Rational(1.0, 1.0)])
+        fetch = fc.wk_randers_profile(f, h_scale)._fetch
+        g, h = fc.WkG(f), fc.Scaled(fc.WkH(f), h_scale)
+        for t in (0.7, np.array([0.3, 0.7, 1.9]), np.array([[0.5, 2.5]])):
+            fd, gd, hd = fetch(t, order)
+            assert len(gd) == len(hd) == order + 1
+            want = (f.derivs(t, order), g.derivs(t, order), h.derivs(t, order))
+            for got, expected in zip((fd, gd, hd), want):
+                for a, b in zip(got, expected):
+                    assert np.array_equal(np.asarray(a).view(np.int64),
+                                          np.asarray(b).view(np.int64))
+
     def test_excluded_case_inverse_t(self):
         # f = c/t makes t f' + f vanish identically: h has no positive values
         with pytest.raises(InvalidCatalogEntry):
