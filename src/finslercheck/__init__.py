@@ -19,7 +19,6 @@ from .curvature import (
     uw,
     wk_residual_phi,
     wk_residual_uw,
-    wk_spray_identities_residual,
 )
 from .errors import (
     ConfigError,

@@ -24,7 +24,8 @@ Three holomorphic-curvature evaluations are provided:
   -(2/phi){s(W_t + W_s) - s^2 (t-s) W_s^2 / U_s + W}, guarded by the
   residual of the weakly-Kahler equation at the same point.
 
-Universal identities (no Kahler hypothesis), each exposed as a residual:
+Universal identities (no Kahler hypothesis), proved for a generic phi in
+``tests/test_symbolic.py``; the first two are also exposed as residuals:
 
     s (U_t + U_s) = s^2 (t-s) W_s + U            (mixed-partial integrability)
     dk2/ds + U dk3/ds = 0
@@ -76,7 +77,6 @@ __all__ = [
     "holomorphic_curvature_direct",
     "holomorphic_curvature_closed",
     "holomorphic_curvature_wk",
-    "wk_spray_identities_residual",
     "kahler_classify",
     "curvature_report",
     "WK_RESIDUAL_GATE",
@@ -281,12 +281,15 @@ def holomorphic_curvature_wk(profile: MetricProfile, pv: PointVector,
 
 
 def _wk_columns(profile, pv, jet):
-    """The weakly-Kahler K_F over columns, masked where ``holomorphic_curvature_wk`` raises."""
+    """Weakly-Kahler K_F, masked (None at a lone pair) where ``holomorphic_curvature_wk`` raises."""
     t, s = pv.t, pv.s
     d = _uw_data(jet, t, s)
     margin, valid = _uw_domain(profile, t, s)
     _, gated, degenerate = _wk_gate(d, t, s)
-    applies = margin & valid & ~gated & ~degenerate
+    applies = margin & valid & np.logical_not(gated | degenerate)
+    if np.ndim(applies) == 0:
+        # a lone pair's floats raise where the formula does not apply (U_s = 0)
+        return _wk_formula(jet.value, d, t, s) if applies else None
     # masked columns may divide by a zero U_s
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return np.ma.masked_array(_wk_formula(jet.value, d, t, s), mask=~applies)
@@ -332,27 +335,6 @@ def holomorphic_curvature_direct(profile: MetricProfile, pv: PointVector,
     return value if isinstance(value, np.ndarray) else float(value)
 
 
-def wk_spray_identities_residual(profile: MetricProfile, t: float, s: float):
-    """(k1 - U_s phi^2, k2 - (W U_s - U W_s)/U_s, k3 - W_s/U_s).
-
-    These hold for every unitary-invariant profile, with no Kahler hypothesis.
-    Over arrays t, s each residual is an array.  U_s is guarded before the
-    spray: k1 = U_s phi^2 degenerates with it.
-    """
-    _check_uw_domain(profile, t, s)
-    j = _phi_jet(profile, t, s)
-    d = _uw_data(j, t, s)
-    degenerate = abs(d.U_s) < US_DEGENERACY
-    if np.any(degenerate):
-        (U_s,) = _first(degenerate, d.U_s)
-        raise DegenerateUs(f"U_s = {U_s} is degenerate")
-    k1, k2, k3 = _spray_scalars(**_order1_jets(j, t, s))
-    r1 = k1.value - d.U_s * j.value * j.value
-    r2 = k2.value - (d.W * d.U_s - d.U * d.W_s) / d.U_s
-    r3 = k3.value - d.W_s / d.U_s
-    return r1, r2, r3
-
-
 def kahler_classify(profile: MetricProfile, pv: PointVector,
                     cfg: FDConfig | None = None,
                     levi: LeviData | None = None,
@@ -395,20 +377,14 @@ def curvature_report(profile: MetricProfile, pv: PointVector,
     """K_F by all applicable methods.
 
     The weakly-Kahler value is included only where the residual gate admits
-    it.  For columns every field is an array, and ``kf_wk`` a masked array,
-    masked where ``holomorphic_curvature_wk`` would raise.  ``k``, the
-    ``k_scalars`` at the pair(s), is taken when not passed in.
+    it: where ``holomorphic_curvature_wk`` would raise, ``kf_wk`` is None at a
+    lone pair, and masked over columns, where every field is an array.  ``k``,
+    the ``k_scalars`` at the pair(s), is taken when not passed in.
     """
     cfg = cfg or FDConfig()
     if jet is None:
         jet = _phi_jet(profile, pv.t, pv.s)
     kf_closed = holomorphic_curvature_closed(profile, pv, jet)
     kf_direct = holomorphic_curvature_direct(profile, pv, cfg, k)
-    if isinstance(pv.t, np.ndarray):
-        kf_wk = _wk_columns(profile, pv, jet)
-    else:
-        try:
-            kf_wk = holomorphic_curvature_wk(profile, pv, jet)
-        except (NotWeaklyKahler, DegenerateUs, DomainViolation):
-            kf_wk = None
-    return CurvatureReport(kf_direct=kf_direct, kf_closed=kf_closed, kf_wk=kf_wk)
+    return CurvatureReport(kf_direct=kf_direct, kf_closed=kf_closed,
+                           kf_wk=_wk_columns(profile, pv, jet))

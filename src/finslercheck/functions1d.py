@@ -342,14 +342,14 @@ def function_from_descriptor(desc: dict) -> ScalarFunction1D:
         raise InvalidCatalogEntry(f"bad parameters for kind {kind!r}: {exc}") from exc
 
 
-def probe_positive(fn: ScalarFunction1D, strict: bool = True, points: int = 9) -> bool:
-    """Check f > 0 (or f >= 0 with some f > 0) on a probe grid of its interval."""
+def probe_positive(fn: ScalarFunction1D, strict: bool = True) -> bool:
+    """Check f > 0 (or f >= 0 with some f > 0) on a 9-point probe grid of its interval."""
     lo, hi = fn.t_interval
     lo = max(lo, 1e-9)
     hi = min(hi, max(10.0, 4.0 * lo))
     if lo >= hi:
         return False
-    ts = [lo + (hi - lo) * (k + 0.5) / points for k in range(points)]
+    ts = [lo + (hi - lo) * (k + 0.5) / 9 for k in range(9)]
     vals = [fn.value(t) for t in ts]
     if strict:
         return all(v > 0.0 for v in vals)

@@ -132,10 +132,6 @@ class MetricProfile:
         self._value = value
         self._jet = jet
 
-    @property
-    def family(self) -> str:
-        return self.descriptor["family"]
-
     def _guarded(self, t, s, order, region="validity"):
         """The derivatives fetched for ``order`` at (t, s), inside the ``region`` mask.
 
@@ -322,6 +318,8 @@ def wk_randers_profile(f: ScalarFunction1D, h_scale: float = 1.0) -> MetricProfi
     if f.max_order < 4:
         raise InvalidCatalogEntry(
             "wk-randers profile needs f with derivatives to order 4")
+    if isinstance(h_scale, bool) or not _finite(h_scale):
+        raise InvalidCatalogEntry(f"wk-randers profile needs a finite h_scale, got {h_scale!r}")
     g = WkG(f)
     wk_h = WkH(f)
     h = wk_h if h_scale == 1.0 else Scaled(wk_h, h_scale)
@@ -352,6 +350,8 @@ def model_profile(k: int, c: float) -> MetricProfile:
     if isinstance(k, bool) or k not in (4, 0, -4):
         raise InvalidCurvatureTag(f"model curvature must be +4, 0 or -4, got {k!r}")
     k = int(k)
+    if k != 0 and not 0.0 < float(c) * float(c) < math.inf:
+        raise InvalidCatalogEntry(f"model profile needs c^2 in float range for k = {k}, got {c!r}")
     # k = +4: t/(c^2 + t^2); k = -4: t/(c^2 - t^2)
     f = Linear(float(c)) if k == 0 else Rational(c * c, k / 4.0)
     profile = wk_randers_profile(f)

@@ -14,7 +14,7 @@ one finite difference, 1e-4 for the direct (FD-of-spray) curvature.
 from __future__ import annotations
 
 import datetime as _dt
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -199,10 +199,11 @@ def _rotate(unitary, x):
 
 def _check_unitary(ctx):
     pv = ctx.pv
-    base = tensors.metric_scalars(ctx.profile, pv.z, pv.v, ctx.cfg,
-                                  levi=ctx.levi, k=ctx.k, conds=ctx.conds)
-    moved = tensors.metric_scalars(ctx.profile, _rotate(ctx.unitary, pv.z),
-                                   _rotate(ctx.unitary, pv.v), ctx.cfg)
+    base = tensors._metric_scalars(ctx.levi, ctx.k, ctx.conds)
+    # built after the samples' pieces, so that the error metric_scalars would meet first escapes
+    turned = _Chunk(ctx.profile, PointVector(_rotate(ctx.unitary, pv.z),
+                                             _rotate(ctx.unitary, pv.v)), ctx.cfg, ctx.unitary)
+    moved = tensors._metric_scalars(turned.levi, turned.k, turned.conds)
     devs = [abs(base[key] - moved[key]) / np.maximum(abs(base[key]), 1.0) for key in base]
     return {"unitary_dev": np.max(devs, axis=0)}
 
@@ -333,12 +334,14 @@ def _aggregate(records, fields):
         if not vals:
             continue
         arr = np.asarray(vals, dtype=float)
-        out[name] = {
-            "count": int(arr.size),
-            "max": float(np.max(arr)),
-            "mean": float(np.mean(arr)),
-            "stddev": float(np.std(arr, ddof=1)) if arr.size > 1 else 0.0,
-        }
+        # a huge entry overflows the stddev to inf or nan: the report writer rejects it
+        with np.errstate(over="ignore", invalid="ignore"):
+            out[name] = {
+                "count": int(arr.size),
+                "max": float(np.max(arr)),
+                "mean": float(np.mean(arr)),
+                "stddev": float(np.std(arr, ddof=1)) if arr.size > 1 else 0.0,
+            }
     return out
 
 
@@ -412,9 +415,7 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
 
     spec = config.sample
     if spec.t_range is None:
-        spec = SampleSpec(n=spec.n, count=spec.count, seed=spec.seed,
-                          t_range=default_t_range(profile),
-                          s_fraction_range=spec.s_fraction_range)
+        spec = replace(spec, t_range=default_t_range(profile))
 
     samples, rejections = sample_domain_detailed(spec, profile)
     model_k = config.profile.get("k") if config.profile.get("family") == "model" else None

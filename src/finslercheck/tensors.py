@@ -444,19 +444,19 @@ def connection_coefficients(profile: MetricProfile, pv: PointVector,
     return ConnectionData(gamma=gamma, cee=cee)
 
 
-def metric_scalars(profile: MetricProfile, z, v, cfg: FDConfig | None = None,
-                   levi: LeviData | None = None, k=None, conds=None) -> dict:
-    """The scalar outputs at (z, v): G, det, k1, k2, k3, cond1, cond2.
-
-    All are invariant under a simultaneous unitary rotation of z and v.
-    ``levi``, the ``levi_closed`` at (z, v), ``k``, its ``k_scalars``, and
-    ``conds``, its ``pseudoconvexity_check``, are built here when not passed
-    in.  Over columns (n, B) every output has length B.
-    """
-    pv = PointVector(np.asarray(z), np.asarray(v))
-    if levi is None:
-        levi = levi_closed(profile, pv, cfg)
-    k1, k2, k3 = k if k is not None else k_scalars(profile, pv.t, pv.s)
-    cond1, cond2, _ = conds if conds is not None else pseudoconvexity_check(profile, pv.t, pv.s)
+def _metric_scalars(levi: LeviData, k, conds) -> dict:
+    """The outputs of ``metric_scalars`` from its ``levi_closed``, ``k_scalars`` and conditions."""
+    (k1, k2, k3), (cond1, cond2, _) = k, conds
     return {"G": levi.G, "det": levi.det, "k1": k1, "k2": k2, "k3": k3,
             "cond1": cond1, "cond2": cond2}
+
+
+def metric_scalars(profile: MetricProfile, z, v, cfg: FDConfig | None = None) -> dict:
+    """The scalar outputs at (z, v): G, det, k1, k2, k3, cond1, cond2.
+
+    All are invariant under a simultaneous unitary rotation of z and v.  Over
+    columns (n, B) every output has length B.
+    """
+    pv = PointVector(np.asarray(z), np.asarray(v))
+    return _metric_scalars(levi_closed(profile, pv, cfg), k_scalars(profile, pv.t, pv.s),
+                           pseudoconvexity_check(profile, pv.t, pv.s))

@@ -224,18 +224,47 @@ def test_overflowing_derivatives_reject_every_draw(tmp_path):
     assert lines[0].endswith("draws rejected")
 
 
+EXP = {"kind": "exp", "c": 1.0, "a": 1.0}
+
+
 @pytest.mark.parametrize("desc, message", [
     ({"family": "model", "k": 4.5, "c": 1}, "model curvature must be +4, 0 or -4, got 4.5"),
     ({"family": "model", "k": "4", "c": 1}, "model curvature must be +4, 0 or -4, got '4'"),
     ({"family": "model", "k": True, "c": 1}, "model curvature must be +4, 0 or -4, got True"),
     ({"family": "model", "k": 4, "c": True}, "model profile needs c > 0, got True"),
-], ids=["k-4.5", "k-string", "k-bool", "c-bool"])
+    ({"family": "model", "k": -4, "c": 1e-300},
+     "model profile needs c^2 in float range for k = -4, got 1e-300"),
+    ({"family": "wk-randers", "f": EXP, "h_scale": True},
+     "wk-randers profile needs a finite h_scale, got True"),
+    ({"family": "wk-randers", "f": EXP, "h_scale": math.inf},
+     "wk-randers profile needs a finite h_scale, got inf"),
+], ids=["k-4.5", "k-string", "k-bool", "c-bool", "c-squared", "h-scale-bool", "h-scale-inf"])
 def test_bad_model_descriptor_is_config_error(desc, message, tmp_path):
     profile = tmp_path / "profile.json"
     profile.write_text(json.dumps(desc))
     code, lines = main_in_process(["curvature", "--profile", str(profile), "--samples", "2"])
     assert code == 2
     assert lines == [f"configuration error: profile descriptor rejected: {message}"]
+
+
+@pytest.mark.parametrize("model, c", [("k4", "1e-300"), ("k4", "1e200"), ("km4", "1e-300")])
+def test_model_c_squared_out_of_float_range_is_config_error(model, c):
+    # c^2 underflows to 0 or overflows to inf; k = 0 reads c alone
+    k = {"k4": 4, "km4": -4}[model]
+    code, lines = main_in_process(["verify", "--model", model, "--c", c, "--samples", "2"])
+    assert (code, lines) == (2, ["configuration error: profile descriptor rejected: model "
+                                 f"profile needs c^2 in float range for k = {k}, got {float(c)!r}"])
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("step", ["1e-100", "1e-300"])
+def test_tiny_fd_step_is_one_line_numerical_error(step, fmt):
+    # the direct curvature's FD blows up; its stddev overflows quietly, and the
+    # writer rejects the non-finite aggregate
+    code, lines = main_in_process(["verify", "--model", "k4", "--fd-step", step,
+                                   "--samples", "2", "--format", fmt])
+    assert code == 3
+    assert len(lines) == 1 and lines[0].startswith("numerical error: non-finite number "), lines
 
 
 # --- fuzz: malformed descriptors and option values never escape as exceptions ---

@@ -274,9 +274,6 @@ GUARDS = {
                 NEAR_LINE[:2] + [1.0] + NEAR_LINE[3:], [0.3, 0.4, 0.5, 0.6], NotWeaklyKahler),
     "us": (EXP_MINUS_S, lambda p, t, s: fc.holomorphic_curvature_wk(p, pairs(t, s)),
            NEAR_LINE[:2] + [2.0] + NEAR_LINE[3:], [0.3, 0.4, 0.5, 0.6], DegenerateUs),
-    "spray-identities-us": (EXP_MINUS_S, fc.wk_spray_identities_residual,
-                            NEAR_LINE[:2] + [2.0] + NEAR_LINE[3:], [0.3, 0.4, 0.5, 0.6],
-                            DegenerateUs),
     "extreme-t-region": (fc.hermitian_profile(fc.Power(1.0, -0.5)),
                          lambda p, t, s: p.raw_jet(t, s, 3), *EXTREME, DomainViolation),
     "extreme-t-fetch": ("wk-exp", lambda p, t, s: p.raw_jet(t, s, 3), *EXTREME, DomainViolation),
@@ -470,9 +467,6 @@ class TestSamplesAsColumns:
         for fn in (fc.wk_residual_phi, fc.wk_residual_uw, fc.lemma_integrability_residual,
                    fc.k2_k3_identity_residual):
             assert fn(prof, cols.t, cols.s).tolist() == [fn(prof, pv.t, pv.s) for pv in pvs]
-        singles = [fc.wk_spray_identities_residual(prof, pv.t, pv.s) for pv in pvs]
-        got = fc.wk_spray_identities_residual(prof, cols.t, cols.s)
-        assert [r.tolist() for r in got] == [list(r) for r in zip(*singles)]
 
     def test_phi_jet_guards_every_column(self):
         def jet_fn(t, s, order):
@@ -491,6 +485,35 @@ class TestSamplesAsColumns:
         ts = np.array([0.2, 3.0])
         with pytest.raises(DomainViolation, match=r"^non-finite jet entry$"):
             fc.wk_residual_phi(prof, ts, 0.1 * ts)
+
+
+class TestLonePairWk:
+    """``curvature_report`` at a lone pair: kf_wk is None exactly where the wk formula raises."""
+
+    def test_none_where_the_wk_formula_raises(self, profiles):
+        perturbed = profiles["perturbed"]
+        for prof, pv, error in (
+                (profiles["model-k4"], pairs_at(0.8, [1.0 - 0.5e-6])[0], DomainViolation),
+                (perturbed, make_points(perturbed, count=1, seed=101)[0], NotWeaklyKahler)):
+            with pytest.raises(error):
+                fc.holomorphic_curvature_wk(prof, pv)
+            assert fc.curvature_report(prof, pv).kf_wk is None
+
+    def test_none_at_a_degenerate_us(self):
+        # k1 = U_s phi^2 degenerates with U_s, so curvature_report raises DegenerateK1
+        # from the closed form here; the piece that gives it kf_wk is taken alone
+        pv = pairs(2.0, 0.5)
+        with pytest.raises(DegenerateUs):
+            fc.holomorphic_curvature_wk(EXP_MINUS_S, pv)
+        jet = curvature._phi_jet(EXP_MINUS_S, pv.t, pv.s)
+        assert curvature._wk_columns(EXP_MINUS_S, pv, jet) is None
+
+    @pytest.mark.parametrize("name", ["model-k4", "model-km4", "wk-exp", "h-exp"])
+    def test_the_wk_formula_elsewhere(self, name, profiles):
+        prof = profiles[name]
+        for pv in make_points(prof, n=3, count=3, seed=23):
+            kf_wk = fc.curvature_report(prof, pv).kf_wk
+            assert type(kf_wk) is float and kf_wk == fc.holomorphic_curvature_wk(prof, pv)
 
 
 def field_columns(monkeypatch):

@@ -118,8 +118,12 @@ class TestUniversalIdentities:
     def test_spray_identities(self, name, profiles):
         prof = profiles[name]
         for pv in make_points(prof, count=5, seed=71):
-            r1, r2, r3 = fc.wk_spray_identities_residual(prof, pv.t, pv.s)
-            k1, _, _ = k_scalars(prof, pv.t, pv.s)
+            k1, k2, k3 = k_scalars(prof, pv.t, pv.s)
+            d = fc.uw(prof, pv.t, pv.s)
+            phi = prof.raw_jet(pv.t, pv.s, 3).value
+            r1 = k1 - d.U_s * phi * phi
+            r2 = k2 - (d.W * d.U_s - d.U * d.W_s) / d.U_s
+            r3 = k3 - d.W_s / d.U_s
             assert abs(r1) / max(1.0, abs(k1)) < 1e-7
             assert abs(r2) < 1e-7
             assert abs(r3) < 1e-7
@@ -132,10 +136,6 @@ class TestUniversalIdentities:
             d = fc.uw(prof, pv.t, pv.s)
             expected = -2.0 * (d.U - pv.s) / (pv.s * (d.U - pv.t))
             assert abs(k2 - expected) < 1e-7 * max(1.0, abs(k2))
-
-    def test_spray_identities_reject_zero_s(self, euclidean):
-        with pytest.raises(DomainViolation):
-            fc.wk_spray_identities_residual(euclidean, 1.0, 0.0)
 
 
 class TestCurvature:

@@ -149,8 +149,6 @@ class TestPerSampleWork:
             assert alone == shared
             assert (tensors.nonlinear_connection_fd(prof, pv)
                     == tensors.nonlinear_connection_fd(prof, pv, levi=levi)).all()
-            assert tensors.metric_scalars(prof, pv.z, pv.v) == \
-                tensors.metric_scalars(prof, pv.z, pv.v, levi=levi)
             jet = prof.raw_jet(pv.t, pv.s, 3)
             assert curvature.holomorphic_curvature_closed(prof, pv) == \
                 curvature.holomorphic_curvature_closed(prof, pv, jet)
