@@ -31,6 +31,9 @@ PROFILES = {
     # f = 1e-300 e^{70.9 t}: a t passes 709 inside the stencils near t = 10
     "hermitian-exp-edge.json": {"family": "hermitian", "f": {"kind": "exp", "c": 1e-300,
                                                             "a": 70.9}},
+    # h just off the wk value: the wk formula applies at some samples and not at others
+    "wk-exp-h1.0000001.json": {"family": "wk-randers", "f": {"kind": "exp", "c": 1.0, "a": 1.0},
+                               "h_scale": 1.0000001},
 }
 
 # (name, argv without --out, report format); every seed is fixed
@@ -59,6 +62,10 @@ INVOCATIONS = (
                       "--samples", "40", "--seed", "22"), "json"),
     ("curvature-km4", ("curvature", "--model", "km4", "--c", "2.0", "--n", "2",
                        "--samples", "40", "--seed", "23"), "json"),
+    ("curvature-k4-n3-csv", ("curvature", "--model", "k4", "--n", "3"), "csv"),
+    # records with and without kf_wk in one chunk
+    ("curvature-wk-exp-h1.0000001", ("curvature", "--profile", "wk-exp-h1.0000001.json",
+                                     "--n", "2", "--samples", "60", "--seed", "7"), "json"),
     ("models", ("models", "--n", "2", "--samples", "20", "--seed", "31"), "json"),
     ("residual-wk-exp", ("residual", "--profile", "wk-exp.json", "--n", "3",
                          "--samples", "200", "--seed", "41"), "json"),

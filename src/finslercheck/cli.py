@@ -16,6 +16,7 @@ error, 3 numerical or I/O error.  The machine-readable report goes to --out
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -155,9 +156,13 @@ def _run_models(args, checks) -> int:
     return 0 if all(report.passed for report in reports.values()) else 1
 
 
+# one parser per process: a parser per call leaves reference cycles that only
+# the cyclic collector frees, and it runs seldom when a run allocates few objects
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     run = _run_models if args.command == "models" else _run_single
     try:
         return run(args, _SUBCOMMAND_CHECKS[args.command])

@@ -14,6 +14,7 @@ one finite difference, 1e-4 for the direct (FD-of-spray) curvature.
 from __future__ import annotations
 
 import datetime as _dt
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 
@@ -27,7 +28,7 @@ from .profiles import profile_from_descriptor
 from .sampling import SampleSpec, default_t_range, sample_domain_detailed, seeded_unitary
 from .tensors import PointVector, _abs, _cmul, _matvec, _sum_rows
 
-__all__ = ["SuiteConfig", "SuiteReport", "run_suite", "CHECK_NAMES",
+__all__ = ["SuiteConfig", "SuiteReport", "Records", "run_suite", "CHECK_NAMES",
            "CHECK_COLUMNS", "TOLERANCES", "SCHEMA_VERSION"]
 
 SCHEMA_VERSION = "1"
@@ -96,7 +97,8 @@ class _Chunk:
 
 # A check maps the chunk to its outputs: an array with one entry per sample
 # (a masked entry is left out of that sample's record), or one value for a
-# lone sample.  Matrices come as stacks (B, n, n), vectors as columns (n, B).
+# lone sample (None is left out).  Matrices come as stacks (B, n, n), vectors
+# as columns (n, B).
 
 def _max_entry(x, axes=(-2, -1)):
     return np.max(np.abs(x), axis=axes)
@@ -183,13 +185,10 @@ def _check_k2k3(ctx):
 
 def _check_curvature(ctx):
     rep = curv.curvature_report(ctx.profile, ctx.pv, ctx.cfg, ctx.jet, ctx.k)
-    out = {"kf_closed": rep.kf_closed, "kf_direct": rep.kf_direct,
-           "kf_dev_direct": abs(rep.kf_direct - rep.kf_closed)}
-    # over columns kf_wk is masked, never None; masked entries are left out of the records
-    if rep.kf_wk is not None:
-        out["kf_wk"] = rep.kf_wk
-        out["kf_dev_wk"] = abs(rep.kf_closed - rep.kf_wk)
-    return out
+    # kf_wk is masked over columns, None at a lone sample, where the wk formula does not apply
+    return {"kf_closed": rep.kf_closed, "kf_direct": rep.kf_direct,
+            "kf_dev_direct": abs(rep.kf_direct - rep.kf_closed), "kf_wk": rep.kf_wk,
+            "kf_dev_wk": None if rep.kf_wk is None else abs(rep.kf_closed - rep.kf_wk)}
 
 
 def _rotate(unitary, x):
@@ -261,11 +260,57 @@ class SuiteConfig:
             raise ConfigError("at least one check must be selected")
 
 
+class Records(Sequence):
+    """A run's per-sample records as columns; the record dicts are built when first read.
+
+    Row k of ``values`` holds sample k's index, n, t, s, r, pairing, z, v (re,
+    im of each entry), G and check ``fields``; ``present`` marks what it holds.
+    """
+
+    def __init__(self, n, fields, values, present):
+        self.n, self.fields, self.values, self.present = n, tuple(fields), values, present
+
+    def layout(self):
+        """(key, first column, shape) of each record key, in record order."""
+        n, cut = self.n, 8 + 4 * self.n
+        return ([("index", 0, ()), ("n", 1, ()), ("t", 2, ()), ("s", 3, ()), ("r", 4, ()),
+                 ("pairing", 5, (2,)), ("G", cut - 1, ()), ("z", 7, (n, 2)),
+                 ("v", 7 + 2 * n, (n, 2))]
+                + [(key, cut + j, ()) for j, key in enumerate(self.fields)])
+
+    def column(self, key):
+        """The present entries of check field ``key`` as one array, in sample order."""
+        j = 8 + 4 * self.n + self.fields.index(key)
+        return self.values[self.present[:, j], j]
+
+    @cached_property
+    def _rows(self):
+        n, cut = self.n, 8 + 4 * self.n
+        return [{"index": int(row[0]), "n": n, "t": row[2], "s": row[3], "r": row[4],
+                 "pairing": row[5:7], "G": row[cut - 1],
+                 "z": [row[j:j + 2] for j in range(7, 7 + 2 * n, 2)],
+                 "v": [row[j:j + 2] for j in range(7 + 2 * n, cut - 1, 2)],
+                 **{key: x for key, x, p in zip(self.fields, row[cut:], mask[cut:]) if p}}
+                for row, mask in zip(self.values.tolist(), self.present.tolist())]
+
+    def __len__(self):
+        return len(self.values)
+
+    def __getitem__(self, k):
+        return self._rows[k]
+
+    def __eq__(self, other):
+        return self._rows == (other._rows if isinstance(other, Records) else other)
+
+    def __repr__(self):
+        return repr(self._rows)
+
+
 @dataclass
 class SuiteReport:
     schema_version: str
     config: dict
-    records: list
+    records: Sequence
     rejections: list
     aggregates: dict
     criteria: dict
@@ -273,22 +318,28 @@ class SuiteReport:
     passed: bool
 
 
-def _check_rows(ctx, checks):
-    """G and the outputs of ``checks`` at each sample of ``ctx``: a list of dicts, keys in order.
+def _check_rows(ctx, checks, sample=None):
+    """G and the outputs of ``checks``: keys, and values and presence with a row per sample.
 
-    Masked entries are left out.
+    At a lone sample of index ``sample``, an ``ArithmeticError`` is raised again naming it.
     """
     pv = ctx.pv
     out = {"G": pv.r * ctx.profile.value(pv.t, pv.s)}
     for name in checks:
-        check, _, _ = _CHECKS[name]
-        out.update(check(ctx))
-    values = [np.atleast_1d(col).tolist() for col in out.values()]
-    return [{key: x for key, x in zip(out, row) if x is not None} for row in zip(*values)]
+        try:
+            out.update(_CHECKS[name][0](ctx))
+        except ArithmeticError as exc:
+            if sample is None:
+                raise
+            where = f"check {name} at sample {sample}, (t, s) = ({pv.t}, {pv.s})"
+            raise type(exc)(f"{where}: {exc}") from exc
+    cols = [np.ma.masked if x is None else x for x in out.values()]
+    return (tuple(out), np.column_stack([np.ma.getdata(x) for x in cols]),
+            np.column_stack([~np.ma.getmaskarray(x) for x in cols]))
 
 
 def _chunk_records(profile, indices, pv, config, unitary):
-    """The records of a chunk of samples, the columns of ``pv``, in sample order.
+    """The check fields, and ``Records`` values and presence, of the samples ``pv`` holds.
 
     Every check runs over the whole chunk at once.  When that raises, the
     chunk runs again sample by sample, each sample alone, check by check in
@@ -299,41 +350,30 @@ def _chunk_records(profile, indices, pv, config, unitary):
         # a floating-point event the per-sample floats would raise on, or
         # pass silently, sends the chunk the per-sample way too
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            rows = _check_rows(_Chunk(profile, pv, config.fd, unitary), config.checks)
+            keys, checked, present = _check_rows(_Chunk(profile, pv, config.fd, unitary),
+                                                 config.checks)
     except (FinslerCheckError, ArithmeticError, ValueError):
         # the array-valued pieces of a lone sample stay silent; its floats
         # raise as Python floats do
         with np.errstate(all="ignore"):
             rows = [_check_rows(_Chunk(profile, PointVector(pv.z[:, k], pv.v[:, k]),
-                                       config.fd, unitary), config.checks)[0]
-                    for k in range(len(indices))]
-    records = []
-    for index, row, t, s, r, pairing, z, v in zip(
-            indices, rows, pv.t.tolist(), pv.s.tolist(), pv.r.tolist(), pv.pairing.tolist(),
-            pv.z.T.tolist(), pv.v.T.tolist()):
-        rec = {
-            "index": index,
-            "n": pv.n,
-            "t": t,
-            "s": s,
-            "r": r,
-            "pairing": [pairing.real, pairing.imag],
-            "G": row.pop("G"),
-            "z": [[x.real, x.imag] for x in z],
-            "v": [[x.real, x.imag] for x in v],
-        }
-        rec.update(row)
-        records.append(rec)
-    return records
+                                       config.fd, unitary), config.checks, sample=index)
+                    for k, index in enumerate(indices)]
+        keys = rows[0][0]
+        checked, present = (np.concatenate([row[i] for row in rows]) for i in (1, 2))
+    values = np.column_stack([indices, np.full(len(indices), pv.n), pv.t, pv.s, pv.r,
+                              pv.pairing.real, pv.pairing.imag,
+                              *(np.ascontiguousarray(x.T).view(float) for x in (pv.z, pv.v))])
+    return (keys[1:], np.column_stack([values, checked]),
+            np.column_stack([np.ones(values.shape, dtype=bool), present]))
 
 
-def _aggregate(records, fields):
+def _aggregate(records):
     out = {}
-    for name in fields:
-        vals = [r[name] for r in records if name in r]
-        if not vals:
+    for name in sorted(records.fields):
+        arr = records.column(name)
+        if not arr.size:
             continue
-        arr = np.asarray(vals, dtype=float)
         # a huge entry overflows the stddev to inf or nan: the report writer rejects it
         with np.errstate(over="ignore", invalid="ignore"):
             out[name] = {
@@ -361,19 +401,17 @@ def _curvature_criterion(aggregates, records, model_k):
     else:
         detail["wk_formula"] = "not applicable at any sample"
     if model_k is not None:
-        closed = aggregates["kf_closed"]
         detail["target_k"] = model_k
-        detail["max_closed_minus_k"] = max(abs(r["kf_closed"] - model_k) for r in records)
-        detail["stddev_closed"] = closed["stddev"]
-        ok &= detail["max_closed_minus_k"] < CURVATURE_TOL_WK
-        ok &= closed["stddev"] < CURVATURE_TOL_STD
-        max_direct_dev = max(abs(r["kf_direct"] - model_k) for r in records)
-        detail["max_direct_minus_k"] = max_direct_dev
-        ok &= max_direct_dev < CURVATURE_TOL_DIRECT
-        wk_devs = [abs(r["kf_wk"] - model_k) for r in records if "kf_wk" in r]
-        if wk_devs:
-            detail["max_wk_minus_k"] = max(wk_devs)
-            ok &= max(wk_devs) < CURVATURE_TOL_WK
+        # a NaN that np.max passes on, and Python's max may not, is in the field's
+        # aggregates too, which the report writer rejects before any criterion
+        for key, tol in (("closed", CURVATURE_TOL_WK), ("direct", CURVATURE_TOL_DIRECT),
+                         ("wk", CURVATURE_TOL_WK)):
+            dev = np.abs(records.column(f"kf_{key}") - model_k)
+            if dev.size:
+                detail[f"max_{key}_minus_k"] = float(np.max(dev))
+                ok &= detail[f"max_{key}_minus_k"] < tol
+        detail["stddev_closed"] = aggregates["kf_closed"]["stddev"]
+        ok &= detail["stddev_closed"] < CURVATURE_TOL_STD
     return bool(ok), detail
 
 
@@ -382,12 +420,14 @@ def _classify_verdict(records):
     total = len(records)
     if total == 0:
         return {"verdict": "no samples"}
-    frac = lambda key, pred: sum(1 for r in records if pred(r[key])) / total
-    weakly_zero = frac("classify_weakly", lambda x: x < CLASSIFY_ZERO)
-    kahler_zero = frac("classify_kahler", lambda x: x < CLASSIFY_ZERO)
-    kahler_big = frac("classify_kahler", lambda x: x > CLASSIFY_NONZERO)
-    weakly_big = frac("classify_weakly", lambda x: x > CLASSIFY_NONZERO)
-    strong_zero = frac("classify_strong", lambda x: x < CLASSIFY_ZERO)
+    weakly, kahler, strong = (records.column(f"classify_{key}")
+                              for key in ("weakly", "kahler", "strong"))
+    frac = lambda holds: int(np.count_nonzero(holds)) / total
+    weakly_zero = frac(weakly < CLASSIFY_ZERO)
+    kahler_zero = frac(kahler < CLASSIFY_ZERO)
+    kahler_big = frac(kahler > CLASSIFY_NONZERO)
+    weakly_big = frac(weakly > CLASSIFY_NONZERO)
+    strong_zero = frac(strong < CLASSIFY_ZERO)
     detail = {"weakly_zero_fraction": weakly_zero, "kahler_zero_fraction": kahler_zero,
               "kahler_nonzero_fraction": kahler_big, "weakly_nonzero_fraction": weakly_big,
               "strong_zero_fraction": strong_zero}
@@ -421,14 +461,13 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
     model_k = config.profile.get("k") if config.profile.get("family") == "model" else None
     unitary = seeded_unitary(spec.n, spec.seed ^ _UNITARY_SEED_SALT)
 
-    records = []
-    for start in range(0, len(samples), CHUNK):
-        records += _chunk_records(profile, samples.index[start:start + CHUNK],
-                                  samples.columns(start, start + CHUNK), config, unitary)
-
-    numeric_fields = sorted({k for r in records for k in r
-                             if isinstance(r[k], float) and k not in ("t", "s", "r", "G")})
-    aggregates = _aggregate(records, numeric_fields)
+    chunks = [_chunk_records(profile, samples.index[start:start + CHUNK],
+                             samples.columns(start, start + CHUNK), config, unitary)
+              for start in range(0, len(samples), CHUNK)]
+    # the sampler accepts at least one sample
+    records = Records(spec.n, chunks[0][0], *(np.concatenate([c[i] for c in chunks])
+                                              for i in (1, 2)))
+    aggregates = _aggregate(records)
 
     criteria = {}
     verdicts = {}
@@ -450,7 +489,7 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
                               "column": column}
             continue
         if name == "pseudoconvexity":
-            passed = agg["count"] > 0 and min(r[column] for r in records) >= 1.0
+            passed = agg["count"] > 0 and np.min(records.column(column)) >= 1.0
             criteria[name] = {"kind": "criterion", "passed": bool(passed),
                               "tolerance": "all samples strongly pseudo-convex",
                               "column": column}

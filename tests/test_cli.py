@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -265,6 +266,26 @@ def test_tiny_fd_step_is_one_line_numerical_error(step, fmt):
                                    "--samples", "2", "--format", fmt])
     assert code == 3
     assert len(lines) == 1 and lines[0].startswith("numerical error: non-finite number "), lines
+    # the first non-finite number in the report's order, named by its place
+    assert re.fullmatch(r"numerical error: non-finite number (-?inf|nan) in report at "
+                        r"(aggregates\.\w+\.(max|mean|stddev)|records\[\d+\]\.\w+)", lines[0])
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_non_finite_aggregate_named(fmt):
+    code, lines = main_in_process(["verify", "--model", "k4", "--fd-step", "1e-100",
+                                   "--samples", "2", "--format", fmt])
+    assert (code, lines) == (3, ["numerical error: non-finite number inf in report at "
+                                 "aggregates.levi_oracle_dev.stddev"])
+
+
+def test_arithmetic_error_names_check_and_sample():
+    # phi^3 underflows at c = 1e-150: the wk residual divides by zero at every sample,
+    # and the replay names the first check and sample it meets
+    code, lines = main_in_process(["verify", "--model", "k0", "--c", "1e-150", "--samples", "3"])
+    assert code == 3 and len(lines) == 1
+    assert re.fullmatch(r"numerical error: check wk_phi at sample 0, \(t, s\) = "
+                        r"\([\d.e-]+, [\d.e-]+\): float division by zero", lines[0]), lines
 
 
 # --- fuzz: malformed descriptors and option values never escape as exceptions ---

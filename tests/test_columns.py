@@ -361,6 +361,13 @@ def columns_of(pvs):
                           np.stack([pv.v for pv in pvs], axis=1))
 
 
+def check_rows(ctx, names):
+    """G and the outputs of ``names`` at each sample of ``ctx`` as dicts, masked ones left out."""
+    keys, values, present = suite._check_rows(ctx, names)
+    return [{key: x for key, x, p in zip(keys, row, mask) if p}
+            for row, mask in zip(values.tolist(), present.tolist())]
+
+
 def assert_chunk_is_per_sample(prof, pvs, names=suite.CHECK_NAMES):
     """Each check over ``pvs`` at once gives, bit for bit, the per-sample records.
 
@@ -372,12 +379,10 @@ def assert_chunk_is_per_sample(prof, pvs, names=suite.CHECK_NAMES):
     cols = columns_of(pvs)
     out = {}
     for name in names:
-        singles = [outcome(lambda: suite._check_rows(suite._Chunk(prof, pv, cfg, unitary),
-                                                     (name,))[0])
+        singles = [outcome(lambda: check_rows(suite._Chunk(prof, pv, cfg, unitary), (name,))[0])
                    for pv in pvs]
         errors = [one for one in singles if isinstance(one, str)]
-        chunk = outcome(lambda: suite._check_rows(suite._Chunk(prof, cols, cfg, unitary),
-                                                  (name,)))
+        chunk = outcome(lambda: check_rows(suite._Chunk(prof, cols, cfg, unitary), (name,)))
         if errors:
             assert chunk == errors[0], name
         else:
@@ -533,10 +538,10 @@ def per_sample_only(monkeypatch):
     """Send every chunk the per-sample way: each sample alone, checks in order."""
     rows = suite._check_rows
 
-    def lone_only(ctx, checks):
+    def lone_only(ctx, checks, **kwargs):
         if np.ndim(ctx.pv.t):
             raise ValueError("columns refused")
-        return rows(ctx, checks)
+        return rows(ctx, checks, **kwargs)
 
     monkeypatch.setattr(suite, "_check_rows", lone_only)
 

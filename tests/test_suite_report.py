@@ -11,7 +11,7 @@ import finslercheck as fc
 from finslercheck import report
 from finslercheck.errors import ConfigError, ReportIOError
 from finslercheck.report import render_csv, render_json
-from finslercheck.suite import (CHECK_COLUMNS, CHECK_NAMES, TOLERANCES, SuiteConfig,
+from finslercheck.suite import (CHECK_COLUMNS, CHECK_NAMES, TOLERANCES, Records, SuiteConfig,
                                SuiteReport, run_suite)
 
 
@@ -144,8 +144,11 @@ class TestReports:
         assert format(val, ".17g") in text
 
 
-def _reference_json(obj, out):
-    """The JSON writer as it was before its exact-type fast paths, frozen."""
+def _reference_json(obj, out, where=""):
+    """The JSON writer as it was before its exact-type fast paths, frozen.
+
+    A non-finite number is reported with its path, ``a.b[2]``, from ``where`` on.
+    """
     if obj is None:
         out.append("null")
     elif obj is True:
@@ -158,7 +161,8 @@ def _reference_json(obj, out):
         out.append(str(obj))
     elif isinstance(obj, float):
         if obj != obj or obj in (float("inf"), float("-inf")):
-            raise ReportIOError(f"non-finite number {obj!r} in report")
+            raise ReportIOError(f"non-finite number {obj!r} in report"
+                                + (f" at {where}" if where else ""))
         out.append(format(float(obj), ".17g"))
     elif isinstance(obj, dict):
         out.append("{")
@@ -167,14 +171,14 @@ def _reference_json(obj, out):
                 out.append(",")
             out.append(json.dumps(str(key)))
             out.append(":")
-            _reference_json(obj[key], out)
+            _reference_json(obj[key], out, f"{where}.{key}" if where else str(key))
         out.append("}")
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for i, item in enumerate(obj):
             if i:
                 out.append(",")
-            _reference_json(item, out)
+            _reference_json(item, out, f"{where}[{i}]")
         out.append("]")
     else:
         raise ReportIOError(f"cannot serialize {type(obj).__name__} in report")
@@ -184,10 +188,12 @@ class TestJsonWriter:
     def test_same_bytes_as_the_reference(self, flat_report):
         odd = {"np": [np.float64(0.1), (1.5, -0.0)], "b": [True, False, None],
                "int keys": {3: 1e-300, 12: {"é\"q": "s\n"}}, "n": OrderedDict(b=1, a=2.5)}
-        for obj in (vars(flat_report), odd, [], {}, 0.1, "x"):
+        as_dicts = dict(vars(flat_report), records=list(flat_report.records))
+        for obj in (as_dicts, odd, [], {}, 0.1, "x"):
             expected = []
             _reference_json(obj, expected)
             assert report._json_text(obj) == "".join(expected) + "\n"
+        assert render_json(flat_report) == report._json_text(as_dicts)
 
     @pytest.mark.parametrize("bad", [float("nan"), np.float64("inf"), -math.inf, np.bool_(True),
                                      np.int64(3), {1, 2}, b"x"])
@@ -197,3 +203,146 @@ class TestJsonWriter:
         with pytest.raises(ReportIOError) as got:
             report._json_text({"a": [bad]})
         assert str(got.value) == str(expected.value)
+
+    def test_non_finite_named_at_its_place(self):
+        nested = {"b": {"x": [1.0, {"y": [0.5, math.inf]}]}, "a": 1.0}
+        with pytest.raises(ReportIOError, match=r"^non-finite number inf in report at b\.x\[1\]"
+                                                r"\.y\[1\]$"):
+            report._json_text(nested)
+        with pytest.raises(ReportIOError, match=r"^non-finite number nan in report$"):
+            report._json_text(math.nan)
+
+
+FIELDS = ("kf_closed", "kf_direct", "kf_dev_direct", "kf_wk", "kf_dev_wk")
+ODD = [-0.0, 5e-324, 0.1, 1e16, 1e17, -2.5e-300, 1.7976931348623157e308]
+
+
+def record_rows(n, count, seed):
+    """Record dicts of the curvature check's layout, kf_wk and kf_dev_wk left out of some."""
+    rng = np.random.default_rng(seed)
+    pick = lambda: float(rng.choice(ODD)) if rng.random() < 0.3 else float(rng.normal())
+    rows = []
+    for k in range(count):
+        rec = {"index": 3 * k + 1, "n": n, "t": pick(), "s": pick(), "r": pick(),
+               "pairing": [pick(), pick()], "G": pick(),
+               "z": [[pick(), pick()] for _ in range(n)], "v": [[pick(), pick()] for _ in range(n)]}
+        rec.update((key, pick()) for key in FIELDS if key not in ("kf_wk", "kf_dev_wk")
+                   or k % 5 not in (1, 2))
+        rows.append(rec)
+    return rows
+
+
+def table_of(rows, n, fields=FIELDS):
+    """The ``Records`` table of the record dicts ``rows``: a masked entry holds NaN."""
+    width = 8 + 4 * n + len(fields)
+    values = [[rec["index"], n, rec["t"], rec["s"], rec["r"], *rec["pairing"],
+               *(x for pair in rec["z"] + rec["v"] for x in pair), rec["G"],
+               *(rec.get(key, math.nan) for key in fields)] for rec in rows]
+    present = [[True] * (8 + 4 * n) + [key in rec for key in fields] for rec in rows]
+    return Records(n, fields, np.array(values, dtype=float).reshape(-1, width),
+                   np.array(present, dtype=bool).reshape(-1, width))
+
+
+def table_report(records, rejections=()):
+    return SuiteReport(schema_version="1", config={"checks": ["curvature", "k2k3"]},
+                       records=records, rejections=list(rejections),
+                       aggregates={"kf_closed": {"count": 2, "max": 1e17, "mean": -0.0,
+                                                 "stddev": 5e-324}},
+                       criteria={"curvature": {"passed": True}}, verdicts={}, passed=True)
+
+
+def reference_csv_rows(rows, columns):
+    """The CSV record rows as the writer made them one value at a time, frozen."""
+    out = []
+    for rec in rows:
+        row = [str(rec["index"]), str(rec["n"])] + [format(x, ".17g") for x in (
+            rec["t"], rec["s"], rec["r"], rec["pairing"][0], rec["pairing"][1], rec["G"])]
+        row += [format(rec[col], ".17g") if col in rec else "" for col in columns]
+        out.append(",".join(row))
+    return out
+
+
+class TestRecordsTable:
+    @pytest.mark.parametrize("n", [2, 8])
+    def test_rendered_from_columns_as_from_dicts(self, n):
+        rows = record_rows(n, 23, seed=n)
+        table = table_of(rows, n)
+        # the dicts come back as they went in, bit for bit and in key order
+        assert len(table) == 23 and repr(table) == repr(rows) and table == rows
+        rep = table_report(table, [{"index": 2, "reason": "x"}])
+        expected = []
+        _reference_json(dict(vars(rep), records=rows), expected)
+        assert render_json(rep) == "".join(expected) + "\n"
+        # the CSV writes kf_closed and k2k3_residual, which no row holds
+        table = table_of(rows, n, FIELDS + ("k2k3_residual",))
+        lines = render_csv(table_report(table)).splitlines()
+        assert lines[1:24] == reference_csv_rows(rows, ["kf_closed", "k2k3_residual"])
+
+    def test_no_records_only_rejections(self):
+        rejections = [{"index": 0, "reason": "all draws rejected"}]
+        rep = table_report(table_of([], 3, ()), rejections)
+        expected = []
+        _reference_json(dict(vars(rep), records=[]), expected)
+        assert render_json(rep) == "".join(expected) + "\n"
+        lines = render_csv(rep).splitlines()
+        assert lines[0] == ",".join(report.BASE_COLUMNS + ("kf_closed", "k2k3_residual"))
+        assert lines[1].startswith("# aggregate,kf_closed,")
+        assert "# rejection,0,all draws rejected" in lines
+
+    def test_non_finite_record_value_named(self):
+        # columns at n = 2: t 2, z[1][0] 9, G 15, kf_direct 17, kf_wk 19
+        rows = record_rows(2, 6, seed=1)
+        table = table_of(rows, 2, FIELDS + ("k2k3_residual",))
+        rep = table_report(table)
+        table.values[1, 19] = math.inf        # masked: rows 1 and 2 hold no kf_wk
+        assert not table.present[1, 19]
+        assert render_json(rep) == render_json(table_report(table_of(rows, 2, table.fields)))
+        table.values[3, 9] = math.nan
+        for render, where in ((render_json, r"records\[3\]\.z\[1\]\[0\]"),
+                              (render_csv, None)):
+            if where:
+                with pytest.raises(ReportIOError, match=rf"^non-finite number nan in report "
+                                                        rf"at {where}$"):
+                    render(rep)
+            else:                             # the CSV writes no z
+                render(rep)
+        # the first in document order: a record's keys are sorted in JSON, not in CSV
+        table.values[4, 2] = -math.inf
+        table.values[4, 15] = math.inf
+        table.values[2, 17] = math.nan
+        for render, where in ((render_json, r"nan in report at records\[2\]\.kf_direct"),
+                              (render_csv, r"inf in report at records\[4\]\.t")):
+            with pytest.raises(ReportIOError, match=rf"^non-finite number -?{where}$"):
+                render(rep)
+        table.values[:, [2, 9, 15, 17]] = 0.5
+        rep.aggregates["kf_closed"]["mean"] = math.inf
+        for render in (render_json, render_csv):
+            with pytest.raises(ReportIOError, match=r"^non-finite number inf in report "
+                                                    r"at aggregates\.kf_closed\.mean$"):
+                render(rep)
+
+
+class TestSuiteRecords:
+    @pytest.mark.parametrize("profile", [
+        {"family": "wk-randers", "f": {"kind": "exp", "c": 1.0, "a": 1.0}},
+        {"family": "wk-randers", "f": {"kind": "exp", "c": 1.0, "a": 1.0}, "h_scale": 1.1}],
+        ids=["wk-exp", "perturbed"])
+    @pytest.mark.parametrize("check", CHECK_NAMES)
+    def test_aggregate_keys_are_the_float_fields_of_the_records(self, check, profile):
+        rep = run_suite(small_config(profile, (check,), count=3))
+        fields = {key for rec in rep.records for key in rec
+                  if isinstance(rec[key], float) and key not in ("t", "s", "r", "G")}
+        assert set(rep.aggregates) == fields
+        assert ("kf_wk" in fields) is (check == "curvature" and "h_scale" not in profile)
+        for name, agg in rep.aggregates.items():
+            vals = np.asarray([rec[name] for rec in rep.records if name in rec])
+            assert agg["count"] == vals.size and agg["max"] == np.max(vals)
+            assert agg["mean"] == np.mean(vals) and agg["stddev"] == np.std(vals, ddof=1)
+
+    def test_records_are_built_when_read(self):
+        rep = run_suite(small_config({"family": "model", "k": 4, "c": 1.0}, ("curvature",)))
+        assert "_rows" not in vars(rep.records)
+        render_json(rep), render_csv(rep), len(rep.records)
+        assert "_rows" not in vars(rep.records)
+        assert rep.records[0]["n"] == 2 and type(rep.records[0]["index"]) is int
+        assert rep.records == list(rep.records) and rep.records[-1] is rep.records[7]
