@@ -51,6 +51,12 @@ INVOCATIONS = (
     # two chunks, the second of two samples
     ("verify-wk-exp-n4-130", ("verify", "--profile", "wk-exp.json", "--n", "4",
                               "--samples", "130", "--seed", "16"), "json"),
+    # just past a chunk: the rule keeps 128 samples at n = 3 (classify's 4n^3 = 108
+    # values per sample), and takes 8192 // 48 = 170 at n = 2 (curvature's 24n)
+    ("verify-wk-exp-n3-129", ("verify", "--profile", "wk-exp.json", "--n", "3",
+                              "--samples", "129", "--seed", "19"), "json"),
+    ("verify-wk-exp-n2-171", ("verify", "--profile", "wk-exp.json", "--n", "2",
+                              "--samples", "171", "--seed", "20"), "json"),
     ("verify-wk-exp-n3-oracles", ("verify", "--profile", "wk-exp.json", "--n", "3",
                                   "--checks", "levi_oracle,nconn,unitary",
                                   "--samples", "20", "--seed", "17"), "json"),
@@ -75,6 +81,9 @@ INVOCATIONS = (
                           "--samples", "200", "--seed", "43"), "csv"),
     ("residual-wk-exp-h1.1", ("residual", "--profile", "wk-exp-h1.1.json", "--n", "3",
                               "--samples", "200", "--seed", "44"), "json"),
+    # two chunks of the residual checks, 8192 samples and 1
+    ("residual-wk-exp-8193", ("residual", "--profile", "wk-exp.json", "--n", "3",
+                              "--samples", "8193", "--seed", "48"), "csv"),
     # the profile rejects part of the window, and the sampler draws again
     ("residual-hermitian-decay", ("residual", "--profile", "hermitian-decay.json", "--n", "3",
                                   "--t-range", "0.2", "0.45", "--samples", "40",

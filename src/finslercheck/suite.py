@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from . import curvature as curv
-from . import tensors
+from . import numerics, tensors
 from .errors import ConfigError, FinslerCheckError
 from .numerics import FDConfig, positive_definite
 from .profiles import profile_from_descriptor
@@ -214,32 +214,43 @@ def _check_classify(ctx):
             "classify_weakly": rep.weakly_residual}
 
 
-# name: (check, the primary per-sample column it contributes to the CSV, tolerance)
+# name: (check, the primary per-sample column it contributes to the CSV, tolerance,
+#        the values its largest per-sample array holds at dimension n)
 _CHECKS = {
-    "levi_oracle": (_check_levi_oracle, "levi_oracle_dev", 1e-6),
-    "determinant": (_check_determinant, "det_dev", 1e-8),
+    # the FD oracles' stencil estimates: 2n^2 lines of the mixed Hessian, 4 per
+    # entry of the connection's n x n block
+    "levi_oracle": (_check_levi_oracle, "levi_oracle_dev", 1e-6, lambda n: 2 * n * n),
+    "determinant": (_check_determinant, "det_dev", 1e-8, lambda n: n * n),
     # boolean check: all samples must pass
-    "pseudoconvexity": (_check_pseudoconvexity, "pseudoconvex_ok", 0.0),
-    "euler": (_check_euler, "euler_dev", 1e-8),
-    "nconn": (_check_nconn, "nconn_dev", 1e-6),
-    "spray_compat": (_check_spray_compat, "spray_compat_dev", 1e-6),
-    "wk_phi": (_check_wk_phi, "wk_phi_residual", 1e-8),
-    "wk_uw": (_check_wk_uw, "wk_uw_residual", 1e-8),
-    "lemma": (_check_lemma, "lemma_residual", 1e-8),
-    "k2k3": (_check_k2k3, "k2k3_residual", 1e-7),
-    # direct-vs-closed; the tighter sub-tolerances are the CURVATURE_TOL_* above
-    "curvature": (_check_curvature, "kf_closed", 1e-4),
-    "unitary": (_check_unitary, "unitary_dev", 1e-8),
-    # verdict-type, not pass/fail
-    "classify": (_check_classify, "classify_weakly", 0.0),
+    "pseudoconvexity": (_check_pseudoconvexity, "pseudoconvex_ok", 0.0, lambda n: n * n),
+    "euler": (_check_euler, "euler_dev", 1e-8, lambda n: n * n),
+    "nconn": (_check_nconn, "nconn_dev", 1e-6, lambda n: 4 * n * n),
+    "spray_compat": (_check_spray_compat, "spray_compat_dev", 1e-6, lambda n: 4 * n * n),
+    "wk_phi": (_check_wk_phi, "wk_phi_residual", 1e-8, lambda n: 1),
+    "wk_uw": (_check_wk_uw, "wk_uw_residual", 1e-8, lambda n: 1),
+    "lemma": (_check_lemma, "lemma_residual", 1e-8, lambda n: 1),
+    "k2k3": (_check_k2k3, "k2k3_residual", 1e-7, lambda n: 1),
+    # direct-vs-closed; the tighter sub-tolerances are the CURVATURE_TOL_* above.
+    # The direct curvature's stencil takes (n, 24) values per sample
+    "curvature": (_check_curvature, "kf_closed", 1e-4, lambda n: 24 * n),
+    "unitary": (_check_unitary, "unitary_dev", 1e-8, lambda n: n * n),
+    # verdict-type, not pass/fail.  The connection's stencil estimates hold
+    # (n, n) values on each of 4n lines per sample
+    "classify": (_check_classify, "classify_weakly", 0.0, lambda n: 4 * n ** 3),
 }
 
 CHECK_NAMES = tuple(_CHECKS)
-CHECK_COLUMNS = {name: column for name, (_, column, _) in _CHECKS.items()}
-TOLERANCES = {name: tol for name, (_, _, tol) in _CHECKS.items()}
+CHECK_COLUMNS = {name: entry[1] for name, entry in _CHECKS.items()}
+TOLERANCES = {name: entry[2] for name, entry in _CHECKS.items()}
 
-# samples per chunk: bounds the direct curvature's stencil, (n, 24 CHUNK) columns
+# the fewest samples per chunk: a chunk takes numerics.FIELD_VALUES values in
+# the largest per-sample array of its checks, or this many samples if more
 CHUNK = 128
+
+
+def _chunk_size(checks, n):
+    """Samples per chunk for ``checks`` at dimension n."""
+    return max(CHUNK, numerics.FIELD_VALUES // max(_CHECKS[name][3](n) for name in checks))
 
 
 @dataclass(frozen=True)
@@ -461,9 +472,10 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
     model_k = config.profile.get("k") if config.profile.get("family") == "model" else None
     unitary = seeded_unitary(spec.n, spec.seed ^ _UNITARY_SEED_SALT)
 
-    chunks = [_chunk_records(profile, samples.index[start:start + CHUNK],
-                             samples.columns(start, start + CHUNK), config, unitary)
-              for start in range(0, len(samples), CHUNK)]
+    chunk = _chunk_size(config.checks, spec.n)
+    chunks = [_chunk_records(profile, samples.index[start:start + chunk],
+                             samples.columns(start, start + chunk), config, unitary)
+              for start in range(0, len(samples), chunk)]
     # the sampler accepts at least one sample
     records = Records(spec.n, chunks[0][0], *(np.concatenate([c[i] for c in chunks])
                                               for i in (1, 2)))
@@ -472,7 +484,7 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
     criteria = {}
     verdicts = {}
     for name in config.checks:
-        _, column, tol = _CHECKS[name]
+        _, column, tol, _ = _CHECKS[name]
         if name == "classify":
             verdicts["classification"] = _classify_verdict(records)
             criteria[name] = {"kind": "verdict", "passed": None, "column": column}

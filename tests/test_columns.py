@@ -1,8 +1,11 @@
 """Closed forms on stencil columns: the bits of the lone point, one field call per stencil."""
 
+import json
 import math
 import re
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +22,7 @@ from finslercheck.errors import (
     StencilOutsideDomain,
 )
 from finslercheck.jets import NCOEF, Jet2
-from finslercheck.sampling import Samples
+from finslercheck.sampling import Samples, sample_domain_detailed
 from finslercheck.suite import SuiteConfig, run_suite
 from finslercheck.tensors import _levi_matrix, _spray_vector, invariants, k_scalars
 
@@ -566,10 +569,10 @@ class TestOracleChunks:
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_records_match_a_per_sample_run(self, n, monkeypatch, profiles):
         # three samples per nconn field call, five per chunk: counts 1,
-        # budget - 1, budget, budget + 1 and CHUNK + 1 cross every seam
+        # budget - 1, budget, budget + 1 and chunk + 1 cross every seam
         prof = profiles["wk-exp"]
         budget, chunk = 3, 5
-        monkeypatch.setattr(suite, "CHUNK", chunk)
+        monkeypatch.setattr(suite, "_chunk_size", lambda checks, n: chunk)
         monkeypatch.setattr(numerics, "FIELD_VALUES", budget * self.nconn_columns(prof, n))
         configs = [SuiteConfig(profile={"family": "wk-randers",
                                         "f": {"kind": "exp", "c": 1.0, "a": 1.0}},
@@ -650,6 +653,102 @@ class TestOracleChunks:
         assert re.fullmatch(error, err[0])
         per_sample_only(monkeypatch)
         assert run_cli(argv, capsys) == (code, err)
+
+
+WK_EXP = {"family": "wk-randers", "f": {"kind": "exp", "c": 1.0, "a": 1.0}}
+FD_CHECKS = ("levi_oracle", "nconn", "spray_compat", "curvature", "classify")
+
+
+def count_replays(monkeypatch):
+    """The index of every sample that a chunk replays alone, in order."""
+    replays = []
+    rows = suite._check_rows
+
+    def counted(ctx, checks, sample=None):
+        if sample is not None:
+            replays.append(sample)
+        return rows(ctx, checks, sample=sample)
+
+    monkeypatch.setattr(suite, "_check_rows", counted)
+    return replays
+
+
+class TestChunkRule:
+    """A chunk holds FIELD_VALUES values of its checks' largest per-sample array, or CHUNK samples."""
+
+    def test_chunk_sizes(self):
+        assert suite._chunk_size(fc_cli._SUBCOMMAND_CHECKS["residual"], 3) >= 2000
+        assert suite._chunk_size(suite.CHECK_NAMES, 4) == suite.CHUNK == 128
+        assert suite._chunk_size(suite.CHECK_NAMES, 32) == 128
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_declared_values_bound_each_stencil(self, n, monkeypatch, profiles):
+        # per sample, no stencil estimate holds more values than its check
+        # declares, nor does a field call past the budget
+        samples, _ = sample_domain_detailed(fc.SampleSpec(n=n, count=6, seed=2),
+                                            profiles["wk-exp"])
+        sizes = {"_estimates": [], "_evaluate": []}
+        for name, log in sizes.items():
+            def logged(*args, _original=getattr(numerics, name), _log=log, **kwargs):
+                out = _original(*args, **kwargs)
+                _log.append(np.size(out[0] if isinstance(out, tuple) else out))
+                return out
+            monkeypatch.setattr(numerics, name, logged)
+        for name in suite.CHECK_NAMES:
+            for log in sizes.values():
+                del log[:]
+            config = SuiteConfig(profile=WK_EXP, sample=fc.SampleSpec(n=n), checks=(name,))
+            suite._chunk_records(profiles["wk-exp"], samples.index, samples.columns(0, 6),
+                                 config, np.eye(n))
+            declared = 6 * suite._CHECKS[name][3](n)
+            assert max(sizes["_estimates"], default=0) <= declared, name
+            assert max(sizes["_evaluate"], default=0) <= max(numerics.FIELD_VALUES, declared), name
+            assert (name in FD_CHECKS) == bool(sizes["_estimates"]), name
+
+    @pytest.mark.parametrize("name", FD_CHECKS)
+    def test_fd_chunk_at_n8_peaks_no_higher_than_128_samples(self, name, profiles):
+        prof = profiles["wk-exp"]
+        chunk = suite._chunk_size((name,), 8)
+        samples, _ = sample_domain_detailed(fc.SampleSpec(n=8, count=max(chunk, 128), seed=4),
+                                            prof)
+        config = SuiteConfig(profile=WK_EXP, sample=fc.SampleSpec(n=8), checks=(name,))
+
+        def peak(count):
+            tracemalloc.start()
+            suite._chunk_records(prof, samples.index[:count], samples.columns(0, count),
+                                 config, np.eye(8))
+            out = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            return out
+
+        peak(chunk)     # what a first run caches is left out
+        # a repeated run's traced peak drifts by a few kB, well under 1 %
+        assert peak(chunk) <= 1.01 * peak(128)
+
+    def test_a_raising_chunk_replays_every_sample(self, monkeypatch):
+        per_sample_only(monkeypatch)
+        replays = count_replays(monkeypatch)
+        config = SuiteConfig(profile=WK_EXP, sample=fc.SampleSpec(n=3, count=7, seed=1),
+                             checks=fc_cli._SUBCOMMAND_CHECKS["residual"])
+        run_suite(config)
+        assert replays == list(range(7))
+
+    def test_no_replays_at_the_bench_seeds(self, monkeypatch, tmp_path):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        workloads = pytest.importorskip("workloads")
+        for name, desc in workloads.PROFILES.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(desc))
+        monkeypatch.chdir(tmp_path)
+        replays = count_replays(monkeypatch)
+        runs = 0
+        for workload in workloads.WORKLOADS:
+            for seed in range(1, 11):
+                for inv in workloads.invocations(workload, seed):
+                    args = fc_cli._parser().parse_args(list(inv.argv))
+                    run_suite(fc_cli._suite_config(args, fc_cli._SUBCOMMAND_CHECKS[args.command],
+                                                   fc_cli._profile_descriptor(args)))
+                    runs += 1
+        assert runs == 230 and replays == []
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 8, 9])

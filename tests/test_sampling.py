@@ -172,13 +172,19 @@ RETRY_WINDOW = (0.2, 0.45)
 
 
 class TestSameDrawsAsTheScalarLoop:
-    @pytest.mark.parametrize("n", [2, 3, 4, 8])
+    @pytest.mark.parametrize("n, count", [(2, 300), (3, 300), (4, 200), (8, 200), (32, 200)],
+                             ids=["2", "3", "4", "8", "32"])
     @pytest.mark.parametrize("seed", [0, 42, -7, 2 ** 63 + 5])
-    def test_bit_equal_samples(self, n, seed):
+    def test_bit_equal_samples(self, n, count, seed):
+        # the first attempt of most rows comes from the Philox kernel; a row whose
+        # words meet a normal off the ziggurat's fast path draws on its own stream
+        # (at n = 32, 128 normals per attempt, most rows)
+        fast = sampling._first_draws(seed, list(range(count)), n)[3]
+        assert fast.any() and not fast.all()
         for prof in (fc.model_profile(-4, 1.0), fc.wk_randers_profile(fc.Exponential(1.0))):
             points, rejections = assert_same_as_reference(
-                fc.SampleSpec(n=n, count=25, seed=seed), prof)
-            assert len(points) == 25 and not rejections
+                fc.SampleSpec(n=n, count=count, seed=seed), prof)
+            assert len(points) == count and not rejections
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_retries_on_their_own_streams(self, n):
@@ -190,6 +196,9 @@ class TestSameDrawsAsTheScalarLoop:
         first = [_reference_draw(_reference_stream(5, index), n, RETRY_WINDOW, (0.1, 0.9),
                                  prof)[0] for index in range(40)]
         assert any(pv is None for pv in first)
+        # ... and some of those had their first attempt from the Philox kernel
+        fast = sampling._first_draws(5, list(range(40)), n)[3]
+        assert any(pv is None and on_kernel for pv, on_kernel in zip(first, fast))
 
     def test_exhausted_indices_give_the_same_reasons(self, monkeypatch):
         monkeypatch.setattr(sampling, "_MAX_ATTEMPTS", 2)
@@ -214,3 +223,79 @@ def test_sample_columns_slice_into_point_vectors():
         one = samples.point(2 + k)
         assert (cols.t[k], cols.s[k], cols.r[k], cols.pairing[k]) == \
             (one.t, one.s, one.r, one.pairing)
+
+
+# The first round's Philox kernel, pinned to the installed numpy
+
+MASK64 = 0xFFFFFFFFFFFFFFFF
+
+
+def numpy_normal(words):
+    """(Generator.normal() fed ``words`` through a Philox buffer, whether it took one word alone)."""
+    bits = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+    state = bits.state
+    state["buffer"] = np.array(list(words) + [0] * (4 - len(words)), dtype=np.uint64)
+    state["buffer_pos"] = 0
+    bits.state = state
+    x = np.random.Generator(bits).normal()
+    after = bits.state
+    return x, after["buffer_pos"] == 1 and after["state"]["counter"][0] == 0
+
+
+def ziggurat_word(idx, rabs, sign=0):
+    return (rabs << 9) | (sign << 8) | idx
+
+
+def numpy_ziggurat():
+    """numpy's (ki, wi), read one draw at a time: fast exactly when rabs < ki[idx]."""
+    ki, wi = np.zeros(256, dtype=np.uint64), np.zeros(256)
+    for idx in range(256):
+        lo, hi = 0, 2 ** 52                 # the least rabs off the fast path
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if numpy_normal([ziggurat_word(idx, mid)])[1]:
+                lo = mid + 1
+            else:
+                hi = mid
+        ki[idx] = lo
+        # rabs = 1 gives wi[idx]; where ki[idx] <= 1 the slow path, given a zero
+        # uniform next, accepts that tiny x too
+        wi[idx] = numpy_normal([ziggurat_word(idx, 1), 0])[0]
+    return ki, wi
+
+
+class TestPhiloxKernel:
+    INDICES = [0, 1, 7, 2 ** 32 - 2, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1, 2 ** 40 + 3]
+
+    @pytest.mark.parametrize("seed", [0, 42, -7, 2 ** 63 + 5])
+    def test_words_and_uniforms_match_numpy(self, seed):
+        words = sampling._philox_words(seed, self.INDICES, 5)
+        assert words.shape == (len(self.INDICES), 20) and words.dtype == np.uint64
+        for row, index in zip(words, self.INDICES):
+            key = np.array([seed & MASK64, index], dtype=np.uint64)
+            assert np.array_equal(row, np.random.Philox(key=key).random_raw(20))
+            want = np.random.Generator(np.random.Philox(key=key)).random(20)
+            assert sampling._uniforms(row).tobytes() == want.tobytes()
+
+    def test_tables_are_numpys(self):
+        ki, wi = sampling._ziggurat()
+        assert ki[0] == 0xEF33D8025EF6A and ki[1] == 0
+        want_ki, want_wi = numpy_ziggurat()
+        assert np.array_equal(ki, want_ki)
+        assert wi.tobytes() == want_wi.tobytes()
+
+    def test_normals_match_numpy_on_the_fast_path(self):
+        ki = sampling._ziggurat()[0].astype(object)
+        rng = np.random.default_rng(3)
+        words = [int(w) for w in rng.integers(0, 2 ** 63, size=2000, dtype=np.int64)]
+        words += [int(w) | 1 << 63 for w in words[:500]]
+        # both sides of each threshold, both signs, and a zero rabs (numpy's -0.0 + 0.0)
+        words += [ziggurat_word(idx, int(rabs), sign) for idx in range(0, 256, 5)
+                  for rabs in (0, max(ki[idx], 1) - 1, ki[idx]) for sign in (0, 1)]
+        x, fast = sampling._normals(np.array(words, dtype=np.uint64))
+        for word, got, on_path in zip(words, x.tolist(), fast.tolist()):
+            want, one_word = numpy_normal([word])
+            assert on_path == one_word
+            if on_path:
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert fast.any() and not fast.all()
