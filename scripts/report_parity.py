@@ -51,12 +51,9 @@ INVOCATIONS = (
     # two chunks, the second of two samples
     ("verify-wk-exp-n4-130", ("verify", "--profile", "wk-exp.json", "--n", "4",
                               "--samples", "130", "--seed", "16"), "json"),
-    # just past a chunk: the rule keeps 128 samples at n = 3 (classify's 4n^3 = 108
-    # values per sample), and takes 8192 // 48 = 170 at n = 2 (curvature's 24n)
+    # just past a chunk at n = 3
     ("verify-wk-exp-n3-129", ("verify", "--profile", "wk-exp.json", "--n", "3",
                               "--samples", "129", "--seed", "19"), "json"),
-    ("verify-wk-exp-n2-171", ("verify", "--profile", "wk-exp.json", "--n", "2",
-                              "--samples", "171", "--seed", "20"), "json"),
     ("verify-wk-exp-n3-oracles", ("verify", "--profile", "wk-exp.json", "--n", "3",
                                   "--checks", "levi_oracle,nconn,unitary",
                                   "--samples", "20", "--seed", "17"), "json"),

@@ -120,9 +120,10 @@ def _row_norms(x):
     return np.sqrt(square[:, 0, 0])
 
 
-# Philox4x64-10's multipliers and key increments
-_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
-_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+# Philox4x64-10's multipliers and key increments, as arrays: an operation of a
+# numpy scalar with a Python int promotes to a float under numpy 1.x's rules
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
 # ki (256 uint64) then wi (256 float64) of ``_ziggurat``: little-endian, zlib, base64
 _ZIGGURAT = (
     "eNo11Xk8VPsbB/CTkC1HtN2KVMpSjSWhPIS6IUsLEm6KpFLZt1QKURK6la0sNQljyywY+2BsLQgt5BaikAZli9LvmT9+"
@@ -237,10 +238,13 @@ def _first_draws(seed, indices, n):
     normals takes the ziggurat's fast path, one word each; other rows are void.
     """
     # 4096 streams at a time bound the kernel's temporaries
-    words = np.concatenate([_philox_words(seed, indices[k:k + 4096], n + 1)
-                            for k in range(0, len(indices), 4096)])
-    gauss, fast = _normals(words[:, 2:-2])
-    return _uniforms(words[:, :2]), gauss, _uniforms(words[:, -2:]), np.all(fast, axis=1)
+    parts = []
+    for k in range(0, len(indices), 4096):
+        words = _philox_words(seed, indices[k:k + 4096], n + 1)
+        gauss, fast = _normals(words[:, 2:-2])
+        parts.append((_uniforms(words[:, :2]), gauss, _uniforms(words[:, -2:]),
+                      np.all(fast, axis=1)))
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 def _draws(g, n):

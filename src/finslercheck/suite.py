@@ -214,43 +214,41 @@ def _check_classify(ctx):
             "classify_weakly": rep.weakly_residual}
 
 
-# name: (check, the primary per-sample column it contributes to the CSV, tolerance,
-#        the values its largest per-sample array holds at dimension n)
+# name: (check, the primary per-sample column it contributes to the CSV, tolerance)
 _CHECKS = {
-    # the FD oracles' stencil estimates: 2n^2 lines of the mixed Hessian, 4 per
-    # entry of the connection's n x n block
-    "levi_oracle": (_check_levi_oracle, "levi_oracle_dev", 1e-6, lambda n: 2 * n * n),
-    "determinant": (_check_determinant, "det_dev", 1e-8, lambda n: n * n),
+    "levi_oracle": (_check_levi_oracle, "levi_oracle_dev", 1e-6),
+    "determinant": (_check_determinant, "det_dev", 1e-8),
     # boolean check: all samples must pass
-    "pseudoconvexity": (_check_pseudoconvexity, "pseudoconvex_ok", 0.0, lambda n: n * n),
-    "euler": (_check_euler, "euler_dev", 1e-8, lambda n: n * n),
-    "nconn": (_check_nconn, "nconn_dev", 1e-6, lambda n: 4 * n * n),
-    "spray_compat": (_check_spray_compat, "spray_compat_dev", 1e-6, lambda n: 4 * n * n),
-    "wk_phi": (_check_wk_phi, "wk_phi_residual", 1e-8, lambda n: 1),
-    "wk_uw": (_check_wk_uw, "wk_uw_residual", 1e-8, lambda n: 1),
-    "lemma": (_check_lemma, "lemma_residual", 1e-8, lambda n: 1),
-    "k2k3": (_check_k2k3, "k2k3_residual", 1e-7, lambda n: 1),
-    # direct-vs-closed; the tighter sub-tolerances are the CURVATURE_TOL_* above.
-    # The direct curvature's stencil takes (n, 24) values per sample
-    "curvature": (_check_curvature, "kf_closed", 1e-4, lambda n: 24 * n),
-    "unitary": (_check_unitary, "unitary_dev", 1e-8, lambda n: n * n),
-    # verdict-type, not pass/fail.  The connection's stencil estimates hold
-    # (n, n) values on each of 4n lines per sample
-    "classify": (_check_classify, "classify_weakly", 0.0, lambda n: 4 * n ** 3),
+    "pseudoconvexity": (_check_pseudoconvexity, "pseudoconvex_ok", 0.0),
+    "euler": (_check_euler, "euler_dev", 1e-8),
+    "nconn": (_check_nconn, "nconn_dev", 1e-6),
+    "spray_compat": (_check_spray_compat, "spray_compat_dev", 1e-6),
+    "wk_phi": (_check_wk_phi, "wk_phi_residual", 1e-8),
+    "wk_uw": (_check_wk_uw, "wk_uw_residual", 1e-8),
+    "lemma": (_check_lemma, "lemma_residual", 1e-8),
+    "k2k3": (_check_k2k3, "k2k3_residual", 1e-7),
+    # direct-vs-closed; the tighter sub-tolerances are the CURVATURE_TOL_* above
+    "curvature": (_check_curvature, "kf_closed", 1e-4),
+    "unitary": (_check_unitary, "unitary_dev", 1e-8),
+    # verdict-type, not pass/fail
+    "classify": (_check_classify, "classify_weakly", 0.0),
 }
 
 CHECK_NAMES = tuple(_CHECKS)
-CHECK_COLUMNS = {name: entry[1] for name, entry in _CHECKS.items()}
-TOLERANCES = {name: entry[2] for name, entry in _CHECKS.items()}
+CHECK_COLUMNS = {name: column for name, (_, column, _) in _CHECKS.items()}
+TOLERANCES = {name: tol for name, (_, _, tol) in _CHECKS.items()}
 
-# the fewest samples per chunk: a chunk takes numerics.FIELD_VALUES values in
-# the largest per-sample array of its checks, or this many samples if more
+# samples per chunk: bounds the direct curvature's stencil, (n, 24 CHUNK)
+# columns, and the FD oracles' estimates
 CHUNK = 128
+# the residual identities hold a few values per sample and call no stencil,
+# so a chunk of only these takes numerics.FIELD_VALUES samples
+_SCALAR_CHECKS = frozenset({"wk_phi", "wk_uw", "lemma", "k2k3"})
 
 
-def _chunk_size(checks, n):
-    """Samples per chunk for ``checks`` at dimension n."""
-    return max(CHUNK, numerics.FIELD_VALUES // max(_CHECKS[name][3](n) for name in checks))
+def _chunk_size(checks):
+    """Samples per chunk: ``numerics.FIELD_VALUES`` when ``checks`` are all scalar, else CHUNK."""
+    return numerics.FIELD_VALUES if _SCALAR_CHECKS.issuperset(checks) else CHUNK
 
 
 @dataclass(frozen=True)
@@ -349,29 +347,35 @@ def _check_rows(ctx, checks, sample=None):
             np.column_stack([~np.ma.getmaskarray(x) for x in cols]))
 
 
-def _chunk_records(profile, indices, pv, config, unitary):
-    """The check fields, and ``Records`` values and presence, of the samples ``pv`` holds.
+def _checked_rows(profile, indices, pv, config, unitary):
+    """``_check_rows`` of the samples ``pv`` holds, at once or, where that raises, in halves.
 
-    Every check runs over the whole chunk at once.  When that raises, the
-    chunk runs again sample by sample, each sample alone, check by check in
-    ``config.checks`` order, so the error that escapes is the first one that
-    order meets.
+    Every check runs over the samples at once.  When that raises, each half
+    runs the same way, the first half first, down to samples alone, which run
+    check by check in ``config.checks`` order; so the error that escapes is
+    the first one that order meets.
     """
     try:
         # a floating-point event the per-sample floats would raise on, or
-        # pass silently, sends the chunk the per-sample way too
+        # pass silently, sends the samples the per-sample way too
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            keys, checked, present = _check_rows(_Chunk(profile, pv, config.fd, unitary),
-                                                 config.checks)
+            return _check_rows(_Chunk(profile, pv, config.fd, unitary), config.checks)
     except (FinslerCheckError, ArithmeticError, ValueError):
-        # the array-valued pieces of a lone sample stay silent; its floats
-        # raise as Python floats do
-        with np.errstate(all="ignore"):
-            rows = [_check_rows(_Chunk(profile, PointVector(pv.z[:, k], pv.v[:, k]),
-                                       config.fd, unitary), config.checks, sample=index)
-                    for k, index in enumerate(indices)]
-        keys = rows[0][0]
-        checked, present = (np.concatenate([row[i] for row in rows]) for i in (1, 2))
+        if len(indices) == 1:
+            # the array-valued pieces of a lone sample stay silent; its floats
+            # raise as Python floats do
+            with np.errstate(all="ignore"):
+                return _check_rows(_Chunk(profile, PointVector(pv.z[:, 0], pv.v[:, 0]),
+                                          config.fd, unitary), config.checks, sample=indices[0])
+    half = len(indices) // 2
+    rows = [_checked_rows(profile, indices[part], PointVector(pv.z[:, part], pv.v[:, part]),
+                          config, unitary) for part in (slice(None, half), slice(half, None))]
+    return rows[0][0], *(np.concatenate([row[i] for row in rows]) for i in (1, 2))
+
+
+def _chunk_records(profile, indices, pv, config, unitary):
+    """The check fields, and ``Records`` values and presence, of the samples ``pv`` holds."""
+    keys, checked, present = _checked_rows(profile, indices, pv, config, unitary)
     values = np.column_stack([indices, np.full(len(indices), pv.n), pv.t, pv.s, pv.r,
                               pv.pairing.real, pv.pairing.imag,
                               *(np.ascontiguousarray(x.T).view(float) for x in (pv.z, pv.v))])
@@ -472,7 +476,7 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
     model_k = config.profile.get("k") if config.profile.get("family") == "model" else None
     unitary = seeded_unitary(spec.n, spec.seed ^ _UNITARY_SEED_SALT)
 
-    chunk = _chunk_size(config.checks, spec.n)
+    chunk = _chunk_size(config.checks)
     chunks = [_chunk_records(profile, samples.index[start:start + chunk],
                              samples.columns(start, start + chunk), config, unitary)
               for start in range(0, len(samples), chunk)]
@@ -484,7 +488,7 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
     criteria = {}
     verdicts = {}
     for name in config.checks:
-        _, column, tol, _ = _CHECKS[name]
+        _, column, tol = _CHECKS[name]
         if name == "classify":
             verdicts["classification"] = _classify_verdict(records)
             criteria[name] = {"kind": "verdict", "passed": None, "column": column}

@@ -572,7 +572,7 @@ class TestOracleChunks:
         # budget - 1, budget, budget + 1 and chunk + 1 cross every seam
         prof = profiles["wk-exp"]
         budget, chunk = 3, 5
-        monkeypatch.setattr(suite, "_chunk_size", lambda checks, n: chunk)
+        monkeypatch.setattr(suite, "_chunk_size", lambda checks: chunk)
         monkeypatch.setattr(numerics, "FIELD_VALUES", budget * self.nconn_columns(prof, n))
         configs = [SuiteConfig(profile={"family": "wk-randers",
                                         "f": {"kind": "exp", "c": 1.0, "a": 1.0}},
@@ -656,7 +656,7 @@ class TestOracleChunks:
 
 
 WK_EXP = {"family": "wk-randers", "f": {"kind": "exp", "c": 1.0, "a": 1.0}}
-FD_CHECKS = ("levi_oracle", "nconn", "spray_compat", "curvature", "classify")
+RESIDUAL = fc_cli._SUBCOMMAND_CHECKS["residual"]
 
 
 def count_replays(monkeypatch):
@@ -674,64 +674,66 @@ def count_replays(monkeypatch):
 
 
 class TestChunkRule:
-    """A chunk holds FIELD_VALUES values of its checks' largest per-sample array, or CHUNK samples."""
+    """A chunk of the scalar residual identities holds FIELD_VALUES samples, any other CHUNK."""
 
     def test_chunk_sizes(self):
-        assert suite._chunk_size(fc_cli._SUBCOMMAND_CHECKS["residual"], 3) >= 2000
-        assert suite._chunk_size(suite.CHECK_NAMES, 4) == suite.CHUNK == 128
-        assert suite._chunk_size(suite.CHECK_NAMES, 32) == 128
+        assert suite._chunk_size(RESIDUAL) == numerics.FIELD_VALUES >= 2000
+        assert suite._chunk_size(("wk_uw",)) == numerics.FIELD_VALUES
+        assert suite._chunk_size(fc_cli._SUBCOMMAND_CHECKS["verify"]) == suite.CHUNK == 128
+        for name in set(suite.CHECK_NAMES) - set(RESIDUAL):
+            assert suite._chunk_size(RESIDUAL + (name,)) == 128, name
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_declared_values_bound_each_stencil(self, n, monkeypatch, profiles):
-        # per sample, no stencil estimate holds more values than its check
-        # declares, nor does a field call past the budget
-        samples, _ = sample_domain_detailed(fc.SampleSpec(n=n, count=6, seed=2),
-                                            profiles["wk-exp"])
-        sizes = {"_estimates": [], "_evaluate": []}
-        for name, log in sizes.items():
-            def logged(*args, _original=getattr(numerics, name), _log=log, **kwargs):
-                out = _original(*args, **kwargs)
-                _log.append(np.size(out[0] if isinstance(out, tuple) else out))
-                return out
-            monkeypatch.setattr(numerics, name, logged)
-        for name in suite.CHECK_NAMES:
-            for log in sizes.values():
-                del log[:]
-            config = SuiteConfig(profile=WK_EXP, sample=fc.SampleSpec(n=n), checks=(name,))
-            suite._chunk_records(profiles["wk-exp"], samples.index, samples.columns(0, 6),
-                                 config, np.eye(n))
-            declared = 6 * suite._CHECKS[name][3](n)
-            assert max(sizes["_estimates"], default=0) <= declared, name
-            assert max(sizes["_evaluate"], default=0) <= max(numerics.FIELD_VALUES, declared), name
-            assert (name in FD_CHECKS) == bool(sizes["_estimates"]), name
+    @pytest.mark.parametrize("n", [3, 16])
+    def test_a_residual_chunk_holds_a_few_values_per_sample(self, n, monkeypatch, profiles):
+        # no stencil, and a traced peak of at most 32 (n + 2) values per sample
+        def refuse(*args, **kwargs):
+            raise AssertionError("a field call")
 
-    @pytest.mark.parametrize("name", FD_CHECKS)
-    def test_fd_chunk_at_n8_peaks_no_higher_than_128_samples(self, name, profiles):
-        prof = profiles["wk-exp"]
-        chunk = suite._chunk_size((name,), 8)
-        samples, _ = sample_domain_detailed(fc.SampleSpec(n=8, count=max(chunk, 128), seed=4),
-                                            prof)
-        config = SuiteConfig(profile=WK_EXP, sample=fc.SampleSpec(n=8), checks=(name,))
+        monkeypatch.setattr(numerics, "_evaluate", refuse)
+        prof, count = profiles["wk-exp"], suite._chunk_size(RESIDUAL)
+        samples, _ = sample_domain_detailed(fc.SampleSpec(n=n, count=count, seed=4), prof)
+        config = SuiteConfig(profile=WK_EXP, sample=fc.SampleSpec(n=n), checks=RESIDUAL)
 
-        def peak(count):
-            tracemalloc.start()
-            suite._chunk_records(prof, samples.index[:count], samples.columns(0, count),
-                                 config, np.eye(8))
-            out = tracemalloc.get_traced_memory()[1]
-            tracemalloc.stop()
-            return out
+        def run():
+            suite._chunk_records(prof, samples.index, samples.columns(0, count), config,
+                                 np.eye(n))
 
-        peak(chunk)     # what a first run caches is left out
-        # a repeated run's traced peak drifts by a few kB, well under 1 %
-        assert peak(chunk) <= 1.01 * peak(128)
+        run()       # what a first run caches is left out
+        tracemalloc.start()
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= count * 32 * (n + 2) * 8
 
-    def test_a_raising_chunk_replays_every_sample(self, monkeypatch):
-        per_sample_only(monkeypatch)
-        replays = count_replays(monkeypatch)
+    @staticmethod
+    def refuse_columns_holding(monkeypatch, columns, alone=()):
+        """A chunk holding a sample of t in ``columns`` raises, as does a lone one in ``alone``."""
+        rows = suite._check_rows
+
+        def refused(ctx, checks, sample=None):
+            t = ctx.pv.t
+            if np.ndim(t) and np.isin(t, columns).any() or not np.ndim(t) and t in alone:
+                raise FloatingPointError(f"refused at sample {sample}")
+            return rows(ctx, checks, sample=sample)
+
+        monkeypatch.setattr(suite, "_check_rows", refused)
+
+    def test_a_raising_chunk_halves_down_to_the_sample_that_raises(self, monkeypatch):
         config = SuiteConfig(profile=WK_EXP, sample=fc.SampleSpec(n=3, count=7, seed=1),
-                             checks=fc_cli._SUBCOMMAND_CHECKS["residual"])
-        run_suite(config)
-        assert replays == list(range(7))
+                             checks=RESIDUAL)
+        want = run_suite(config)
+        self.refuse_columns_holding(monkeypatch, [want.records[4]["t"]])
+        replays = count_replays(monkeypatch)
+        assert repr(run_suite(config)) == repr(want)
+        assert replays == [want.records[4]["index"]]
+
+    def test_the_first_lone_sample_that_raises_escapes(self, monkeypatch):
+        config = SuiteConfig(profile=WK_EXP, sample=fc.SampleSpec(n=3, count=7, seed=1),
+                             checks=RESIDUAL)
+        ts = [rec["t"] for rec in run_suite(config).records]
+        self.refuse_columns_holding(monkeypatch, ts[2::3], alone=ts[2::3])
+        with pytest.raises(FloatingPointError, match=r"refused at sample 2$"):
+            run_suite(config)
 
     def test_no_replays_at_the_bench_seeds(self, monkeypatch, tmp_path):
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))

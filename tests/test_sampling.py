@@ -231,7 +231,7 @@ MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
 def numpy_normal(words):
-    """(Generator.normal() fed ``words`` through a Philox buffer, whether it took one word alone)."""
+    """(Generator.normal() fed ``words`` by a Philox buffer, whether it took one word alone)."""
     bits = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
     state = bits.state
     state["buffer"] = np.array(list(words) + [0] * (4 - len(words)), dtype=np.uint64)
@@ -276,6 +276,19 @@ class TestPhiloxKernel:
             assert np.array_equal(row, np.random.Philox(key=key).random_raw(20))
             want = np.random.Generator(np.random.Philox(key=key)).random(20)
             assert sampling._uniforms(row).tobytes() == want.tobytes()
+
+    def test_kernel_multiplies_arrays_only(self, monkeypatch):
+        # numpy 1.x promotes a uint64 scalar's & or >> with a Python int to a
+        # float, which those operations refuse
+        mulhilo = sampling._mulhilo
+
+        def arrays_only(a, b):
+            assert isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
+            return mulhilo(a, b)
+
+        monkeypatch.setattr(sampling, "_mulhilo", arrays_only)
+        sampling._philox_words(42, self.INDICES, 2)
+        assert all(isinstance(w, np.ndarray) for w in sampling._PHILOX_W)
 
     def test_tables_are_numpys(self):
         ki, wi = sampling._ziggurat()
