@@ -34,6 +34,11 @@ PROFILES = {
     # h just off the wk value: the wk formula applies at some samples and not at others
     "wk-exp-h1.0000001.json": {"family": "wk-randers", "f": {"kind": "exp", "c": 1.0, "a": 1.0},
                                "h_scale": 1.0000001},
+    # f = t^1.5: pow at fractional exponents in f, g, h and their derivatives
+    "wk-power1.5.json": {"family": "wk-randers", "f": {"kind": "power", "c": 1.0, "p": 1.5}},
+    # f = t^300: phi^3 is past float range for t in [9, 11]
+    "hermitian-power300.json": {"family": "hermitian", "f": {"kind": "power", "c": 1.0,
+                                                            "p": 300.0}},
 }
 
 # (name, argv without --out, report format); every seed is fixed
@@ -102,6 +107,15 @@ INVOCATIONS = (
     ("verify-hermitian-exp-overflow", ("verify", "--profile", "hermitian-exp-edge.json",
                                        "--t-range", "9.995", "10.0", "--n", "3",
                                        "--samples", "20", "--seed", "41"), "json"),
+    ("verify-wk-power1.5-n3", ("verify", "--profile", "wk-power1.5.json", "--n", "3",
+                               "--samples", "20", "--seed", "51"), "json"),
+    # the k = -4 model's f and tail^(n - 2) of the determinant at n = 6
+    ("verify-km4-n6", ("verify", "--model", "km4", "--n", "6",
+                       "--samples", "20", "--seed", "52"), "json"),
+    # pow past float range: exit 3, the OverflowError of ``**`` named with its check and sample
+    ("verify-hermitian-power300-overflow", ("verify", "--profile", "hermitian-power300.json",
+                                            "--t-range", "9", "11", "--n", "3",
+                                            "--samples", "5", "--seed", "54"), "json"),
 )
 
 # run inside the fresh interpreter: argv[1] is the source tree, argv[2] the

@@ -374,12 +374,14 @@ def kahler_classify(profile: MetricProfile, pv: PointVector,
 def curvature_report(profile: MetricProfile, pv: PointVector,
                      cfg: FDConfig | None = None,
                      jet: Jet2 | None = None, k=None) -> CurvatureReport:
-    """K_F by all applicable methods.
+    """K_F from the closed form, the FD oracle and, where it applies, the wk formula.
 
-    The weakly-Kahler value is included only where the residual gate admits
-    it: where ``holomorphic_curvature_wk`` would raise, ``kf_wk`` is None at a
-    lone pair, and masked over columns, where every field is an array.  ``k``,
-    the ``k_scalars`` at the pair(s), is taken when not passed in.
+    The wk formula equals the closed form for every phi, so |kf_closed - kf_wk|
+    checks its transcription, not a second method.  The weakly-Kahler value is
+    included only where the residual gate admits it: where
+    ``holomorphic_curvature_wk`` would raise, ``kf_wk`` is None at a lone pair,
+    and masked over columns, where every field is an array.  ``k``, the
+    ``k_scalars`` at the pair(s), is taken when not passed in.
     """
     cfg = cfg or FDConfig()
     if jet is None:

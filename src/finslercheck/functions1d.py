@@ -45,10 +45,12 @@ def _finite(*xs) -> bool:
 
 
 # An array result must carry the same bits as the scalar one at each point.
-# numpy's real exp and pow differ from libm in the last ulp on a few percent
+# numpy's real exp and power differ from libm in the last ulp on a few percent
 # of inputs; the real part of its complex exp matches math.exp up to 709.0
 # (above, where cexp rescales, it does not), so exp takes one call below
-# 709.0 and libm entry by entry above it, and pow goes entry by entry
+# 709.0 and libm entry by entry above it.  float_power's float64 loop calls
+# libm's pow, as ``**`` does; where a result is not finite (``**`` may raise
+# there instead) or the array is not float64, pow goes entry by entry
 
 def _exp(t):
     if not isinstance(t, np.ndarray):
@@ -63,11 +65,16 @@ def _exp(t):
 
 
 def _array_pow(x, p):
+    if x.dtype == np.float64:
+        with np.errstate(all="ignore"):
+            out = np.float_power(x, p, out=np.empty(x.shape))
+        if np.isfinite(out).all():
+            return out
     return np.array([v ** p for v in x.ravel().tolist()]).reshape(x.shape)
 
 
 def _pow_for(t):
-    """The ``**`` to use with t: the builtin for floats, entry by entry for arrays."""
+    """The ``**`` to use with t: the builtin for floats, with its bits and errors for arrays."""
     return _array_pow if isinstance(t, np.ndarray) else pow
 
 

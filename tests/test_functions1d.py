@@ -7,7 +7,7 @@ import pytest
 
 import finslercheck as fc
 from finslercheck.errors import InvalidCatalogEntry
-from finslercheck.functions1d import _exp, function_from_descriptor
+from finslercheck.functions1d import _array_pow, _exp, function_from_descriptor
 
 
 def fd4(fn, t, h):
@@ -155,3 +155,78 @@ def test_exp_of_an_array_raises_as_libm_past_float_range():
     assert str(info.value) == str(libm.value)
     with pytest.raises(OverflowError):
         _exp(np.array(709.79))
+
+
+def _pow_outcome(v, p):
+    """``v ** p``, or None where it raises or leaves the reals."""
+    try:
+        out = v ** p
+    except ArithmeticError:
+        return None
+    return out if isinstance(out, float) else None
+
+
+# the exponents of the call sites: small integers, t^(n - 2) for n = 2 ... 32, and
+# the fractional, negative and large ones a power profile can ask for
+POW_EXPONENTS = sorted({0, 1, 2, 3, 4, 5, *range(31), -1, -2, -3, 0.5, 1.5, -1.5, 300.0})
+
+_POW_RNG = np.random.default_rng(2024)
+# dense grids of both signs, subnormals of both signs and random finite bit patterns
+POW_BASES = np.concatenate([
+    np.linspace(-4.0, 4.0, 4001),
+    np.linspace(0.0, 1e3, 2001),
+    np.geomspace(1e-300, 1e300, 2001) * np.resize([1.0, -1.0], 2001),
+    _POW_RNG.integers(1, 2**52, size=1000, dtype=np.uint64).view(float)
+    * np.resize([1.0, -1.0], 1000),
+    _POW_RNG.integers(0, 2**64, size=4000, dtype=np.uint64).view(float),
+    [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1.7976931348623157e308],
+])
+POW_BASES = POW_BASES[np.isfinite(POW_BASES)]
+
+
+@pytest.mark.parametrize("p", POW_EXPONENTS)
+def test_pow_of_an_array_carries_the_bits_of_the_builtin(p):
+    # where ``**`` gives a float at every entry, the array takes one libm call per entry
+    x = np.array([v for v in POW_BASES.tolist() if _pow_outcome(v, p) is not None])
+    assert len(x) > 2000
+    expected = np.array([v ** p for v in x.tolist()])
+    for shape in ((-1,), (2, -1)):
+        arr = x[: len(x) // 2 * 2].reshape(shape)
+        got = _array_pow(arr, p)
+        assert type(got) is np.ndarray and got.shape == arr.shape
+        assert np.array_equal(_bits(got).ravel(), _bits(expected[: arr.size]))
+
+
+@pytest.mark.parametrize("p", [0, 2, 3, -1, 0.5, -1.5, 300.0])
+def test_pow_of_a_0d_array_is_a_0d_array_with_the_bits_of_the_builtin(p):
+    for v in POW_BASES[::97].tolist() + [0.0, -0.0, 1.0, -1.0, 5e-324]:
+        if _pow_outcome(v, p) is None:
+            continue
+        got = _array_pow(np.array(v), p)
+        assert type(got) is np.ndarray and got.shape == ()
+        assert _bits(got) == _bits(v ** p)
+
+
+@pytest.mark.parametrize("x,p", [
+    ([1.5, math.inf, -math.inf, math.nan, -0.0], 2),
+    ([2.0, math.inf, math.nan, 0.25], -1.5),
+    ([4.0, -8.0, 0.5], 0.5),            # a negative base leaves the reals
+    ([1e-150, -1e-154, 3.0], -2),       # huge results, within float range
+], ids=["inf-nan", "inf-nan-fractional", "complex", "near-overflow"])
+def test_pow_of_an_array_with_a_result_off_the_finite_floats_is_the_builtin(x, p):
+    got = _array_pow(np.array(x), p)
+    expected = np.array([v ** p for v in x])
+    assert got.dtype == expected.dtype
+    assert [repr(one) for one in got.tolist()] == [repr(one) for one in expected.tolist()]
+
+
+@pytest.mark.parametrize("x,p", [([2.0, 1e200], 2), ([3.0, 1e-200], -2), ([7.0, 10.0], 309),
+                                 ([2.0, 0.0], -1), ([1.0, 0.0], -1.5)])
+def test_pow_of_an_array_raises_as_the_builtin(x, p):
+    # x[1] ** p raises
+    with pytest.raises(ArithmeticError) as builtin:
+        [v ** p for v in x]
+    for arr in (np.array(x), np.array([x, x]), np.array(x[1])):
+        with pytest.raises(type(builtin.value)) as info:
+            _array_pow(arr, p)
+        assert str(info.value) == str(builtin.value)
