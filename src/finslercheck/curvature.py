@@ -33,12 +33,13 @@ Universal identities (no Kahler hypothesis), proved for a generic phi in
 
 Columns.  ``uw``, the residuals and the three curvatures take (t, s), or a
 ``PointVector``, at one point or at many: arrays of (t, s), or a
-``PointVector`` of (n, m) columns.  Each entry of a result carries the bits of
-its point alone.  Guards take one path for both: one failing point fails the
-call as it fails alone (``curvature_report`` masks ``kf_wk`` instead).  An
-optional ``jet``, phi's order-3 jet at the point(s), and the U/W data ``d`` of
-``wk_residual_uw`` and ``lemma_integrability_residual`` are built when not
-passed in, so that a caller can share them.
+``PointVector`` of (n, m) columns.  A point runs the same numpy code and gives
+numpy scalars, and each entry of a result carries the bits of its point alone.
+Guards take one path for both: one failing point fails the call as it fails
+alone (``curvature_report`` masks ``kf_wk`` instead).  An optional ``jet``,
+phi's order-3 jet at the point(s), and the U/W data ``d`` of ``wk_residual_uw``
+and ``lemma_integrability_residual`` are built when not passed in, so that a
+caller can share them.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateUs, DomainViolation, NotWeaklyKahler
-from .functions1d import _pow_for
+from .functions1d import _array_pow
 from .jets import INDICES, Jet2
 from .numerics import FDConfig, wirtinger_gradient
 from .profiles import MetricProfile, _check_jet_entries, _first
@@ -119,7 +120,7 @@ class KahlerReport:
 class CurvatureReport:
     kf_direct: float
     kf_closed: float
-    kf_wk: float | None
+    kf_wk: np.ma.MaskedArray
 
 
 def _phi_jet(profile: MetricProfile, t, s) -> Jet2:
@@ -152,7 +153,7 @@ def _u(t, s, phi, phi_s):
 
 
 def _uw_domain(profile, t, s):
-    """Where the U/W transform applies, as (margin, validity) masks (bools at a point).
+    """Where the U/W transform applies, as (margin, validity) masks (0-d at a point).
 
     margin: 0 < s <= (1 - 1e-6) t; validity: ``profile.is_valid``.
     """
@@ -194,7 +195,7 @@ def wk_residual_phi(profile: MetricProfile, t, s, jet: Jet2 | None = None):
         * (phi_s - phi_t + s * (phi_ts + phi_ss))
     b = s * (t - s) * phi_ss \
         * (phi * (phi_s - phi_t) + s * phi_s * (phi_t + phi_s))
-    return (a + b) / _pow_for(phi)(phi, 3)
+    return (a + b) / _array_pow(phi, 3)
 
 
 def _uw_residual(d: UWData, t, s):
@@ -245,7 +246,7 @@ def _wk_gate(d: UWData, t, s):
     """(residual, gated, degenerate) for the weakly-Kahler formula.
 
     gated: the U/W residual reaches WK_RESIDUAL_GATE; degenerate: |U_s| is
-    below US_DEGENERACY.  Bools at a point, masks over columns.
+    below US_DEGENERACY.  Masks over columns, 0-d at a point.
     """
     residual = _uw_residual(d, t, s)
     return residual, abs(residual) >= WK_RESIDUAL_GATE, abs(d.U_s) < US_DEGENERACY
@@ -253,7 +254,7 @@ def _wk_gate(d: UWData, t, s):
 
 def _wk_formula(phi, d: UWData, t, s):
     return -(2.0 / phi) * (s * (d.W_t + d.W_s)
-                           - s * s * (t - s) * _pow_for(d.W_s)(d.W_s, 2) / d.U_s
+                           - s * s * (t - s) * _array_pow(d.W_s, 2) / d.U_s
                            + d.W)
 
 
@@ -281,15 +282,12 @@ def holomorphic_curvature_wk(profile: MetricProfile, pv: PointVector,
 
 
 def _wk_columns(profile, pv, jet):
-    """Weakly-Kahler K_F, masked (None at a lone pair) where ``holomorphic_curvature_wk`` raises."""
+    """Weakly-Kahler K_F, masked where ``holomorphic_curvature_wk`` raises (0-d at a lone pair)."""
     t, s = pv.t, pv.s
     d = _uw_data(jet, t, s)
     margin, valid = _uw_domain(profile, t, s)
     _, gated, degenerate = _wk_gate(d, t, s)
     applies = margin & valid & np.logical_not(gated | degenerate)
-    if np.ndim(applies) == 0:
-        # a lone pair's floats raise where the formula does not apply (U_s = 0)
-        return _wk_formula(jet.value, d, t, s) if applies else None
     # masked columns may divide by a zero U_s
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return np.ma.masked_array(_wk_formula(jet.value, d, t, s), mask=~applies)
@@ -331,8 +329,7 @@ def holomorphic_curvature_direct(profile: MetricProfile, pv: PointVector,
     # with spray0 = 0 there is no v-transport at all
     term2 = np.where(np.any(spray0, axis=0), anti[1] * scale_v, 0.0)
 
-    value = np.real(-(2.0 / _pow_for(G)(G, 2)) * _sum_rows(ga * (term1 - term2)))
-    return value if isinstance(value, np.ndarray) else float(value)
+    return np.real(-(2.0 / _array_pow(G, 2)) * _sum_rows(ga * (term1 - term2)))
 
 
 def kahler_classify(profile: MetricProfile, pv: PointVector,
@@ -365,8 +362,6 @@ def kahler_classify(profile: MetricProfile, pv: PointVector,
     kahler = np.max(np.abs(delta_v), axis=(-2, -1)) / (scale_g * v_l1)
     weakly_vec = np.einsum('a...,...ab->...b', levi.g_alpha, delta_v)
     weakly = np.max(np.abs(weakly_vec), axis=-1) / (scale_g * v_l1 * ga_l1)
-    if np.ndim(strong) == 0:
-        strong, kahler, weakly = float(strong), float(kahler), float(weakly)
     return KahlerReport(strong_residual=strong, kahler_residual=kahler,
                         weakly_residual=weakly)
 
@@ -378,10 +373,9 @@ def curvature_report(profile: MetricProfile, pv: PointVector,
 
     The wk formula equals the closed form for every phi, so |kf_closed - kf_wk|
     checks its transcription, not a second method.  The weakly-Kahler value is
-    included only where the residual gate admits it: where
-    ``holomorphic_curvature_wk`` would raise, ``kf_wk`` is None at a lone pair,
-    and masked over columns, where every field is an array.  ``k``, the
-    ``k_scalars`` at the pair(s), is taken when not passed in.
+    included only where the residual gate admits it: ``kf_wk`` is a masked
+    array, 0-d at a lone pair, masked where ``holomorphic_curvature_wk`` would
+    raise.  ``k``, the ``k_scalars`` at the pair(s), is taken when not passed in.
     """
     cfg = cfg or FDConfig()
     if jet is None:

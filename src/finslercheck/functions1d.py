@@ -44,17 +44,16 @@ def _finite(*xs) -> bool:
         return False
 
 
-# An array result must carry the same bits as the scalar one at each point.
-# numpy's real exp and power differ from libm in the last ulp on a few percent
-# of inputs; the real part of its complex exp matches math.exp up to 709.0
-# (above, where cexp rescales, it does not), so exp takes one call below
-# 709.0 and libm entry by entry above it.  float_power's float64 loop calls
-# libm's pow, as ``**`` does; where a result is not finite (``**`` may raise
-# there instead) or the array is not float64, pow goes entry by entry
+# exp and pow of an array (0-d at a point) with libm's bits: numpy's real exp
+# and power differ from libm in the last ulp on a few percent of inputs; the
+# real part of its complex exp matches math.exp up to 709.0 (above, where cexp
+# rescales, it does not), so exp takes one call below 709.0 and libm entry by
+# entry above it.  float_power's float64 loop calls libm's pow, as ``**`` does;
+# where a result is not finite (``**`` may raise there instead) or the array
+# is not float64, pow goes entry by entry
 
 def _exp(t):
-    if not isinstance(t, np.ndarray):
-        return math.exp(t)
+    t = np.asarray(t)
     z = t.astype(complex)
     with np.errstate(all="ignore"):
         out = np.exp(z, out=z).real
@@ -65,6 +64,7 @@ def _exp(t):
 
 
 def _array_pow(x, p):
+    x = np.asarray(x)
     if x.dtype == np.float64:
         with np.errstate(all="ignore"):
             out = np.float_power(x, p, out=np.empty(x.shape))
@@ -73,18 +73,13 @@ def _array_pow(x, p):
     return np.array([v ** p for v in x.ravel().tolist()]).reshape(x.shape)
 
 
-def _pow_for(t):
-    """The ``**`` to use with t: the builtin for floats, with its bits and errors for arrays."""
-    return _array_pow if isinstance(t, np.ndarray) else pow
-
-
 class ScalarFunction1D:
     """A function of t >= 0 with evaluators for f and its first derivatives.
 
     ``derivs(t, order)`` returns the tuple (f, f', ..., f^(order)), each entry
-    a float or an array shaped like t (constant entries may stay floats).  The
-    open interval ``t_interval`` (optionally closed at the left end) is where
-    the evaluators are defined and finite.
+    an array shaped like t, or a numpy scalar at a point t (constant entries may
+    stay floats).  The open interval ``t_interval`` (optionally closed at the
+    left end) is where the evaluators are defined and finite.
     """
 
     max_order = 4
@@ -159,11 +154,10 @@ class Power(ScalarFunction1D):
 
     def derivs(self, t, order):
         self._check_order(order)
-        pw = _pow_for(t)
         out = []
         coeff = self.c
         for k in range(order + 1):
-            out.append(coeff * pw(t, self.p - k))
+            out.append(coeff * _array_pow(t, self.p - k))
             coeff *= (self.p - k)
         return tuple(out)
 
@@ -207,18 +201,18 @@ class Rational(ScalarFunction1D):
     def derivs(self, t, order):
         self._check_order(order)
         a, b = self.a, self.b
-        pw = _pow_for(t)
         D = a + b * t * t
         out = [t / D]
         if order >= 1:
-            out.append((a - b * t * t) / pw(D, 2))
+            out.append((a - b * t * t) / _array_pow(D, 2))
         if order >= 2:
-            out.append(-2.0 * b * t * (3.0 * a - b * t * t) / pw(D, 3))
+            out.append(-2.0 * b * t * (3.0 * a - b * t * t) / _array_pow(D, 3))
         if order >= 3:
-            out.append(-6.0 * b * (a * a - 6.0 * a * b * t * t + pw(b * t * t, 2)) / pw(D, 4))
+            out.append(-6.0 * b * (a * a - 6.0 * a * b * t * t + _array_pow(b * t * t, 2))
+                       / _array_pow(D, 4))
         if order >= 4:
             out.append(24.0 * b * b * t * (5.0 * a * a - 10.0 * a * b * t * t
-                                           + pw(b * t * t, 2)) / pw(D, 5))
+                                           + _array_pow(b * t * t, 2)) / _array_pow(D, 5))
         return tuple(out)
 
     def descriptor(self):
@@ -291,17 +285,17 @@ def _wk_pair(t, f, order):
 
     f = (f, f', ..., f^(order + 1)) at t; g and h share each power of t.
     """
-    pw = _pow_for(t)
     a = [0.5 * f[k + 1] for k in range(order + 1)]
     b = [0.5 * f[0] / t]
     if order >= 1:
-        t2 = pw(t, 2)
+        t2 = _array_pow(t, 2)
         b.append(0.5 * f[1] / t - 0.5 * f[0] / t2)
     if order >= 2:
-        t3 = pw(t, 3)
+        t3 = _array_pow(t, 3)
         b.append(0.5 * f[2] / t - f[1] / t2 + f[0] / t3)
     if order >= 3:
-        b.append(0.5 * f[3] / t - 1.5 * f[2] / t2 + 3.0 * f[1] / t3 - 3.0 * f[0] / pw(t, 4))
+        b.append(0.5 * f[3] / t - 1.5 * f[2] / t2 + 3.0 * f[1] / t3
+                 - 3.0 * f[0] / _array_pow(t, 4))
     return tuple(x - y for x, y in zip(a, b)), tuple(x + y for x, y in zip(a, b))
 
 
@@ -356,8 +350,9 @@ def probe_positive(fn: ScalarFunction1D, strict: bool = True) -> bool:
     hi = min(hi, max(10.0, 4.0 * lo))
     if lo >= hi:
         return False
-    ts = [lo + (hi - lo) * (k + 0.5) / 9 for k in range(9)]
-    vals = [fn.value(t) for t in ts]
+    # overflow to inf stays silent here, as in the guards' masks
+    with np.errstate(divide="raise", over="ignore", under="ignore", invalid="ignore"):
+        vals = fn.value(np.array([lo + (hi - lo) * (k + 0.5) / 9 for k in range(9)]))
     if strict:
-        return all(v > 0.0 for v in vals)
-    return all(v >= 0.0 for v in vals) and any(v > 0.0 for v in vals)
+        return bool(np.all(vals > 0.0))
+    return bool(np.all(vals >= 0.0) and np.any(vals > 0.0))

@@ -4,16 +4,14 @@ A ``Jet2`` stores Taylor coefficients c[(i,j)] = (d^{i+j} f / dt^i ds^j) / (i! j
 up to a fixed total order (1, 2 or 3), in graded-lexicographic layout.  Sums,
 products, quotients and square roots propagate coefficients exactly, which turns
 every chain-rule expansion in the profile and curvature formulas into plain
-arithmetic on these objects.  Coefficients are Python floats, or numpy arrays
-of one shape holding many (t, s) points at once (the finite-difference stencils
-of the closed forms); every operation is elementwise IEEE arithmetic, so a
-column carries the bits of the lone point.  Jets built from floats keep Python
-floats, and the hot loops use precomputed index tables.
+arithmetic on these objects.  Coefficients are numpy arrays of one shape
+holding many (t, s) points at once (the finite-difference stencils of the
+closed forms), or numbers at one point, which take the same numpy code; every
+operation is elementwise IEEE arithmetic, so a column carries the bits of the
+lone point.  The hot loops use precomputed index tables.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -23,10 +21,6 @@ INDICES = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2
 NCOEF = {1: 3, 2: 6, 3: 10}
 _POS = {ij: k for k, ij in enumerate(INDICES)}
 _FACT = (1.0, 1.0, 2.0, 6.0)
-
-
-def _coefficient(x):
-    return x if isinstance(x, np.ndarray) else float(x)
 
 
 def _build_tables():
@@ -68,20 +62,20 @@ class Jet2:
     @classmethod
     def constant(cls, x: float, order: int) -> "Jet2":
         c = [0.0] * NCOEF[order]
-        c[0] = _coefficient(x)
+        c[0] = x
         return cls(order, c)
 
     @classmethod
     def var_t(cls, t: float, order: int) -> "Jet2":
         c = [0.0] * NCOEF[order]
-        c[0] = _coefficient(t)
+        c[0] = t
         c[1] = 1.0
         return cls(order, c)
 
     @classmethod
     def var_s(cls, s: float, order: int) -> "Jet2":
         c = [0.0] * NCOEF[order]
-        c[0] = _coefficient(s)
+        c[0] = s
         c[2] = 1.0
         return cls(order, c)
 
@@ -147,9 +141,7 @@ class Jet2:
         if not isinstance(other, Jet2):
             return self * (1.0 / other)
         u, v = self.c, other.c
-        zero = v[0] == 0.0
-        # the comparison tells floats from arrays: the float path skips np.any
-        if zero is not False and np.any(zero):
+        if np.any(v[0] == 0.0):
             raise ZeroDivisionError("jet division by a jet with zero value")
         w = [0.0] * len(u)
         w[0] = u[0] / v[0]
@@ -166,15 +158,10 @@ class Jet2:
 
     def sqrt(self) -> "Jet2":
         u = self.c
-        negative = u[0] <= 0.0
-        if negative is False:
-            root = math.sqrt(u[0])
-        elif np.any(negative):
+        if np.any(u[0] <= 0.0):
             raise ValueError("jet sqrt of a non-positive value")
-        else:
-            root = np.sqrt(u[0])
         w = [0.0] * len(u)
-        w[0] = root
+        w[0] = np.sqrt(u[0])
         table = _SQRT[self.order]
         for out in range(1, len(u)):
             acc = u[out]

@@ -357,9 +357,7 @@ def wirtinger_second(field: Callable, point, i, j,
     s1 = 1.0 if conj_i else -1.0
     s2 = 1.0 if conj_j else -1.0
     out = 0.25 * (cxx + s2 * 1j * cxy + s1 * 1j * cyx - s1 * s2 * cyy)
-    if not lone:
-        return out
-    return complex(out[0]) if np.ndim(out[0]) == 0 else out[0]
+    return out[0] if lone else out
 
 
 def wirtinger_mixed_hessian(field: Callable, point, cfg: FDConfig | None = None,
@@ -453,7 +451,7 @@ def hermitian_inverse_det(m, tol_pd: float = DEFAULT_TOL_PD,
     real eigenvalues and the inverse is Hermitian by construction.  An
     eigenvalue of magnitude below ``tol_pd * max|eig|`` raises SingularMatrix,
     at the first matrix of a stack where one does.  A stack gives B
-    determinants; one matrix gives a float.
+    determinants; one matrix gives one.
     """
     m = check_hermitian(m, tol_herm)
     w, vecs = np.linalg.eigh(m)
@@ -466,7 +464,7 @@ def hermitian_inverse_det(m, tol_pd: float = DEFAULT_TOL_PD,
     det = np.prod(w, axis=-1)
     inv = (vecs / w[..., None, :]) @ _adjoint(vecs)
     inv = 0.5 * (inv + _adjoint(inv))
-    return inv, (float(det) if det.ndim == 0 else det)
+    return inv, det
 
 
 def positive_definite(m, tol_pd: float = DEFAULT_TOL_PD):
@@ -474,7 +472,7 @@ def positive_definite(m, tol_pd: float = DEFAULT_TOL_PD):
 
     The pivot threshold is ``tol_pd * trace / n``; any pivot at or below it
     (or non-finite) makes the answer False.  Never raises.  ``m`` is one
-    matrix (a bool) or a stack (B, n, n) (a mask, one entry per matrix).
+    matrix or a stack (B, n, n), which gives a mask, one entry per matrix.
     """
     m = np.asarray(m, dtype=complex)
     n = m.shape[-1]
@@ -491,4 +489,4 @@ def positive_definite(m, tol_pd: float = DEFAULT_TOL_PD):
             for j in range(k + 1, n):
                 L[..., j, k] = (m[..., j, k] - np.sum(L[..., j, :k] * np.conj(L[..., k, :k]),
                                                       axis=-1)) / L[..., k, k]
-    return bool(ok) if ok.ndim == 0 else ok
+    return ok

@@ -103,10 +103,6 @@ def _jet_order(order):
     return order
 
 
-def _sqrt(x):
-    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
-
-
 class MetricProfile:
     """A profile phi(t, s) on the region of one domain guard.
 
@@ -140,20 +136,22 @@ class MetricProfile:
         """
         where = f"{region} region of {self._name}"
         _require(t, s, self._in_bounds(t, s), where)
-        try:
-            # a Python float raises on x / 0; numpy then flags divide or invalid
-            with np.errstate(divide="raise", invalid="raise"):
+        # far out, before the guard reads them, numpy flags divide or invalid
+        with np.errstate(divide="raise", invalid="raise"):
+            try:
                 d = self._fetch(t, order)
-        except ArithmeticError:    # far out, before the guard reads them
-            inside = self._masks(t, s)[region != "smooth"]
-            for a, b, ok in zip(*(x.ravel().tolist() for x in np.broadcast_arrays(t, s, inside))):
-                _require(a, b, ok, where)
-                try:
-                    self._fetch(a, order)
-                except ArithmeticError as exc:
-                    raise DomainViolation(f"(t, s) = ({a}, {b}): the order-{order} derivatives "
-                                          f"of {self._name} leave float range ({exc})") from exc
-            raise
+            except ArithmeticError:
+                inside = self._masks(t, s)[region != "smooth"]
+                for a, b, ok in zip(*(x.ravel().tolist()
+                                      for x in np.broadcast_arrays(t, s, inside))):
+                    _require(a, b, ok, where)
+                    try:
+                        self._fetch(a, order)
+                    except ArithmeticError as exc:
+                        raise DomainViolation(f"(t, s) = ({a}, {b}): the order-{order} "
+                                              f"derivatives of {self._name} leave float "
+                                              f"range ({exc})") from exc
+                raise
         smooth, valid = self._positive(t, s, d)
         _require(t, s, smooth if region == "smooth" else valid, where)
         return d
@@ -162,8 +160,8 @@ class MetricProfile:
         """(smooth, valid) masks over (t, s), 0-d at a point, False at non-finite (t, s).
 
         ``positive`` sees the points in bounds only, so 1-D derivatives are never
-        taken outside their interval; like Python floats, it overflows to inf
-        without a floating-point warning.
+        taken outside their interval; it overflows to inf without a
+        floating-point warning.
         """
         t, s = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(s, dtype=float))
         inside = np.array(np.isfinite(t) & np.isfinite(s))
@@ -187,15 +185,13 @@ class MetricProfile:
     def smooth_at(self, t, s):
         """True where the jet is evaluable (all pieces finite, sqrt args positive).
 
-        At a point a bool; at arrays of (t, s) a mask, each entry the bool of its point.
+        A mask over arrays of (t, s), each entry that of its point; 0-d at a point.
         """
-        smooth = self._masks(t, s)[0]
-        return smooth if smooth.ndim else bool(smooth)
+        return self._masks(t, s)[0]
 
     def is_valid(self, t, s):
         """smooth_at plus the family's metric-positivity requirements, at a point or arrays."""
-        valid = self._masks(t, s)[1]
-        return valid if valid.ndim else bool(valid)
+        return self._masks(t, s)[1]
 
     def smooth_jet(self, t, s, order: int) -> Jet2:
         """Taylor jet on the smooth region at reduced order, its entries finite and phi > 0.
@@ -291,7 +287,7 @@ def randers_profile(f: ScalarFunction1D, g: ScalarFunction1D,
 
     def value(t, s, d):
         a, b = d[0][0] + d[1][0] * s, d[2][0] * s
-        return a + b + 2.0 * _sqrt(a * b)
+        return a + b + 2.0 * np.sqrt(a * b)
 
     def jet(t, s, d, order):
         fd, gd, hd = d

@@ -46,8 +46,8 @@ _UNITARY_SEED_SALT = 0x5EED
 class _Chunk:
     """The pieces the checks share over a chunk of samples, each built once, when first used.
 
-    ``pv`` holds the chunk's samples as columns, or one sample alone.  Every
-    piece is then a column form (a stack for matrices) or the lone sample's.
+    ``pv`` holds the chunk's samples as columns, and every piece is a column
+    form (a stack for matrices).
     """
 
     def __init__(self, profile, pv, cfg, unitary):
@@ -96,9 +96,8 @@ class _Chunk:
 
 
 # A check maps the chunk to its outputs: an array with one entry per sample
-# (a masked entry is left out of that sample's record), or one value for a
-# lone sample (None is left out).  Matrices come as stacks (B, n, n), vectors
-# as columns (n, B).
+# (a masked entry is left out of that sample's record).  Matrices come as
+# stacks (B, n, n), vectors as columns (n, B).
 
 def _max_entry(x, axes=(-2, -1)):
     return np.max(np.abs(x), axis=axes)
@@ -185,10 +184,10 @@ def _check_k2k3(ctx):
 
 def _check_curvature(ctx):
     rep = curv.curvature_report(ctx.profile, ctx.pv, ctx.cfg, ctx.jet, ctx.k)
-    # kf_wk is masked over columns, None at a lone sample, where the wk formula does not apply
+    # kf_wk is masked where the wk formula does not apply
     return {"kf_closed": rep.kf_closed, "kf_direct": rep.kf_direct,
             "kf_dev_direct": abs(rep.kf_direct - rep.kf_closed), "kf_wk": rep.kf_wk,
-            "kf_dev_wk": None if rep.kf_wk is None else abs(rep.kf_closed - rep.kf_wk)}
+            "kf_dev_wk": abs(rep.kf_closed - rep.kf_wk)}
 
 
 def _rotate(unitary, x):
@@ -327,46 +326,47 @@ class SuiteReport:
     passed: bool
 
 
+def _metric(ctx):
+    return {"G": ctx.pv.r * ctx.profile.value(ctx.pv.t, ctx.pv.s)}
+
+
 def _check_rows(ctx, checks, sample=None):
     """G and the outputs of ``checks``: keys, and values and presence with a row per sample.
 
-    At a lone sample of index ``sample``, an ``ArithmeticError`` is raised again naming it.
+    The checks run in order, then G.  In a one-sample chunk of index ``sample``
+    an error is raised again naming the check (or G), the sample and its (t, s).
     """
     pv = ctx.pv
-    out = {"G": pv.r * ctx.profile.value(pv.t, pv.s)}
-    for name in checks:
+    out = {"G": None}       # first in each row, evaluated last
+    for what, step in [(f"check {name}", _CHECKS[name][0]) for name in checks] + [("G", _metric)]:
         try:
-            out.update(_CHECKS[name][0](ctx))
-        except ArithmeticError as exc:
+            out.update(step(ctx))
+        except (FinslerCheckError, ArithmeticError) as exc:
             if sample is None:
                 raise
-            where = f"check {name} at sample {sample}, (t, s) = ({pv.t}, {pv.s})"
+            where = f"{what} at sample {sample}, (t, s) = ({pv.t[0]}, {pv.s[0]})"
             raise type(exc)(f"{where}: {exc}") from exc
-    cols = [np.ma.masked if x is None else x for x in out.values()]
-    return (tuple(out), np.column_stack([np.ma.getdata(x) for x in cols]),
-            np.column_stack([~np.ma.getmaskarray(x) for x in cols]))
+    return (tuple(out), np.column_stack([np.ma.getdata(x) for x in out.values()]),
+            np.column_stack([~np.ma.getmaskarray(x) for x in out.values()]))
 
 
 def _checked_rows(profile, indices, pv, config, unitary):
     """``_check_rows`` of the samples ``pv`` holds, at once or, where that raises, in halves.
 
-    Every check runs over the samples at once.  When that raises, each half
-    runs the same way, the first half first, down to samples alone, which run
-    check by check in ``config.checks`` order; so the error that escapes is
-    the first one that order meets.
+    Every check runs over the samples at once, and a floating-point event
+    raises.  When that raises, each half runs the same way, the first half
+    first, down to one-sample chunks, whose error names the check, the sample
+    and (t, s); so the error that escapes is that of the first sample that
+    raises, and of its first check in ``config.checks`` order.
     """
+    lone = len(indices) == 1
     try:
-        # a floating-point event the per-sample floats would raise on, or
-        # pass silently, sends the samples the per-sample way too
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            return _check_rows(_Chunk(profile, pv, config.fd, unitary), config.checks)
+            return _check_rows(_Chunk(profile, pv, config.fd, unitary), config.checks,
+                               sample=indices[0] if lone else None)
     except (FinslerCheckError, ArithmeticError, ValueError):
-        if len(indices) == 1:
-            # the array-valued pieces of a lone sample stay silent; its floats
-            # raise as Python floats do
-            with np.errstate(all="ignore"):
-                return _check_rows(_Chunk(profile, PointVector(pv.z[:, 0], pv.v[:, 0]),
-                                          config.fd, unitary), config.checks, sample=indices[0])
+        if lone:
+            raise
     half = len(indices) // 2
     rows = [_checked_rows(profile, indices[part], PointVector(pv.z[:, part], pv.v[:, part]),
                           config, unitary) for part in (slice(None, half), slice(half, None))]

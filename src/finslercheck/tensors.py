@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateK1, ZeroVector
-from .functions1d import _pow_for
+from .functions1d import _array_pow
 from .jets import Jet2
 from .numerics import (
     FDConfig,
@@ -60,25 +60,18 @@ __all__ = [
 K1_DEGENERACY = 1e-12
 
 
-def _coordinates(x):
-    x = np.asarray(x, dtype=complex)
-    # a vector's entries as Python complex numbers, a stencil's as rows
-    return x.tolist() if x.ndim == 1 else x
-
-
 def invariants(z, v):
     """(r, t, s, pairing) for a base point z and tangent vector v.
 
     r = |v|^2, t = |z|^2, pairing = <z, v>, s = |pairing|^2 / r, with
     0 <= s <= t by Cauchy-Schwarz (s is clamped against rounding overshoot).
-    Vectors give floats and a complex pairing.  Arrays of shape (n, m), or a
-    vector against one, hold m points as columns (the finite-difference field
-    contract) and give arrays of length m.
+    Arrays of shape (n, m), or a vector against one, hold m points as columns
+    (the finite-difference field contract) and give arrays of length m;
+    vectors give numpy scalars.
     """
     r = t = p_re = p_im = 0.0
-    # real arithmetic in the operation order of Python's complex multiply
-    # a * conj(b), so that a stencil column gets the bits of the lone point
-    for a, b in zip(_coordinates(z), _coordinates(v)):
+    # real arithmetic in the operation order of a complex scalar multiply a * conj(b)
+    for a, b in zip(np.asarray(z, dtype=complex), np.asarray(v, dtype=complex)):
         ar, ai, br, bi = a.real, a.imag, b.real, b.imag
         t = t + (ar * ar + ai * ai)
         r = r + (br * br + bi * bi)
@@ -89,9 +82,7 @@ def invariants(z, v):
     s = (p_re * p_re + p_im * p_im) / r
     if np.any(s > t * (1.0 + 1e-9) + 1e-300):
         raise ValueError(f"s exceeds t beyond rounding slack (s - t up to {np.max(s - t):.3e})")
-    if isinstance(s, np.ndarray):
-        return r, t, np.minimum(s, t), p_re + 1j * p_im
-    return r, t, min(s, t), complex(p_re, p_im)
+    return r, t, np.minimum(s, t), p_re + 1j * p_im
 
 
 @dataclass(frozen=True)
@@ -168,8 +159,9 @@ class ConnectionData:
 # Closed forms below take one point (vectors z, v) or m points (the columns of
 # (n, m) arrays, values with a trailing axis of length m), and a column carries
 # the bits of the lone point.  numpy's vectorised complex multiply and complex
-# abs, and its x ** 2, can differ in the last bit from the scalar operations of
-# the one-point code, so the helpers below keep the scalar operation order.
+# abs, and its x ** 2, can differ in the last bit from complex scalar
+# arithmetic, whose bits the reports keep, so the helpers below keep the scalar
+# operation order.
 
 def _cmul(a, b):
     """a * b in the operation order of a product of two complex scalars."""
@@ -182,7 +174,7 @@ def _cmul(a, b):
 
 def _abs(x):
     """|x| of a complex number or array, as the libm hypot of Python's complex abs."""
-    return np.hypot(x.real, x.imag) if isinstance(x, (np.ndarray, np.generic)) else abs(x)
+    return np.hypot(np.real(x), np.imag(x))
 
 
 def _outer(a, b):
@@ -214,8 +206,8 @@ def _sum_rows(x):
 
 
 def _s_alpha(z, v, r, pairing):
-    pw = _pow_for(r)
-    return -np.conj(v) * pw(_abs(pairing), 2) / pw(r, 2) + pairing * np.conj(z) / r
+    return (-np.conj(v) * _array_pow(_abs(pairing), 2) / _array_pow(r, 2)
+            + pairing * np.conj(z) / r)
 
 
 def _levi_matrix(profile, z, v):
@@ -282,7 +274,7 @@ def det_closed(profile: MetricProfile, t, s, n: int):
     phi_s = j.partial(0, 1)
     _, k1 = _levi_head(t, s, phi, phi_s, j.partial(0, 2))
     tail = phi - s * phi_s
-    return k1 * _pow_for(tail)(tail, n - 2)
+    return k1 * _array_pow(tail, n - 2)
 
 
 def pseudoconvexity_check(profile: MetricProfile, t, s):
@@ -297,7 +289,7 @@ def pseudoconvexity_check(profile: MetricProfile, t, s):
     cond1 = phi - s * phi_s
     _, cond2 = _levi_head(t, s, phi, phi_s, j.partial(0, 2))
     ok = (cond1 > 0.0) & (cond2 > 0.0)
-    return cond1, cond2, ok if isinstance(ok, np.ndarray) else bool(ok)
+    return cond1, cond2, ok
 
 
 def _levi_head(t, s, phi, phi_s, phi_ss):

@@ -117,22 +117,24 @@ def assert_one_line_error(res, code, prefix):
 
 
 BALL_EDGE = ("--model", "km4", "--c", "1", "--n", "2", "--t-range", "0.9", "0.99999")
-STENCIL_REJECTED = ("numerical error: stencil point rejected: (t, s) = ({}) "
-                    "outside validity region of randers profile")
+STENCIL_REJECTED = ("numerical error: check {} at sample {}, (t, s) = ({}): stencil point "
+                    "rejected: (t, s) = ({}) outside validity region of randers profile")
 
 
-@pytest.mark.parametrize("argv, where", [
+@pytest.mark.parametrize("argv, sample, where", [
     (("curvature", "--samples", "50", "--seed", "3"),
+     ("curvature", 4, "0.9985370888973009, 0.6953211454833017"),
      "1.0002034051230442, 0.696987461709045"),
     # both stencils of sample 22 leave the ball: the chunked curvature stage
     # alone would name its curvature point, but nconn comes first in order
     (("verify", "--checks", "nconn,curvature", "--samples", "30", "--seed", "1"),
+     ("nconn", 22, "0.9986330655207063, 0.7330793837261295"),
      "1.0002003814625955, 0.7345176220939209"),
 ], ids=["curvature", "verify-nconn-curvature"])
-def test_stencil_leaving_the_ball_is_the_per_sample_error(argv, where):
+def test_stencil_leaving_the_ball_is_the_per_sample_error(argv, sample, where):
     res = run_cli(*argv, *BALL_EDGE)
     assert_one_line_error(res, 3, "numerical error:")
-    assert res.stderr == STENCIL_REJECTED.format(where) + "\n"
+    assert res.stderr == STENCIL_REJECTED.format(*sample, where) + "\n"
 
 
 def test_bad_fd_step_is_config_error():
@@ -258,17 +260,22 @@ def test_model_c_squared_out_of_float_range_is_config_error(model, c):
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
-@pytest.mark.parametrize("step", ["1e-100", "1e-300"])
-def test_tiny_fd_step_is_one_line_numerical_error(step, fmt):
+@pytest.mark.parametrize("step, error", [
     # the direct curvature's FD blows up; its stddev overflows quietly, and the
-    # writer rejects the non-finite aggregate
+    # writer rejects the non-finite aggregate, named by its place: the first
+    # non-finite number in the report's order
+    ("1e-100", r"non-finite number (-?inf|nan) in report at "
+               r"(aggregates\.\w+\.(max|mean|stddev)|records\[\d+\]\.\w+)"),
+    # every stencil point rounds onto the base point, and the Levi oracle divides by
+    # a zero step in the one-sample chunk of the first sample
+    ("1e-300", r"check levi_oracle at sample 0, \(t, s\) = \([\d.e-]+, [\d.e-]+\): "
+               r"divide by zero encountered in divide"),
+], ids=["1e-100", "1e-300"])
+def test_tiny_fd_step_is_one_line_numerical_error(step, error, fmt):
     code, lines = main_in_process(["verify", "--model", "k4", "--fd-step", step,
                                    "--samples", "2", "--format", fmt])
-    assert code == 3
-    assert len(lines) == 1 and lines[0].startswith("numerical error: non-finite number "), lines
-    # the first non-finite number in the report's order, named by its place
-    assert re.fullmatch(r"numerical error: non-finite number (-?inf|nan) in report at "
-                        r"(aggregates\.\w+\.(max|mean|stddev)|records\[\d+\]\.\w+)", lines[0])
+    assert code == 3 and len(lines) == 1, lines
+    assert re.fullmatch(f"numerical error: {error}", lines[0]), lines
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -280,12 +287,39 @@ def test_non_finite_aggregate_named(fmt):
 
 
 def test_arithmetic_error_names_check_and_sample():
-    # phi^3 underflows at c = 1e-150: the wk residual divides by zero at every sample,
-    # and the replay names the first check and sample it meets
+    # phi^3 underflows at c = 1e-150: the wk residual divides 0 by 0 at every sample,
+    # and the one-sample chunk of the first sample names the first check it meets
     code, lines = main_in_process(["verify", "--model", "k0", "--c", "1e-150", "--samples", "3"])
     assert code == 3 and len(lines) == 1
     assert re.fullmatch(r"numerical error: check wk_phi at sample 0, \(t, s\) = "
-                        r"\([\d.e-]+, [\d.e-]+\): float division by zero", lines[0]), lines
+                        r"\([\d.e-]+, [\d.e-]+\): invalid value encountered in divide",
+                        lines[0]), lines
+
+
+def test_profile_probe_overflowing_to_inf_warns_nowhere(tmp_path):
+    # f = 1e308 t^2 overflows to inf on the positivity probe of the profile
+    # constructor, silently (a warning would reject the descriptor here); the
+    # jets then overflow in the first check
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps({"family": "hermitian", "f": {"kind": "power", "c": 1e308,
+                                                                "p": 2.0}}))
+    code, lines = main_in_process(["residual", "--profile", str(profile), "--samples", "3"])
+    assert code == 3 and len(lines) == 1, lines
+    assert lines[0].startswith("numerical error: check wk_phi at sample 0, (t, s) = "), lines
+
+
+@pytest.mark.parametrize("seed", [5, 53, 56])
+def test_every_error_in_a_chunk_names_check_and_sample(seed, tmp_path):
+    # f = t^300: phi and its partials near float range; the error each seed meets
+    # first, an overflow here, names its check, its sample and (t, s)
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps({"family": "hermitian", "f": {"kind": "power", "c": 1.0,
+                                                                "p": 300.0}}))
+    code, lines = main_in_process(["verify", "--profile", str(profile), "--t-range", "9", "11",
+                                   "--n", "3", "--samples", "5", "--seed", str(seed)])
+    assert code == 3 and len(lines) == 1, lines
+    assert re.fullmatch(r"numerical error: check \w+ at sample \d+, \(t, s\) = "
+                        r"\([\d.e-]+, [\d.e-]+\): .+", lines[0]), lines
 
 
 # --- fuzz: malformed descriptors and option values never escape as exceptions ---

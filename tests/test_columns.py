@@ -95,12 +95,18 @@ class TestJetColumns:
         assert isinstance(got, Jet2)
         assert_columns(got, [s * x for s, x in zip(scale.tolist(), a_cols)])
 
-    def test_float_jets_stay_python_floats(self):
-        a = Jet2(3, [1.3, 0.2, 0.1, 0.05, 0.01, 0.02, 0.001, 0.002, 0.003, 0.004])
-        b = Jet2.var_s(0.4, 3) + Jet2.from_t_derivs((2.0, 0.5, 0.25, 0.125), 3)
-        for jet in (a + b, a - b, a * b, a / b, a.sqrt(), 1.0 - a, 2.0 / b, a + 1,
-                    Jet2.constant(2, 3), Jet2.var_t(1, 3)):
-            assert all(type(x) is float for x in jet.c), jet
+    def test_float_jets_match_one_column_jets(self):
+        # a jet of floats runs the numpy code of a jet of one column
+        def jets(box):
+            a = Jet2(3, box([1.3, 0.2, 0.1, 0.05, 0.01, 0.02, 0.001, 0.002, 0.003, 0.004]))
+            b = Jet2.var_s(box([0.4])[0], 3) + Jet2.from_t_derivs(box([2.0, 0.5, 0.25, 0.125]), 3)
+            return (a + b, a - b, a * b, a / b, a.sqrt(), 1.0 - a, 2.0 / b, a + 1,
+                    Jet2.constant(box([2.0])[0], 3), Jet2.var_t(box([1.0])[0], 3))
+
+        for point, column in zip(jets(list), jets(lambda xs: [np.array([x]) for x in xs])):
+            # repr tells the bits apart
+            assert [repr(float(x)) for x in point.c] == \
+                [repr(float(x[0] if np.ndim(x) else x)) for x in column.c], point
 
     def test_guards_fire_at_a_single_column(self):
         value = np.array([1.0, 0.0, 2.0])
@@ -301,7 +307,7 @@ class TestDomainEdgesOnColumns:
         assert isinstance(alone, str) and alone.startswith(f"{error.__name__}: "), alone
         assert outcome(lambda: evaluate(prof, np.array(ts), np.array(ss))) == alone
         for t, s in ((ts[2], ss[2]), (math.nan, ss[2])):
-            assert type(prof.is_valid(t, s)) is bool and type(prof.smooth_at(t, s)) is bool
+            assert prof.is_valid(t, s).shape == prof.smooth_at(t, s).shape == ()
 
     def test_one_column_outside_the_ball(self):
         # k = -4, c = 1 lives on t < 1; with dz = v only the column tau_z = +2h leaves it
@@ -509,32 +515,35 @@ class TestSamplesAsColumns:
 
 
 class TestLonePairWk:
-    """``curvature_report`` at a lone pair: kf_wk is None exactly where the wk formula raises."""
+    """``curvature_report`` at a lone pair: kf_wk is masked exactly where the wk formula raises."""
 
-    def test_none_where_the_wk_formula_raises(self, profiles):
+    def test_masked_where_the_wk_formula_raises(self, profiles):
         perturbed = profiles["perturbed"]
         for prof, pv, error in (
                 (profiles["model-k4"], pairs_at(0.8, [1.0 - 0.5e-6])[0], DomainViolation),
                 (perturbed, make_points(perturbed, count=1, seed=101)[0], NotWeaklyKahler)):
             with pytest.raises(error):
                 fc.holomorphic_curvature_wk(prof, pv)
-            assert fc.curvature_report(prof, pv).kf_wk is None
+            kf_wk = fc.curvature_report(prof, pv).kf_wk
+            assert kf_wk.shape == () and np.ma.is_masked(kf_wk)
 
-    def test_none_at_a_degenerate_us(self):
+    def test_masked_at_a_degenerate_us(self):
         # k1 = U_s phi^2 degenerates with U_s, so curvature_report raises DegenerateK1
         # from the closed form here; the piece that gives it kf_wk is taken alone
         pv = pairs(2.0, 0.5)
         with pytest.raises(DegenerateUs):
             fc.holomorphic_curvature_wk(EXP_MINUS_S, pv)
         jet = curvature._phi_jet(EXP_MINUS_S, pv.t, pv.s)
-        assert curvature._wk_columns(EXP_MINUS_S, pv, jet) is None
+        with np.errstate(all="raise"):      # the masked pair's division is silent
+            assert np.ma.is_masked(curvature._wk_columns(EXP_MINUS_S, pv, jet))
 
     @pytest.mark.parametrize("name", ["model-k4", "model-km4", "wk-exp", "h-exp"])
     def test_the_wk_formula_elsewhere(self, name, profiles):
         prof = profiles[name]
         for pv in make_points(prof, n=3, count=3, seed=23):
             kf_wk = fc.curvature_report(prof, pv).kf_wk
-            assert type(kf_wk) is float and kf_wk == fc.holomorphic_curvature_wk(prof, pv)
+            assert kf_wk.shape == () and not np.ma.is_masked(kf_wk)
+            assert float(kf_wk) == fc.holomorphic_curvature_wk(prof, pv)
 
 
 def field_columns(monkeypatch):
@@ -551,15 +560,8 @@ def field_columns(monkeypatch):
 
 
 def per_sample_only(monkeypatch):
-    """Send every chunk the per-sample way: each sample alone, checks in order."""
-    rows = suite._check_rows
-
-    def lone_only(ctx, checks, **kwargs):
-        if np.ndim(ctx.pv.t):
-            raise ValueError("columns refused")
-        return rows(ctx, checks, **kwargs)
-
-    monkeypatch.setattr(suite, "_check_rows", lone_only)
+    """Run every sample in a chunk of its own, checks in order."""
+    monkeypatch.setattr(suite, "_chunk_size", lambda checks: 1)
 
 
 def run_cli(argv, capsys):
@@ -624,8 +626,10 @@ class TestOracleChunks:
                 "--samples", "8", "--seed", "3"]
         code, err = run_cli(argv, capsys)
         assert code == 3 and len(err) == 1
-        assert re.fullmatch(r"numerical error: stencil point rejected: \(t, s\) = \(1\.0\d+, "
-                            r"[\d.]+\) outside validity region of randers profile", err[0])
+        assert re.fullmatch(r"numerical error: check nconn at sample 4, \(t, s\) = "
+                            r"\(0\.998\d+, [\d.]+\): stencil point rejected: \(t, s\) = "
+                            r"\(1\.0\d+, [\d.]+\) outside validity region of randers profile",
+                            err[0])
         per_sample_only(monkeypatch)
         assert run_cli(argv, capsys) == (code, err)
 
@@ -647,8 +651,10 @@ class TestOracleChunks:
         return samples
 
     @pytest.mark.parametrize("checks, error", [
-        (None, r"numerical error: eigenvalue magnitude below threshold \S+"),
-        ("curvature", r"numerical error: k1 = \S+ is degenerate relative to phi\^2 = \S+"),
+        (None, r"numerical error: check levi_oracle at sample 2, \(t, s\) = \(2\.0, \S+\): "
+               r"eigenvalue magnitude below threshold \S+ at matrix 0 of the stack"),
+        ("curvature", r"numerical error: check curvature at sample 2, \(t, s\) = \(2\.0, \S+\): "
+                      r"k1 = \S+ is degenerate relative to phi\^2 = \S+"),
     ], ids=["singular-levi", "degenerate-k1"])
     def test_degenerate_sample_mid_chunk(self, checks, error, monkeypatch, capsys):
         samples = self.singular_samples(monkeypatch)
@@ -673,16 +679,20 @@ RESIDUAL = fc_cli._SUBCOMMAND_CHECKS["residual"]
 
 
 def count_replays(monkeypatch):
-    """The index of every sample that a chunk replays alone, in order."""
-    replays = []
-    rows = suite._check_rows
+    """The sample indices of every chunk that a raising chunk halves into, in order."""
+    replays, depth = [], []
+    checked = suite._checked_rows
 
-    def counted(ctx, checks, sample=None):
-        if sample is not None:
-            replays.append(sample)
-        return rows(ctx, checks, sample=sample)
+    def counted(profile, indices, *args):
+        if depth:
+            replays.append(list(indices))
+        depth.append(indices)
+        try:
+            return checked(profile, indices, *args)
+        finally:
+            depth.pop()
 
-    monkeypatch.setattr(suite, "_check_rows", counted)
+    monkeypatch.setattr(suite, "_checked_rows", counted)
     return replays
 
 
@@ -719,33 +729,53 @@ class TestChunkRule:
         assert peak <= count * 32 * (n + 2) * 8
 
     @staticmethod
-    def refuse_columns_holding(monkeypatch, columns, alone=()):
-        """A chunk holding a sample of t in ``columns`` raises, as does a lone one in ``alone``."""
-        rows = suite._check_rows
+    def refuse_chunks_holding(monkeypatch, columns, alone=()):
+        """Check wk_phi raises on a chunk holding a t in ``columns``, or of one t in ``alone``."""
+        check, column, tol = suite._CHECKS["wk_phi"]
 
-        def refused(ctx, checks, sample=None):
+        def refused(ctx):
             t = ctx.pv.t
-            if np.ndim(t) and np.isin(t, columns).any() or not np.ndim(t) and t in alone:
-                raise FloatingPointError(f"refused at sample {sample}")
-            return rows(ctx, checks, sample=sample)
+            if len(t) > 1 and np.isin(t, columns).any() or len(t) == 1 and t[0] in alone:
+                raise FloatingPointError("refused")
+            return check(ctx)
 
-        monkeypatch.setattr(suite, "_check_rows", refused)
+        monkeypatch.setitem(suite._CHECKS, "wk_phi", (refused, column, tol))
 
     def test_a_raising_chunk_halves_down_to_the_sample_that_raises(self, monkeypatch):
         config = SuiteConfig(profile=WK_EXP, sample=fc.SampleSpec(n=3, count=7, seed=1),
                              checks=RESIDUAL)
         want = run_suite(config)
-        self.refuse_columns_holding(monkeypatch, [want.records[4]["t"]])
+        self.refuse_chunks_holding(monkeypatch, [want.records[4]["t"]])
         replays = count_replays(monkeypatch)
         assert repr(run_suite(config)) == repr(want)
-        assert replays == [want.records[4]["index"]]
+        # 7 -> 3 + 4, 4 -> 2 + 2, 2 -> 1 + 1: sample 4 runs in a chunk of its own
+        index = [rec["index"] for rec in want.records]
+        assert replays == [index[:3], index[3:], index[3:5], index[3:4], index[4:5], index[5:]]
 
     def test_the_first_lone_sample_that_raises_escapes(self, monkeypatch):
         config = SuiteConfig(profile=WK_EXP, sample=fc.SampleSpec(n=3, count=7, seed=1),
                              checks=RESIDUAL)
         ts = [rec["t"] for rec in run_suite(config).records]
-        self.refuse_columns_holding(monkeypatch, ts[2::3], alone=ts[2::3])
-        with pytest.raises(FloatingPointError, match=r"refused at sample 2$"):
+        self.refuse_chunks_holding(monkeypatch, ts[2::3], alone=ts[2::3])
+        named = rf"^check wk_phi at sample 2, \(t, s\) = \({ts[2]}, [\d.e-]+\): refused$"
+        with pytest.raises(FloatingPointError, match=named):
+            run_suite(config)
+
+    def test_g_is_named_when_it_raises(self, monkeypatch):
+        # G runs after the checks, in the same named region
+        config = SuiteConfig(profile=WK_EXP, sample=fc.SampleSpec(n=3, count=7, seed=1),
+                             checks=RESIDUAL)
+        ts = [rec["t"] for rec in run_suite(config).records]
+        metric = suite._metric
+
+        def overflowing(ctx):
+            if ts[3] in ctx.pv.t:
+                raise FloatingPointError("overflow encountered in multiply")
+            return metric(ctx)
+
+        monkeypatch.setattr(suite, "_metric", overflowing)
+        named = rf"^G at sample 3, \(t, s\) = \({ts[3]}, [\d.e-]+\): overflow encountered in \w+$"
+        with pytest.raises(FloatingPointError, match=named):
             run_suite(config)
 
     def test_no_replays_at_the_bench_seeds(self, monkeypatch, tmp_path):

@@ -219,13 +219,13 @@ class TestCurvature:
         prof = profiles["model-k4"]
         pv = make_points(prof, count=1, seed=109)[0]
         rep = fc.curvature_report(prof, pv)
-        assert rep.kf_wk is not None
+        assert rep.kf_wk.shape == () and not np.ma.is_masked(rep.kf_wk)
         kf = (rep.kf_direct, rep.kf_closed, rep.kf_wk)
         assert max(abs(a - b) for a in kf for b in kf) < 1e-4
         prof2 = profiles["perturbed"]
         pv2 = make_points(prof2, count=1, seed=109)[0]
         rep2 = fc.curvature_report(prof2, pv2)
-        assert rep2.kf_wk is None
+        assert rep2.kf_wk.shape == () and np.ma.is_masked(rep2.kf_wk)
 
 
 def _call_wk_at(prof, t, s):

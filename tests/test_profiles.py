@@ -337,7 +337,7 @@ def test_lone_jet_at_extreme_t_raises_domain_violation(name, order, profiles):
     # also where the point is valid (wk-exp); as a column among valid ones,
     # the point raises the error it raises alone
     prof = INVERSE_SQRT if name == "h-inverse-sqrt" else profiles[name]
-    assert prof.is_valid(1e-300, 1e-301) is (name == "wk-exp")
+    assert prof.is_valid(1e-300, 1e-301).tolist() is (name == "wk-exp")
     for jet in (prof.raw_jet, prof.smooth_jet):
         with pytest.raises(DomainViolation, match=r"^\(t, s\) = \(1e-300, 1e-301\)") as alone:
             jet(1e-300, 1e-301, order)
@@ -348,7 +348,9 @@ def test_lone_jet_at_extreme_t_raises_domain_violation(name, order, profiles):
 
 def test_order0_derivatives_leaving_float_range_are_outside_validity():
     prof = INVERSE_SQRT
-    assert prof.is_valid(1e-300, 1e-301) is False and prof.smooth_at(1e-300, 1e-301) is False
+    # a point gives a 0-d mask
+    assert prof.is_valid(1e-300, 1e-301).shape == prof.smooth_at(1e-300, 1e-301).shape == ()
+    assert not prof.is_valid(1e-300, 1e-301) and not prof.smooth_at(1e-300, 1e-301)
     assert prof.is_valid(EXTREME_TS, EXTREME_SS).tolist() == [True, True, False, True]
     assert prof.smooth_at(EXTREME_TS, EXTREME_SS).tolist() == [True, True, False, True]
     for t, s in ((1e-300, 1e-301), (EXTREME_TS, EXTREME_SS)):

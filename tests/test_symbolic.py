@@ -4,8 +4,9 @@ The spray scalars k1, k2, k3 of ``tensors._levi_head`` and
 ``tensors._spray_scalars`` and the U/W transform of ``curvature`` are
 transcribed below into sympy, with phi an undetermined function of (t, s).
 Each identity then reduces to 0 as a rational function of phi's partials.  The
-package's float closed forms are tied to the transcription by evaluating it
-with mpmath at 50 digits on random order-3 jets of phi.
+package's float closed forms, and its two weakly-Kahler residuals, are tied to
+the transcription by evaluating it with mpmath at 50 digits on random order-3
+jets of phi.
 
 sympy is an optional dependency (the ``symbolic`` extra); without it this
 module is skipped.
@@ -37,6 +38,12 @@ k3 = (phi * (phi_ts + phi_ss) - phi_s * (phi_t + phi_s)) / k1
 U = (s * phi + s * (t - s) * phi_s) / phi
 W = (phi_t + phi_s) / phi
 U_s, U_t, W_s, W_t = U.diff(s), U.diff(t), W.diff(s), W.diff(t)
+
+# curvature.wk_residual_phi and curvature.wk_residual_uw
+WK_PHI = ((phi - s * phi_s) * head * (phi_s - phi_t + s * (phi_ts + phi_ss))
+          + s * (t - s) * phi_ss * (phi * (phi_s - phi_t) + s * phi_s * (phi_t + phi_s))
+          ) / phi ** 3
+WK_UW = s * U * (U - t) * W_s - s * (U - t) * U_s * W - 2 * (U - s) * U_s
 
 IDENTITIES = {
     "k1": k1 - U_s * phi ** 2,
@@ -78,6 +85,7 @@ def random_jets(count, seed=20260219):
 def test_float_closed_forms_match_the_transcription():
     k_ref = _evaluator([k1, k2, k3])
     uw_ref = _evaluator([U, W, U_s, U_t, W_s, W_t])
+    wk_ref = _evaluator([WK_PHI, WK_UW])
     worst = 0.0
     with mpmath.workdps(50):
         for t_at, s_at, coeffs in random_jets(50):
@@ -88,7 +96,9 @@ def test_float_closed_forms_match_the_transcription():
                 [mpmath.mpf(jet.partial(i, j)) for i, j in PARTIALS]
             d = curvature.uw(prof, t_at, s_at)
             got = list(tensors.k_scalars(prof, t_at, s_at)) + \
-                [d.U, d.W, d.U_s, d.U_t, d.W_s, d.W_t]
-            for x, ref in zip(got, k_ref(*args) + uw_ref(*args)):
+                [d.U, d.W, d.U_s, d.U_t, d.W_s, d.W_t] + \
+                [curvature.wk_residual_phi(prof, t_at, s_at, jet),
+                 curvature.wk_residual_uw(prof, t_at, s_at, d)]
+            for x, ref in zip(got, k_ref(*args) + uw_ref(*args) + wk_ref(*args), strict=True):
                 worst = max(worst, float(abs(x - ref) / max(1, abs(ref))))
     assert worst < 1e-14
