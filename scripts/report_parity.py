@@ -86,6 +86,10 @@ INVOCATIONS = (
     # two chunks of the residual checks, 8192 samples and 1
     ("residual-wk-exp-8193", ("residual", "--profile", "wk-exp.json", "--n", "3",
                               "--samples", "8193", "--seed", "48"), "csv"),
+    # G near 1e39, past the report kernel's fast range [1e-30, 1e30), beside exact zeros
+    ("residual-hermitian-exp-far", ("residual", "--profile", "hermitian-exp.json", "--n", "3",
+                                    "--t-range", "70", "90", "--samples", "50",
+                                    "--seed", "7"), "csv"),
     # the profile rejects part of the window, and the sampler draws again
     ("residual-hermitian-decay", ("residual", "--profile", "hermitian-decay.json", "--n", "3",
                                   "--t-range", "0.2", "0.45", "--samples", "40",

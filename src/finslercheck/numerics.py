@@ -419,12 +419,14 @@ def _asymmetry(m):
 def _first_bad(bad, *values):
     """(``values`` at the first matrix where the mask ``bad`` holds, where that is).
 
-    ``bad`` is a bool for one matrix, which gives no place, or a mask over a stack.
+    ``bad`` is a bool for one matrix or a mask over a stack; one matrix, alone or as a
+    stack of one, gives no place.
     """
     if np.ndim(bad) == 0:
         return tuple(float(x) for x in values), ""
     k = int(np.argmax(bad))
-    return tuple(float(x[k]) for x in values), f" at matrix {k} of the stack"
+    where = f" at matrix {k} of the stack" if len(bad) > 1 else ""
+    return tuple(float(x[k]) for x in values), where
 
 
 def check_hermitian(m, tol: float = DEFAULT_TOL_HERM) -> np.ndarray:

@@ -447,6 +447,14 @@ class TestBasePoints:
         skew[2, 0, 1] += 1e-3
         with pytest.raises(HermitianViolation, match="at matrix 2 of the stack$"):
             fc.hermitian_inverse_det(skew)
+        # a stack of one matrix names no place, as the matrix alone does
+        for one in (M[1], M[1:2]):
+            with pytest.raises(SingularMatrix, match=r"^eigenvalue magnitude below threshold "
+                                                     r"1\.000e-12$"):
+                fc.hermitian_inverse_det(one)
+        for one in (skew[2], skew[2:3]):
+            with pytest.raises(HermitianViolation, match=r"\(tol 1\.0e-08\)$"):
+                numerics.check_hermitian(one)
 
 
 # The point-by-point stencils the engine replaced, kept as its reference: one

@@ -3,6 +3,7 @@
 import json
 import math
 from collections import OrderedDict
+from functools import partial
 
 import numpy as np
 import pytest
@@ -320,6 +321,73 @@ class TestRecordsTable:
             with pytest.raises(ReportIOError, match=r"^non-finite number inf in report "
                                                     r"at aggregates\.kf_closed\.mean$"):
                 render(rep)
+
+
+def percent_rows(records, template, sep):
+    """The record rows as the writer made them before its 17-digit kernel, frozen: each run of
+    rows that hold the same fields in one ``%`` call of its template."""
+    values, present = records.values, records.present
+    starts = np.flatnonzero(np.any(present[1:] != present[:-1], axis=1)) + 1
+    bounds, texts = [0, *starts.tolist(), len(values)], []
+    for a, b in zip(bounds, bounds[1:]):
+        text, cols = template(present[a])
+        texts.append(sep.join([text] * (b - a)) % tuple(values[a:b, cols].ravel().tolist()))
+    return sep.join(texts)
+
+
+def percent_json(records):
+    def nested(shape, leaf):
+        return leaf if not shape else "[" + ",".join([nested(shape[1:], leaf)] * shape[0]) + "]"
+
+    def template(mask):
+        parts, cols = [], []
+        for key, col, shape in sorted(records.layout()):
+            if mask[col]:
+                leaf = "%d" if key in ("index", "n") else "%.17g"
+                parts.append(json.dumps(key) + ":" + nested(shape, leaf))
+                cols += range(col, col + math.prod(shape))
+        return "{" + ",".join(parts) + "}", cols
+    return percent_rows(records, template, ",")
+
+
+def percent_csv(records, checks):
+    def template(mask):
+        start = {key: col for key, col, _ in records.layout()}
+        cols = [start[key] for key in ("index", "n", "t", "s", "r", "pairing")]
+        cols += [start["pairing"] + 1, start["G"]] + [start[CHECK_COLUMNS[c]] for c in checks]
+        cells = ["%d", "%d"] + ["%.17g" if mask[col] else "" for col in cols[2:]]
+        return ",".join(cells) + "\n", [col for col in cols if mask[col]]
+    return percent_rows(records, template, "")
+
+
+class TestRowsAsThePercentWriter:
+    """Records with mixed presence patterns: the kernel's rows equal the frozen ``%`` rows."""
+
+    @staticmethod
+    def assert_same_rows(rep):
+        rows, checks = rep.records, rep.config["checks"]
+        expected = []
+        _reference_json(dict(vars(rep), records=list(rows)), expected)
+        assert render_json(rep) == "".join(expected) + "\n"
+        assert report._rows_text(rows, partial(report._json_template, rows), ",") == \
+            percent_json(rows)
+        assert report._rows_text(rows, partial(report._csv_template, rows, checks), "") == \
+            percent_csv(rows, checks)
+
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_odd_values_with_masked_kf_wk(self, n):
+        rows = record_rows(n, 60, seed=10 + n)
+        table = table_of(rows, n, FIELDS + ("k2k3_residual",))
+        assert len({bytes(p) for p in table.present}) == 2
+        self.assert_same_rows(table_report(table))
+
+    def test_curvature_run_with_and_without_kf_wk(self):
+        profile = {"family": "wk-randers", "f": {"kind": "exp", "c": 1.0, "a": 1.0},
+                   "h_scale": 1.0000001}
+        rep = run_suite(small_config(profile, ("curvature",), count=60, seed=7))
+        present = rep.records.present
+        assert np.count_nonzero(np.any(present[1:] != present[:-1], axis=1)) >= 5
+        self.assert_same_rows(rep)
 
 
 class TestSuiteRecords:
