@@ -74,6 +74,9 @@ INVOCATIONS = (
     # records with and without kf_wk in one chunk
     ("curvature-wk-exp-h1.0000001", ("curvature", "--profile", "wk-exp-h1.0000001.json",
                                      "--n", "2", "--samples", "60", "--seed", "7"), "json"),
+    # ... and with no kf_wk at any sample
+    ("curvature-randers", ("curvature", "--profile", "randers.json", "--n", "2",
+                           "--samples", "20", "--seed", "8"), "json"),
     ("models", ("models", "--n", "2", "--samples", "20", "--seed", "31"), "json"),
     ("residual-wk-exp", ("residual", "--profile", "wk-exp.json", "--n", "3",
                          "--samples", "200", "--seed", "41"), "json"),
@@ -83,6 +86,9 @@ INVOCATIONS = (
                           "--samples", "200", "--seed", "43"), "csv"),
     ("residual-wk-exp-h1.1", ("residual", "--profile", "wk-exp-h1.1.json", "--n", "3",
                               "--samples", "200", "--seed", "44"), "json"),
+    # the verdict "not-weakly-kahler"
+    ("classify-wk-exp-h1.1-csv", ("classify", "--profile", "wk-exp-h1.1.json", "--n", "3",
+                                  "--samples", "20", "--seed", "9"), "csv"),
     # two chunks of the residual checks, 8192 samples and 1
     ("residual-wk-exp-8193", ("residual", "--profile", "wk-exp.json", "--n", "3",
                               "--samples", "8193", "--seed", "48"), "csv"),

@@ -242,16 +242,6 @@ def holomorphic_curvature_closed(profile: MetricProfile, pv: PointVector,
     return -(2.0 / jet.value) * (term2 + U * term3)
 
 
-def _wk_gate(d: UWData, t, s):
-    """(residual, gated, degenerate) for the weakly-Kahler formula.
-
-    gated: the U/W residual reaches WK_RESIDUAL_GATE; degenerate: |U_s| is
-    below US_DEGENERACY.  Masks over columns, 0-d at a point.
-    """
-    residual = _uw_residual(d, t, s)
-    return residual, abs(residual) >= WK_RESIDUAL_GATE, abs(d.U_s) < US_DEGENERACY
-
-
 def _wk_formula(phi, d: UWData, t, s):
     return -(2.0 / phi) * (s * (d.W_t + d.W_s)
                            - s * s * (t - s) * _array_pow(d.W_s, 2) / d.U_s
@@ -270,11 +260,13 @@ def holomorphic_curvature_wk(profile: MetricProfile, pv: PointVector,
     if jet is None:
         jet = _phi_jet(profile, t, s)
     d = _uw_data(jet, t, s)
-    residual, gated, degenerate = _wk_gate(d, t, s)
+    residual = _uw_residual(d, t, s)
+    gated = abs(residual) >= WK_RESIDUAL_GATE
     if np.any(gated):
         (residual,) = _first(gated, residual)
         raise NotWeaklyKahler(
             f"weakly-Kahler residual {residual:.3e} exceeds gate {WK_RESIDUAL_GATE:.1e}")
+    degenerate = abs(d.U_s) < US_DEGENERACY
     if np.any(degenerate):
         (U_s,) = _first(degenerate, d.U_s)
         raise DegenerateUs(f"U_s = {U_s} is degenerate")
@@ -282,12 +274,17 @@ def holomorphic_curvature_wk(profile: MetricProfile, pv: PointVector,
 
 
 def _wk_columns(profile, pv, jet):
-    """Weakly-Kahler K_F, masked where ``holomorphic_curvature_wk`` raises (0-d at a lone pair)."""
+    """Weakly-Kahler K_F (0-d at a lone pair), masked outside the U/W domain and where
+    |residual| reaches WK_RESIDUAL_GATE; a NaN residual is not masked.
+
+    ``holomorphic_curvature_wk``'s ``DegenerateUs`` needs no mask: ``curvature_report``
+    runs ``holomorphic_curvature_closed`` first, and since k1 = U_s phi^2 it raises
+    ``DegenerateK1`` wherever |U_s| < US_DEGENERACY, up to rounding.
+    """
     t, s = pv.t, pv.s
     d = _uw_data(jet, t, s)
     margin, valid = _uw_domain(profile, t, s)
-    _, gated, degenerate = _wk_gate(d, t, s)
-    applies = margin & valid & np.logical_not(gated | degenerate)
+    applies = margin & valid & np.logical_not(abs(_uw_residual(d, t, s)) >= WK_RESIDUAL_GATE)
     # masked columns may divide by a zero U_s
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return np.ma.masked_array(_wk_formula(jet.value, d, t, s), mask=~applies)

@@ -14,7 +14,7 @@ followed by one column per selected check (its primary per-sample value, see
 trailing '#'-comment block.
 
 Both formats write the records from the run's columns (``suite.Records``), in
-the bytes the record dicts give, with no Python float made per value: a row is
+the bytes of each record written as a dict, with no Python float per value: a row is
 its template's literal text with each field's NUL widened to ``_WIDTH`` NULs,
 which one numpy kernel, ``_g17``, fills with the field's exact ``'%.17g'``
 bytes; the NULs left over are deleted.  The kernel's digits rest on IEEE double

@@ -4,8 +4,7 @@ Checks come in two kinds.  Criterion checks compare a per-sample scalar against
 a fixed tolerance from the ladder below and contribute to the overall verdict;
 the ``classify`` check is informational and instead yields a Kahler-type
 classification ("kahler" / "weakly-kahler-not-kahler" / "not-weakly-kahler").
-No selected check is ever skipped silently: anything not run is recorded with a
-reason in the criteria table.
+Every selected check runs on every sample, or the run raises.
 
 Tolerance ladder: 1e-8 for jet-analytic identities, 1e-6 for quantities behind
 one finite difference, 1e-4 for the direct (FD-of-spray) curvature.
@@ -14,7 +13,6 @@ one finite difference, 1e-4 for the direct (FD-of-spray) curvature.
 from __future__ import annotations
 
 import datetime as _dt
-from collections.abc import Sequence
 from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 
@@ -268,8 +266,8 @@ class SuiteConfig:
             raise ConfigError("at least one check must be selected")
 
 
-class Records(Sequence):
-    """A run's per-sample records as columns; the record dicts are built when first read.
+class Records:
+    """A run's per-sample records as columns.
 
     Row k of ``values`` holds sample k's index, n, t, s, r, pairing, z, v (re,
     im of each entry), G and check ``fields``; ``present`` marks what it holds.
@@ -287,38 +285,20 @@ class Records(Sequence):
                 + [(key, cut + j, ()) for j, key in enumerate(self.fields)])
 
     def column(self, key):
-        """The present entries of check field ``key`` as one array, in sample order."""
-        j = 8 + 4 * self.n + self.fields.index(key)
+        """The present entries of scalar key ``key`` (``index``, ``t``, ``s``, ``r``, ``G``
+        or a check field) as one array, in sample order."""
+        j = next(col for name, col, _ in self.layout() if name == key)
         return self.values[self.present[:, j], j]
-
-    @cached_property
-    def _rows(self):
-        n, cut = self.n, 8 + 4 * self.n
-        return [{"index": int(row[0]), "n": n, "t": row[2], "s": row[3], "r": row[4],
-                 "pairing": row[5:7], "G": row[cut - 1],
-                 "z": [row[j:j + 2] for j in range(7, 7 + 2 * n, 2)],
-                 "v": [row[j:j + 2] for j in range(7 + 2 * n, cut - 1, 2)],
-                 **{key: x for key, x, p in zip(self.fields, row[cut:], mask[cut:]) if p}}
-                for row, mask in zip(self.values.tolist(), self.present.tolist())]
 
     def __len__(self):
         return len(self.values)
-
-    def __getitem__(self, k):
-        return self._rows[k]
-
-    def __eq__(self, other):
-        return self._rows == (other._rows if isinstance(other, Records) else other)
-
-    def __repr__(self):
-        return repr(self._rows)
 
 
 @dataclass
 class SuiteReport:
     schema_version: str
     config: dict
-    records: Sequence
+    records: Records
     rejections: list
     aggregates: dict
     criteria: dict
@@ -402,13 +382,8 @@ def _aggregate(records):
 
 def _curvature_criterion(aggregates, records, model_k):
     """Pass/fail of the curvature check, with the model target when known."""
-    detail = {}
-    ok = True
-    dev_d = aggregates.get("kf_dev_direct")
-    if dev_d is None:
-        return False, {"reason": "no curvature records"}
-    detail["max_dev_direct_vs_closed"] = dev_d["max"]
-    ok &= dev_d["max"] < CURVATURE_TOL_DIRECT
+    detail = {"max_dev_direct_vs_closed": aggregates["kf_dev_direct"]["max"]}
+    ok = detail["max_dev_direct_vs_closed"] < CURVATURE_TOL_DIRECT
     dev_w = aggregates.get("kf_dev_wk")
     if dev_w is not None:
         detail["max_dev_closed_vs_wk"] = dev_w["max"]
@@ -433,8 +408,6 @@ def _curvature_criterion(aggregates, records, model_k):
 def _classify_verdict(records):
     """Aggregate Kahler-type verdict from the per-sample residual ladder."""
     total = len(records)
-    if total == 0:
-        return {"verdict": "no samples"}
     weakly, kahler, strong = (records.column(f"classify_{key}")
                               for key in ("weakly", "kahler", "strong"))
     frac = lambda holds: int(np.count_nonzero(holds)) / total
@@ -498,24 +471,16 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
             criteria[name] = {"kind": "criterion", "tolerance": tol,
                               "passed": passed, "detail": detail, "column": column}
             continue
-        agg = aggregates.get(column)
-        if agg is None:
-            criteria[name] = {"kind": "criterion", "passed": False,
-                              "skipped": True, "reason": "no records produced",
-                              "column": column}
-            continue
         if name == "pseudoconvexity":
-            passed = agg["count"] > 0 and np.min(records.column(column)) >= 1.0
-            criteria[name] = {"kind": "criterion", "passed": bool(passed),
+            criteria[name] = {"kind": "criterion",
+                              "passed": bool(np.min(records.column(column)) >= 1.0),
                               "tolerance": "all samples strongly pseudo-convex",
                               "column": column}
         else:
             criteria[name] = {"kind": "criterion", "tolerance": tol,
-                              "passed": bool(agg["max"] < tol), "column": column}
+                              "passed": bool(aggregates[column]["max"] < tol), "column": column}
 
     passed = all(c["passed"] for c in criteria.values() if c["passed"] is not None)
-    if not records:
-        passed = False
 
     config_echo = {
         "profile": config.profile,

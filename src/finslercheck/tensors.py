@@ -247,6 +247,13 @@ def levi_closed(profile: MetricProfile, pv: PointVector,
                     g_alpha=ga, G=pv.r * phi)
 
 
+def _metric_fd(profile, z, v):
+    """G = r phi(t, s) at the FD oracles' stencil points, from ``invariants`` and
+    ``profile.value`` alone."""
+    r, t, s, _ = invariants(z, v)
+    return r * profile.value(t, s)
+
+
 def levi_oracle(profile: MetricProfile, pv: PointVector,
                 cfg: FDConfig | None = None) -> np.ndarray:
     """Mixed Wirtinger Hessian of v -> r phi(t, s(v)): the Levi matrix oracle.
@@ -256,13 +263,9 @@ def levi_oracle(profile: MetricProfile, pv: PointVector,
     the result is a stack (B, n, n).
     """
     n = pv.n
-
-    def metric_sq(w):
-        # the stencil's v over the base point's z, which rides along below it
-        r, t, s, _ = invariants(w[n:], w[:n])
-        return r * profile.value(t, s)
-
-    return wirtinger_mixed_hessian(metric_sq, pv.v, cfg, carry=pv.z)
+    # the stencil's v over the base point's z, which rides along below it
+    return wirtinger_mixed_hessian(lambda w: _metric_fd(profile, w[n:], w[:n]), pv.v, cfg,
+                                   carry=pv.z)
 
 
 def det_closed(profile: MetricProfile, t, s, n: int):
@@ -390,15 +393,10 @@ def nonlinear_connection_fd(profile: MetricProfile, pv: PointVector,
     """
     cfg = cfg or FDConfig()
     n = pv.n
-
-    def joint_metric(w):
-        r, t, s, _ = invariants(w[:n], w[n:])
-        return r * profile.value(t, s)
-
     joint = np.concatenate([pv.z, pv.v])
     index = np.arange(n)
-    D = wirtinger_second(joint_metric, joint, n + index[:, None], index[None, :],
-                         conj_i=True, conj_j=False, cfg=cfg)
+    D = wirtinger_second(lambda w: _metric_fd(profile, w[:n], w[n:]), joint,
+                         n + index[:, None], index[None, :], conj_i=True, conj_j=False, cfg=cfg)
     if levi is None:
         levi = levi_closed(profile, pv, cfg)
     return levi.inverse @ D

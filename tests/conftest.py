@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,6 +27,19 @@ def make_points(profile, n=2, count=5, seed=7, t_range=None, s_range=(0.1, 0.9))
     spec = fc.SampleSpec(n=n, count=count, seed=seed, t_range=t_range,
                          s_fraction_range=s_range)
     return fc.sample_domain(spec, profile)
+
+
+def assert_same_records(got, want):
+    """Two ``suite.Records`` are equal: the same n, fields and presence, and values bit for bit."""
+    assert (got.n, got.fields) == (want.n, want.fields)
+    assert np.array_equal(got.present, want.present)
+    assert np.array_equal(got.values.view(np.uint64), want.values.view(np.uint64))
+
+
+def assert_same_report(got, want):
+    """Two ``SuiteReport``s are equal: their records as ``assert_same_records``, the rest by repr."""
+    assert_same_records(got.records, want.records)
+    assert repr(replace(got, records=None)) == repr(replace(want, records=None))
 
 
 def slice_counts(total, per_call):

@@ -26,7 +26,8 @@ from finslercheck.sampling import Samples, sample_domain_detailed
 from finslercheck.suite import SuiteConfig, run_suite
 from finslercheck.tensors import _levi_matrix, _spray_vector, invariants, k_scalars
 
-from conftest import CATALOG_NAMES, make_points, slice_counts, synthetic_profile
+from conftest import (CATALOG_NAMES, assert_same_report, make_points, slice_counts,
+                      synthetic_profile)
 
 M = 9
 
@@ -515,7 +516,8 @@ class TestSamplesAsColumns:
 
 
 class TestLonePairWk:
-    """``curvature_report`` at a lone pair: kf_wk is masked exactly where the wk formula raises."""
+    """``curvature_report`` at a lone pair: kf_wk is masked exactly where the wk formula raises,
+    save at a degenerate U_s, where the report raises first."""
 
     def test_masked_where_the_wk_formula_raises(self, profiles):
         perturbed = profiles["perturbed"]
@@ -528,14 +530,14 @@ class TestLonePairWk:
             assert kf_wk.shape == () and np.ma.is_masked(kf_wk)
 
     def test_masked_at_a_degenerate_us(self):
-        # k1 = U_s phi^2 degenerates with U_s, so curvature_report raises DegenerateK1
-        # from the closed form here; the piece that gives it kf_wk is taken alone
-        pv = pairs(2.0, 0.5)
-        with pytest.raises(DegenerateUs):
-            fc.holomorphic_curvature_wk(EXP_MINUS_S, pv)
-        jet = curvature._phi_jet(EXP_MINUS_S, pv.t, pv.s)
-        with np.errstate(all="raise"):      # the masked pair's division is silent
-            assert np.ma.is_masked(curvature._wk_columns(EXP_MINUS_S, pv, jet))
+        # kf_wk has no |U_s| mask: k1 = U_s phi^2 degenerates with U_s, so where the wk
+        # formula raises DegenerateUs the closed form, taken first, raises DegenerateK1
+        column = pairs(NEAR_LINE[:2] + [2.0] + NEAR_LINE[3:], [0.3, 0.4, 0.5, 0.6])
+        for pv in (pairs(2.0, 0.5), column):
+            with pytest.raises(DegenerateUs):
+                fc.holomorphic_curvature_wk(EXP_MINUS_S, pv)
+            with pytest.raises(DegenerateK1):
+                fc.curvature_report(EXP_MINUS_S, pv)
 
     @pytest.mark.parametrize("name", ["model-k4", "model-km4", "wk-exp", "h-exp"])
     def test_the_wk_formula_elsewhere(self, name, profiles):
@@ -601,8 +603,7 @@ class TestOracleChunks:
         for config, got in zip(configs, chunked):
             want = run_suite(config)
             assert len(got.records) == config.sample.count
-            assert [repr(rec) for rec in got.records] == [repr(rec) for rec in want.records]
-            assert repr(got) == repr(want)
+            assert_same_report(got, want)
 
     def test_library_oracle_slices_by_itself(self, monkeypatch, profiles):
         # no budget passed: more samples than two field calls hold, each with its bits alone
@@ -745,17 +746,17 @@ class TestChunkRule:
         config = SuiteConfig(profile=WK_EXP, sample=fc.SampleSpec(n=3, count=7, seed=1),
                              checks=RESIDUAL)
         want = run_suite(config)
-        self.refuse_chunks_holding(monkeypatch, [want.records[4]["t"]])
+        self.refuse_chunks_holding(monkeypatch, [want.records.column("t")[4]])
         replays = count_replays(monkeypatch)
-        assert repr(run_suite(config)) == repr(want)
+        assert_same_report(run_suite(config), want)
         # 7 -> 3 + 4, 4 -> 2 + 2, 2 -> 1 + 1: sample 4 runs in a chunk of its own
-        index = [rec["index"] for rec in want.records]
+        index = want.records.column("index").tolist()
         assert replays == [index[:3], index[3:], index[3:5], index[3:4], index[4:5], index[5:]]
 
     def test_the_first_lone_sample_that_raises_escapes(self, monkeypatch):
         config = SuiteConfig(profile=WK_EXP, sample=fc.SampleSpec(n=3, count=7, seed=1),
                              checks=RESIDUAL)
-        ts = [rec["t"] for rec in run_suite(config).records]
+        ts = run_suite(config).records.column("t").tolist()
         self.refuse_chunks_holding(monkeypatch, ts[2::3], alone=ts[2::3])
         named = rf"^check wk_phi at sample 2, \(t, s\) = \({ts[2]}, [\d.e-]+\): refused$"
         with pytest.raises(FloatingPointError, match=named):
@@ -765,7 +766,7 @@ class TestChunkRule:
         # G runs after the checks, in the same named region
         config = SuiteConfig(profile=WK_EXP, sample=fc.SampleSpec(n=3, count=7, seed=1),
                              checks=RESIDUAL)
-        ts = [rec["t"] for rec in run_suite(config).records]
+        ts = run_suite(config).records.column("t").tolist()
         metric = suite._metric
 
         def overflowing(ctx):

@@ -13,7 +13,7 @@ from finslercheck.sampling import SampleSpec
 from finslercheck.suite import CHECK_NAMES, SuiteConfig, run_suite
 from finslercheck.tensors import _spray_scalars, k_scalars
 
-from conftest import CATALOG_NAMES, make_points, slice_counts
+from conftest import CATALOG_NAMES, assert_same_records, make_points, slice_counts
 
 K4 = {"family": "model", "k": 4, "c": 1.0}
 RESIDUAL_CHECKS = _SUBCOMMAND_CHECKS["residual"]
@@ -45,14 +45,14 @@ class TestPerSampleWork:
         assert len(report.records) == 3
         # one chunk: the samples' columns, then their unitary images
         sample, image = [pv for _, pv, *_ in calls]
-        assert sample.t.tolist() == [rec["t"] for rec in report.records]
+        assert sample.t.tolist() == report.records.column("t").tolist()
         assert image.t == pytest.approx(sample.t)
         assert not np.allclose(image.z, sample.z)
 
     def test_verify_builds_the_spray_once_at_the_sample(self, monkeypatch):
         calls = count_calls(monkeypatch, tensors, "spray_coefficients")
         report = run_k4()
-        assert [pv.t.tolist() for _, pv, *_ in calls] == [[rec["t"] for rec in report.records]]
+        assert [pv.t.tolist() for _, pv, *_ in calls] == [report.records.column("t").tolist()]
 
     def test_verify_chunk_builds_each_piece_once(self, monkeypatch):
         # per chunk of 3, 3 and 1 samples: k_scalars, levi_closed and
@@ -65,8 +65,8 @@ class TestPerSampleWork:
                   "pseudoconvexity_check": count_calls(monkeypatch, tensors,
                                                        "pseudoconvexity_check")}
         report = run_k4(count=7)
-        assert report.records == whole.records
-        ts = [rec["t"] for rec in report.records]
+        assert_same_records(report.records, whole.records)
+        ts = report.records.column("t").tolist()
         chunks = [ts[0:3], ts[3:6], ts[6:]]
         for name, calls in pieces.items():
             at = [np.atleast_1d(args[1].t if name == "levi_closed" else args[1]).tolist()
@@ -89,7 +89,7 @@ class TestPerSampleWork:
         monkeypatch.setattr(numerics, "FIELD_VALUES", 2 * one["nonlinear_connection_fd"])
         del calls[:]
         report = run_k4(count=7)
-        assert report.records == whole.records
+        assert_same_records(report.records, whole.records)
         values = {"nonlinear_connection_fd": 1, "levi_oracle": 1, "connection_coefficients": 4}
         per_call = {name: numerics.FIELD_VALUES // k // one[name] for name, k in values.items()}
         assert per_call["nonlinear_connection_fd"] == 2 and min(per_call.values()) >= 1
@@ -109,7 +109,7 @@ class TestPerSampleWork:
     def test_nconn_and_spray_compat_share_the_fd_connection(self, monkeypatch):
         calls = count_calls(monkeypatch, tensors, "nonlinear_connection_fd")
         report = run_k4(checks=("nconn", "spray_compat"))
-        assert [pv.t.tolist() for _, pv, *_ in calls] == [[rec["t"] for rec in report.records]]
+        assert [pv.t.tolist() for _, pv, *_ in calls] == [report.records.column("t").tolist()]
 
     @pytest.mark.parametrize("checks", [("curvature",), RESIDUAL_CHECKS, CHECK_NAMES],
                              ids=["curvature", "residual", "verify"])
@@ -121,11 +121,11 @@ class TestPerSampleWork:
         report = run_k4(checks=checks, count=7)
         order3 = [t for _, t, _, order in raw if order == 3]
         assert [len(t) for t in order3] == [3, 3, 1]
-        assert np.concatenate(order3).tolist() == [rec["t"] for rec in report.records]
+        assert np.concatenate(order3).tolist() == report.records.column("t").tolist()
         assert all(order < 3 for *_, order in smooth)
-        assert report.records == whole.records
+        assert_same_records(report.records, whole.records)
         if "curvature" in checks:
-            assert all("kf_wk" in rec for rec in report.records)
+            assert len(report.records.column("kf_wk")) == len(report.records)
 
     def test_residual_chunk_takes_one_uw_transform(self, monkeypatch):
         # wk_uw and lemma share the chunk's U/W domain mask and U/W data
@@ -137,7 +137,7 @@ class TestPerSampleWork:
         assert [len(t) for _, t, _ in uw_data] == [3, 3, 1]
         # the sampler's mask over its first attempts, then one per chunk
         assert [len(t) for _, t, _ in valid] == [7, 3, 3, 1]
-        assert report.records == whole.records
+        assert_same_records(report.records, whole.records)
 
     def test_shared_objects_give_the_same_bits(self, profiles):
         prof = profiles["wk-exp"]
