@@ -53,12 +53,16 @@ INVOCATIONS = (
                               "--samples", "20", "--seed", "14"), "csv"),
     ("verify-k4-n3", ("verify", "--model", "k4", "--n", "3",
                       "--samples", "20", "--seed", "15"), "json"),
-    # two chunks, the second of two samples
+    # one chunk of 130 samples (chunks hold 2048 // (n + 4) samples, 256 at n = 4)
     ("verify-wk-exp-n4-130", ("verify", "--profile", "wk-exp.json", "--n", "4",
                               "--samples", "130", "--seed", "16"), "json"),
-    # just past a chunk at n = 3
+    # inside one chunk of 292 at n = 3, where a chunk of 128 once split it: pins
+    # that a sample's bits do not depend on the size of its chunk
     ("verify-wk-exp-n3-129", ("verify", "--profile", "wk-exp.json", "--n", "3",
                               "--samples", "129", "--seed", "19"), "json"),
+    # one past a chunk at n = 6: 204 samples and 1
+    ("verify-wk-exp-n6-205", ("verify", "--profile", "wk-exp.json", "--n", "6",
+                              "--samples", "205", "--seed", "23"), "json"),
     ("verify-wk-exp-n3-oracles", ("verify", "--profile", "wk-exp.json", "--n", "3",
                                   "--checks", "levi_oracle,nconn,unitary",
                                   "--samples", "20", "--seed", "17"), "json"),
@@ -71,6 +75,9 @@ INVOCATIONS = (
     ("curvature-km4", ("curvature", "--model", "km4", "--c", "2.0", "--n", "2",
                        "--samples", "40", "--seed", "23"), "json"),
     ("curvature-k4-n3-csv", ("curvature", "--model", "k4", "--n", "3"), "csv"),
+    # one past a chunk at n = 2: 341 samples and 1
+    ("curvature-k4-n2-342", ("curvature", "--model", "k4", "--n", "2",
+                             "--samples", "342", "--seed", "21"), "json"),
     # records with and without kf_wk in one chunk
     ("curvature-wk-exp-h1.0000001", ("curvature", "--profile", "wk-exp-h1.0000001.json",
                                      "--n", "2", "--samples", "60", "--seed", "7"), "json"),

@@ -302,7 +302,9 @@ def holomorphic_curvature_direct(profile: MetricProfile, pv: PointVector,
     turns the v-derivative term into the same along tau -> spray(z, v + tau 2GG).
     Both come from one stencil of spray(z + tau_z dz, v + tau_v dv) over
     (tau_z, tau_v) in C^2.  For columns of pairs the base point tau = 0, and
-    so the step, is the same for every pair: one stencil serves them all.
+    so the step, is the same for every pair: one stencil, which numerics
+    cannot slice, spans every pair of a suite chunk, and the chunk rule
+    (``suite._chunk_size``) bounds it.
     ``k``, the ``k_scalars`` at the pair(s), gives the spray there when passed in.
     """
     cfg = cfg or FDConfig()

@@ -235,17 +235,18 @@ CHECK_NAMES = tuple(_CHECKS)
 CHECK_COLUMNS = {name: column for name, (_, column, _) in _CHECKS.items()}
 TOLERANCES = {name: tol for name, (_, _, tol) in _CHECKS.items()}
 
-# samples per chunk: bounds the direct curvature's stencil, (n, 24 CHUNK)
-# columns, and the FD oracles' estimates
-CHUNK = 128
 # the residual identities hold a few values per sample and call no stencil,
-# so a chunk of only these takes numerics.FIELD_VALUES samples
+# so a chunk of only these takes numerics.FIELD_VALUES samples.  Any other
+# takes 2048 // (n + 4) (341 at n = 2, 56 at n = 32), which keeps the traced
+# peak of the direct curvature's one stencil, (n, 24 B) columns that numerics
+# cannot slice, and of the FD oracles' estimates near 4 MB at n <= 4; each
+# chunk costs a few ms of numpy calls whatever its size, so fewer take less time
 _SCALAR_CHECKS = frozenset({"wk_phi", "wk_uw", "lemma", "k2k3"})
 
 
-def _chunk_size(checks):
-    """Samples per chunk: ``numerics.FIELD_VALUES`` when ``checks`` are all scalar, else CHUNK."""
-    return numerics.FIELD_VALUES if _SCALAR_CHECKS.issuperset(checks) else CHUNK
+def _chunk_size(checks, n):
+    """Samples per chunk of ``checks`` at dimension ``n``."""
+    return numerics.FIELD_VALUES if _SCALAR_CHECKS.issuperset(checks) else 2048 // (n + 4)
 
 
 @dataclass(frozen=True)
@@ -449,7 +450,7 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
     model_k = config.profile.get("k") if config.profile.get("family") == "model" else None
     unitary = seeded_unitary(spec.n, spec.seed ^ _UNITARY_SEED_SALT)
 
-    chunk = _chunk_size(config.checks)
+    chunk = _chunk_size(config.checks, spec.n)
     chunks = [_chunk_records(profile, samples.index[start:start + chunk],
                              samples.columns(start, start + chunk), config, unitary)
               for start in range(0, len(samples), chunk)]

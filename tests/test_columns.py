@@ -563,7 +563,7 @@ def field_columns(monkeypatch):
 
 def per_sample_only(monkeypatch):
     """Run every sample in a chunk of its own, checks in order."""
-    monkeypatch.setattr(suite, "_chunk_size", lambda checks: 1)
+    monkeypatch.setattr(suite, "_chunk_size", lambda checks, n: 1)
 
 
 def run_cli(argv, capsys):
@@ -589,7 +589,7 @@ class TestOracleChunks:
         # budget - 1, budget, budget + 1 and chunk + 1 cross every seam
         prof = profiles["wk-exp"]
         budget, chunk = 3, 5
-        monkeypatch.setattr(suite, "_chunk_size", lambda checks: chunk)
+        monkeypatch.setattr(suite, "_chunk_size", lambda checks, n: chunk)
         monkeypatch.setattr(numerics, "FIELD_VALUES", budget * self.nconn_columns(prof, n))
         configs = [SuiteConfig(profile={"family": "wk-randers",
                                         "f": {"kind": "exp", "c": 1.0, "a": 1.0}},
@@ -698,14 +698,58 @@ def count_replays(monkeypatch):
 
 
 class TestChunkRule:
-    """A chunk of the scalar residual identities holds FIELD_VALUES samples, any other CHUNK."""
+    """A chunk of the scalar residual identities holds FIELD_VALUES samples, any other a
+    number that falls with n."""
 
     def test_chunk_sizes(self):
-        assert suite._chunk_size(RESIDUAL) == numerics.FIELD_VALUES >= 2000
-        assert suite._chunk_size(("wk_uw",)) == numerics.FIELD_VALUES
-        assert suite._chunk_size(fc_cli._SUBCOMMAND_CHECKS["verify"]) == suite.CHUNK == 128
+        for n in (2, 3, 8, 32):
+            assert suite._chunk_size(RESIDUAL, n) == numerics.FIELD_VALUES >= 2000
+            assert suite._chunk_size(("wk_uw",), n) == numerics.FIELD_VALUES
+        for command in ("verify", "curvature", "models"):
+            checks = fc_cli._SUBCOMMAND_CHECKS[command]
+            # uniformization's 200-sample curvature runs at n = 2 and 3 are one chunk each
+            assert min(suite._chunk_size(checks, n) for n in (2, 3)) >= 200, command
+            sizes = [suite._chunk_size(checks, n) for n in range(2, 33)]
+            assert sizes == sorted(sizes, reverse=True) and sizes[-1] >= 1, command
         for name in set(suite.CHECK_NAMES) - set(RESIDUAL):
-            assert suite._chunk_size(RESIDUAL + (name,)) == 128, name
+            assert suite._chunk_size(RESIDUAL + (name,), 3) < numerics.FIELD_VALUES, name
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_a_200_sample_curvature_run_is_one_chunk(self, n, monkeypatch):
+        calls = []
+        records = suite._chunk_records
+
+        def counted(profile, indices, *args):
+            calls.append(len(indices))
+            return records(profile, indices, *args)
+
+        monkeypatch.setattr(suite, "_chunk_records", counted)
+        config = SuiteConfig(profile={"family": "model", "k": 4, "c": 1.0},
+                             sample=fc.SampleSpec(n=n, count=200, seed=1),
+                             checks=fc_cli._SUBCOMMAND_CHECKS["curvature"])
+        assert len(run_suite(config).records) == 200
+        assert calls == [200]
+
+    @pytest.mark.parametrize("command, n", [("curvature", 2), ("curvature", 3),
+                                            ("verify", 2), ("verify", 3), ("verify", 4)])
+    def test_a_stencil_chunk_peaks_within_5_mb(self, command, n, profiles):
+        # the direct curvature's stencil spans the chunk: the rule bounds its traced peak
+        checks = fc_cli._SUBCOMMAND_CHECKS[command]
+        prof, count = profiles["model-k4"], suite._chunk_size(checks, n)
+        samples, _ = sample_domain_detailed(fc.SampleSpec(n=n, count=count, seed=4), prof)
+        config = SuiteConfig(profile={"family": "model", "k": 4, "c": 1.0},
+                             sample=fc.SampleSpec(n=n), checks=checks)
+
+        def run():
+            suite._chunk_records(prof, samples.index, samples.columns(0, count), config,
+                                 fc.seeded_unitary(n, 4))
+
+        run()       # what a first run caches is left out
+        tracemalloc.start()
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= 5e6
 
     @pytest.mark.parametrize("n", [3, 16])
     def test_a_residual_chunk_holds_a_few_values_per_sample(self, n, monkeypatch, profiles):
@@ -714,7 +758,7 @@ class TestChunkRule:
             raise AssertionError("a field call")
 
         monkeypatch.setattr(numerics, "_evaluate", refuse)
-        prof, count = profiles["wk-exp"], suite._chunk_size(RESIDUAL)
+        prof, count = profiles["wk-exp"], suite._chunk_size(RESIDUAL, n)
         samples, _ = sample_domain_detailed(fc.SampleSpec(n=n, count=count, seed=4), prof)
         config = SuiteConfig(profile=WK_EXP, sample=fc.SampleSpec(n=n), checks=RESIDUAL)
 

@@ -59,7 +59,7 @@ class TestPerSampleWork:
         # pseudoconvexity_check once over the samples' columns and once over
         # their unitary images (the direct curvature's stencil columns aside)
         whole = run_k4(count=7)
-        monkeypatch.setattr(suite, "_chunk_size", lambda checks: 3)
+        monkeypatch.setattr(suite, "_chunk_size", lambda checks, n: 3)
         pieces = {"levi_closed": count_calls(monkeypatch, tensors, "levi_closed", curvature),
                   "k_scalars": count_calls(monkeypatch, tensors, "k_scalars"),
                   "pseudoconvexity_check": count_calls(monkeypatch, tensors,
@@ -79,7 +79,7 @@ class TestPerSampleWork:
     def test_one_field_call_per_oracle_per_slice(self, monkeypatch):
         from test_columns import field_columns
         whole = run_k4(count=7)
-        monkeypatch.setattr(suite, "_chunk_size", lambda checks: 3)
+        monkeypatch.setattr(suite, "_chunk_size", lambda checks, n: 3)
         calls = field_columns(monkeypatch)
         run_k4(count=1)
         one = dict(calls)
@@ -115,7 +115,7 @@ class TestPerSampleWork:
                              ids=["curvature", "residual", "verify"])
     def test_one_order3_jet_per_chunk(self, monkeypatch, checks):
         whole = run_k4(checks=checks, count=7)
-        monkeypatch.setattr(suite, "_chunk_size", lambda checks: 3)
+        monkeypatch.setattr(suite, "_chunk_size", lambda checks, n: 3)
         raw = count_calls(monkeypatch, MetricProfile, "raw_jet")
         smooth = count_calls(monkeypatch, MetricProfile, "smooth_jet")
         report = run_k4(checks=checks, count=7)
@@ -130,7 +130,7 @@ class TestPerSampleWork:
     def test_residual_chunk_takes_one_uw_transform(self, monkeypatch):
         # wk_uw and lemma share the chunk's U/W domain mask and U/W data
         whole = run_k4(checks=RESIDUAL_CHECKS, count=7)
-        monkeypatch.setattr(suite, "_chunk_size", lambda checks: 3)
+        monkeypatch.setattr(suite, "_chunk_size", lambda checks, n: 3)
         uw_data = count_calls(monkeypatch, curvature, "_uw_data")
         valid = count_calls(monkeypatch, MetricProfile, "is_valid")
         report = run_k4(checks=RESIDUAL_CHECKS, count=7)
