@@ -84,6 +84,12 @@ INVOCATIONS = (
     # ... and with no kf_wk at any sample
     ("curvature-randers", ("curvature", "--profile", "randers.json", "--n", "2",
                            "--samples", "20", "--seed", "8"), "json"),
+    # |z| up to 1e3 on the k = +4 model: the disc oracle's steps are relative to |z|
+    ("curvature-k4-large-z", ("curvature", "--model", "k4", "--t-range", "1e5", "1e6",
+                              "--samples", "30", "--seed", "1"), "json"),
+    # within 1e-3 of the k = -4 ball's edge
+    ("curvature-km4-near-edge", ("curvature", "--model", "km4", "--t-range", "0.999", "0.9999",
+                                 "--samples", "30", "--seed", "1"), "json"),
     ("models", ("models", "--n", "2", "--samples", "20", "--seed", "31"), "json"),
     ("residual-wk-exp", ("residual", "--profile", "wk-exp.json", "--n", "3",
                          "--samples", "200", "--seed", "41"), "json"),
@@ -111,7 +117,7 @@ INVOCATIONS = (
     ("residual-hermitian-decay-empty", ("residual", "--profile", "hermitian-decay.json",
                                         "--n", "3", "--t-range", "0.32", "0.6",
                                         "--samples", "40", "--seed", "46"), "json"),
-    # a stencil leaves the k = -4 ball: exit 3
+    # t up to 1 - 1e-5 on the k = -4 ball, where the disc oracle's steps follow its bend
     ("curvature-km4-ball-edge", ("curvature", "--model", "km4", "--c", "1", "--n", "2",
                                  "--t-range", "0.9", "0.99999", "--samples", "50",
                                  "--seed", "3"), "json"),

@@ -11,7 +11,7 @@ from .curvature import (
     UWData,
     curvature_report,
     holomorphic_curvature_closed,
-    holomorphic_curvature_direct,
+    holomorphic_curvature_disc,
     holomorphic_curvature_wk,
     k2_k3_identity_residual,
     kahler_classify,

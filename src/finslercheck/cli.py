@@ -78,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
     for name, help_text in (
         ("verify", "run the full check suite"),
-        ("curvature", "holomorphic curvature by three methods"),
+        ("curvature", "holomorphic curvature: closed form vs the disc FD oracle"),
         ("residual", "weakly-Kahler and universal identity residuals"),
         ("classify", "Kahler-type classification ladder"),
     ):

@@ -13,11 +13,11 @@ equivalently
 
     s U (U - t) W_s - s (U - t) U_s W - 2 (U - s) U_s  =  0.
 
-Three holomorphic-curvature evaluations are provided:
+Three holomorphic-curvature functions, two methods (the wk form is the closed one for every phi):
 
-* ``holomorphic_curvature_direct``   the defining horizontal contraction
-  -(2/G^2) G_a delta_gbar(N^a_b) v^b vbar^g, evaluated by Wirtinger finite
-  differences of the closed-form spray (no chain rule);
+* ``holomorphic_curvature_disc``     the largest curvature at 0 of G pulled back by
+  a holomorphic disc, z + zeta v - zeta^2 GG with the closed-form spray: one
+  Wirtinger finite difference of log r phi(t, s) along it (no jet, no chain rule);
 * ``holomorphic_curvature_closed``   the general closed form
   -(2/phi){[s(dk2/dt + dk2/ds) + k2] + U [s(dk3/dt + dk3/ds) + 2 k3]};
 * ``holomorphic_curvature_wk``       the weakly-Kahler specialisation
@@ -51,18 +51,18 @@ import numpy as np
 from .errors import DegenerateUs, DomainViolation, NotWeaklyKahler
 from .functions1d import _array_pow
 from .jets import INDICES, Jet2
-from .numerics import FDConfig, wirtinger_gradient
+from .numerics import FDConfig, wirtinger_mixed_hessian
 from .profiles import MetricProfile, _check_jet_entries, _first
 from .tensors import (
     LeviData,
     PointVector,
     SprayData,
-    _g_alpha,
+    _metric_fd,
     _spray,
     _spray_scalars,
-    _spray_vector,
     _sum_rows,
     connection_coefficients,
+    k_scalars,
     levi_closed,
 )
 
@@ -75,7 +75,7 @@ __all__ = [
     "wk_residual_uw",
     "lemma_integrability_residual",
     "k2_k3_identity_residual",
-    "holomorphic_curvature_direct",
+    "holomorphic_curvature_disc",
     "holomorphic_curvature_closed",
     "holomorphic_curvature_wk",
     "kahler_classify",
@@ -118,7 +118,7 @@ class KahlerReport:
 
 @dataclass(frozen=True)
 class CurvatureReport:
-    kf_direct: float
+    kf_disc: float
     kf_closed: float
     kf_wk: np.ma.MaskedArray
 
@@ -290,45 +290,59 @@ def _wk_columns(profile, pv, jet):
         return np.ma.masked_array(_wk_formula(jet.value, d, t, s), mask=~applies)
 
 
-def holomorphic_curvature_direct(profile: MetricProfile, pv: PointVector,
-                                 cfg: FDConfig | None = None, k=None):
-    """K_F from its definition, by Wirtinger FD of the closed-form spray.
+def holomorphic_curvature_disc(profile: MetricProfile, pv: PointVector,
+                               cfg: FDConfig | None = None, k=None):
+    """K_F as the Gaussian curvature at 0 of G pulled back by a holomorphic disc.
 
-    K_F = -(2/G^2) G_g delta_nubar(2 GG^g) vbar^nu with the conjugated
-    horizontal derivative delta_nubar = d/dzbar^nu - conj(N^m_nu) d/dvbar^m.
-    Both contractions are directional: contracting vbar^nu turns the
-    z-derivative term into the anti-holomorphic derivative of
-    tau -> spray(z + tau v, v) at tau = 0, and conj(N^m_nu) vbar^nu = conj(2 GG^m)
-    turns the v-derivative term into the same along tau -> spray(z, v + tau 2GG).
-    Both come from one stencil of spray(z + tau_z dz, v + tau_v dv) over
-    (tau_z, tau_v) in C^2.  For columns of pairs the base point tau = 0, and
-    so the step, is the same for every pair: one stencil, which numerics
-    cannot slice, spans every pair of a suite chunk, and the chunk rule
-    (``suite._chunk_size``) bounds it.
-    ``k``, the ``k_scalars`` at the pair(s), gives the spray there when passed in.
+    A disc f with f(0) = z, f'(0) = v pulls G back to g = G(f, f'), of curvature
+    K = -(2/g) d_zeta d_zetabar log g = -(2/g^3)(g g_zzbar - |g_z|^2).  At 0 only
+    u = f''(0) enters: take f = z + zeta v + zeta^2 w, u = 2w.  With M, D and N
+    of ``tensors``, G_a = dG/dv^a, G_;a = dG/dz^a, M(x, y) = M[a, b] x^a conj(y^b)
+    and X = d^2 G / dz^a dzbar^b v^a vbar^b, at (z, v):
+
+        g_z = G_;a v^a + G_a u^a,   g_zzbar = X + 2 Re (D v)_b conj(u^b) + M(u, u).
+
+    * K is a concave quadratic in w: by Euler's relations G_a u^a = M(u, v) and
+      G = M(v, v), so the part of -(G^3/2) K quadratic in u, G M(u, u) -
+      |M(u, v)|^2, is >= 0, and 0 only for u || v (a reparametrisation).
+    * K is largest at 2w = -N v = -2 GG: N = conj(M^-1) D gives M[a, b] (N v)^a =
+      (D v)_b, and Euler's vbar^c D[c, b] = G_;b gives G_a N^a_b = G_;b, so at
+      u = -N v both g_z and the ubar-gradient of -(G^3/2) K,
+      G ((D v)_b + M[a, b] u^a) - g_z dG/dvbar^b, vanish: K = -(2/G^2)(X - M(N v, N v)).
+    * That is K_F = -(2/G^2) G_a delta_nubar(2 GG^a) vbar^nu, delta_nubar =
+      d/dzbar^nu - conj(N^m_nu) d/dvbar^m: as G_a 2GG^a = G_;b v^b,
+      G_a d(2GG^a)/dvbar^m = (D v)_m - M[a, m] (N v)^a = 0, and
+      G_a d(2GG^a)/dzbar^nu vbar^nu = X - conj((D v)_a) (N v)^a = X - M(N v, N v).
+
+    So K_F(z; v) is the largest curvature at 0 of a disc through (z; v); an error
+    dw in the spray lowers the result by (2/G^3)(G M(du, du) - |M(du, v)|^2), du = 2 dw.
+
+    zeta -> lam zeta (v -> lam v, w -> lam^2 w) leaves K unchanged.  With
+    Z = max(1, |z|) and max norms, lam = Z / max(|v| / sqrt(Z), sqrt(|w|),
+    |w| / (30 |v|)): steps grow with |z| and stay short against |v| / |w|, the
+    length on which the disc bends (small near the k = -4 ball's edge).  One
+    mixed Hessian of log g in zeta serves every pair, with (z, lam v, lam^2 w)
+    carried below its stencil; g is ``tensors._metric_fd`` (``MetricProfile.value``)
+    and g(0) = lam^2 r phi.  ``k``, the pair(s)' ``k_scalars``, gives the spray.
     """
-    cfg = cfg or FDConfig()
-    z, v = pv.z, pv.v
-    spray0 = _spray_vector(profile, z, v) if k is None else _spray(k[1], k[2], pv.pairing, z, v)
-    ga, phi = _g_alpha(profile, pv)
-    G = pv.r * phi
+    _, k2, k3 = k_scalars(profile, pv.t, pv.s) if k is None else k
+    return _disc_curvature(profile, pv, -0.5 * _spray(k2, k3, pv.pairing, pv.z, pv.v), cfg)
 
-    scale_z = np.maximum(1.0, np.max(np.abs(v), axis=0))
-    scale_v = np.maximum(1.0, np.max(np.abs(spray0), axis=0))
-    dz, dv = (v / scale_z)[..., None], (spray0 / scale_v)[..., None]
 
-    def field(tau):
-        # (n, [pairs,] m): the stencil of every pair, flattened into columns
-        zs, vs = z[..., None] + tau[0] * dz, v[..., None] + tau[1] * dv
-        return _spray_vector(profile, zs.reshape(pv.n, -1), vs.reshape(pv.n, -1)).reshape(zs.shape)
+def _disc_curvature(profile: MetricProfile, pv: PointVector, w, cfg: FDConfig | None = None):
+    """K(w) of ``holomorphic_curvature_disc``, the disc z + zeta v + zeta^2 w; w (n,) or (n, B)."""
+    n = pv.n
+    big = np.maximum(1.0, np.max(np.abs(pv.z), axis=0))       # Z of the docstring above
+    v_max, w_max = (np.max(np.abs(x), axis=0) for x in (pv.v, w))
+    lam = big / np.maximum.reduce([v_max / np.sqrt(big), np.sqrt(w_max), w_max / (30.0 * v_max)])
 
-    # anti[0] = sum_nu d(2GG^g)/dzbar^nu vbar^nu / scale_z, anti[1] the v-term / scale_v
-    _, anti = wirtinger_gradient(field, np.zeros(2, dtype=complex), cfg, shape=spray0.shape)
-    term1 = anti[0] * scale_z
-    # with spray0 = 0 there is no v-transport at all
-    term2 = np.where(np.any(spray0, axis=0), anti[1] * scale_v, 0.0)
+    def field(cols):
+        zeta, z, v, w2 = cols[0], cols[1:n + 1], cols[n + 1:2 * n + 1], cols[2 * n + 1:]
+        return np.log(_metric_fd(profile, z + zeta * v + (zeta * zeta) * w2, v + 2.0 * zeta * w2))
 
-    return np.real(-(2.0 / _array_pow(G, 2)) * _sum_rows(ga * (term1 - term2)))
+    hess = wirtinger_mixed_hessian(field, np.zeros((1,) + np.shape(pv.t)), cfg,
+                                   carry=np.concatenate([pv.z, lam * pv.v, (lam * lam) * w]))
+    return -(2.0 / ((lam * lam) * pv.r * profile.value(pv.t, pv.s))) * hess[..., 0, 0].real
 
 
 def kahler_classify(profile: MetricProfile, pv: PointVector,
@@ -376,10 +390,9 @@ def curvature_report(profile: MetricProfile, pv: PointVector,
     array, 0-d at a lone pair, masked where ``holomorphic_curvature_wk`` would
     raise.  ``k``, the ``k_scalars`` at the pair(s), is taken when not passed in.
     """
-    cfg = cfg or FDConfig()
     if jet is None:
         jet = _phi_jet(profile, pv.t, pv.s)
     kf_closed = holomorphic_curvature_closed(profile, pv, jet)
-    kf_direct = holomorphic_curvature_direct(profile, pv, cfg, k)
-    return CurvatureReport(kf_direct=kf_direct, kf_closed=kf_closed,
+    kf_disc = holomorphic_curvature_disc(profile, pv, cfg, k)
+    return CurvatureReport(kf_disc=kf_disc, kf_closed=kf_closed,
                            kf_wk=_wk_columns(profile, pv, jet))

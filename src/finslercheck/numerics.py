@@ -26,8 +26,8 @@ StencilOutsideDomain, and a non-finite value at any point raises
 NonFiniteEvaluation.  Each estimate is accumulated as acc = acc + w_k F_k in
 stencil order, so it carries the same bits as a point-by-point evaluation.
 The package's own fields take columns natively: the FD oracles' metric
-``r phi(t, s)`` and the closed-form spray and Levi matrix that the direct
-curvature and the connection coefficients differentiate.
+``r phi(t, s)``, also along a holomorphic disc for the curvature, and the
+closed-form Levi matrix that the connection coefficients differentiate.
 
 Base points.  The point of each derivative may be one point, shape (dim,),
 or B base points, the columns of a (dim, B) array.  Each base point keeps its

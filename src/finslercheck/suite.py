@@ -7,7 +7,7 @@ classification ("kahler" / "weakly-kahler-not-kahler" / "not-weakly-kahler").
 Every selected check runs on every sample, or the run raises.
 
 Tolerance ladder: 1e-8 for jet-analytic identities, 1e-6 for quantities behind
-one finite difference, 1e-4 for the direct (FD-of-spray) curvature.
+one finite difference, 1e-4 for the curvature by FD along a holomorphic disc.
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ from .tensors import PointVector, _abs, _cmul, _matvec, _sum_rows
 __all__ = ["SuiteConfig", "SuiteReport", "Records", "run_suite", "CHECK_NAMES",
            "CHECK_COLUMNS", "TOLERANCES", "SCHEMA_VERSION"]
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
-CURVATURE_TOL_DIRECT = 1e-4      # |kf_direct - kf_closed| and |kf_direct - k|
+CURVATURE_TOL_DISC = 1e-4        # |kf_disc - kf_closed| and |kf_disc - k|
 CURVATURE_TOL_WK = 1e-6          # |kf_closed - kf_wk| and |kf_* - k|
 CURVATURE_TOL_STD = 1e-8         # sample stddev of kf_closed on models
 CLASSIFY_ZERO = 1e-6             # residual counts as vanishing
@@ -45,7 +45,7 @@ class _Chunk:
     """The pieces the checks share over a chunk of samples, each built once, when first used.
 
     ``pv`` holds the chunk's samples as columns, and every piece is a column
-    form (a stack for matrices).
+    form (a stack for matrices).  ``unitary`` is None unless the unitary check runs.
     """
 
     def __init__(self, profile, pv, cfg, unitary):
@@ -183,8 +183,8 @@ def _check_k2k3(ctx):
 def _check_curvature(ctx):
     rep = curv.curvature_report(ctx.profile, ctx.pv, ctx.cfg, ctx.jet, ctx.k)
     # kf_wk is masked where the wk formula does not apply
-    return {"kf_closed": rep.kf_closed, "kf_direct": rep.kf_direct,
-            "kf_dev_direct": abs(rep.kf_direct - rep.kf_closed), "kf_wk": rep.kf_wk,
+    return {"kf_closed": rep.kf_closed, "kf_disc": rep.kf_disc,
+            "kf_dev_disc": abs(rep.kf_disc - rep.kf_closed), "kf_wk": rep.kf_wk,
             "kf_dev_wk": abs(rep.kf_closed - rep.kf_wk)}
 
 
@@ -224,7 +224,7 @@ _CHECKS = {
     "wk_uw": (_check_wk_uw, "wk_uw_residual", 1e-8),
     "lemma": (_check_lemma, "lemma_residual", 1e-8),
     "k2k3": (_check_k2k3, "k2k3_residual", 1e-7),
-    # direct-vs-closed; the tighter sub-tolerances are the CURVATURE_TOL_* above
+    # disc-vs-closed; the tighter sub-tolerances are the CURVATURE_TOL_* above
     "curvature": (_check_curvature, "kf_closed", 1e-4),
     "unitary": (_check_unitary, "unitary_dev", 1e-8),
     # verdict-type, not pass/fail
@@ -237,10 +237,10 @@ TOLERANCES = {name: tol for name, (_, _, tol) in _CHECKS.items()}
 
 # the residual identities hold a few values per sample and call no stencil,
 # so a chunk of only these takes numerics.FIELD_VALUES samples.  Any other
-# takes 2048 // (n + 4) (341 at n = 2, 56 at n = 32), which keeps the traced
-# peak of the direct curvature's one stencil, (n, 24 B) columns that numerics
-# cannot slice, and of the FD oracles' estimates near 4 MB at n <= 4; each
-# chunk costs a few ms of numpy calls whatever its size, so fewer take less time
+# takes 2048 // (n + 4) (341 at n = 2, 56 at n = 32).  numerics slices every
+# stencil by FIELD_VALUES, so the rule bounds the chunk's own columns, up to B n^3
+# entries in the connection stacks and FD estimates, under 4 MB traced at n <= 4;
+# a chunk costs a few ms of numpy calls whatever its size, so fewer take less time
 _SCALAR_CHECKS = frozenset({"wk_phi", "wk_uw", "lemma", "k2k3"})
 
 
@@ -383,8 +383,8 @@ def _aggregate(records):
 
 def _curvature_criterion(aggregates, records, model_k):
     """Pass/fail of the curvature check, with the model target when known."""
-    detail = {"max_dev_direct_vs_closed": aggregates["kf_dev_direct"]["max"]}
-    ok = detail["max_dev_direct_vs_closed"] < CURVATURE_TOL_DIRECT
+    detail = {"max_dev_disc_vs_closed": aggregates["kf_dev_disc"]["max"]}
+    ok = detail["max_dev_disc_vs_closed"] < CURVATURE_TOL_DISC
     dev_w = aggregates.get("kf_dev_wk")
     if dev_w is not None:
         detail["max_dev_closed_vs_wk"] = dev_w["max"]
@@ -395,7 +395,7 @@ def _curvature_criterion(aggregates, records, model_k):
         detail["target_k"] = model_k
         # a NaN that np.max passes on, and Python's max may not, is in the field's
         # aggregates too, which the report writer rejects before any criterion
-        for key, tol in (("closed", CURVATURE_TOL_WK), ("direct", CURVATURE_TOL_DIRECT),
+        for key, tol in (("closed", CURVATURE_TOL_WK), ("disc", CURVATURE_TOL_DISC),
                          ("wk", CURVATURE_TOL_WK)):
             dev = np.abs(records.column(f"kf_{key}") - model_k)
             if dev.size:
@@ -448,7 +448,8 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
 
     samples, rejections = sample_domain_detailed(spec, profile)
     model_k = config.profile.get("k") if config.profile.get("family") == "model" else None
-    unitary = seeded_unitary(spec.n, spec.seed ^ _UNITARY_SEED_SALT)
+    unitary = (seeded_unitary(spec.n, spec.seed ^ _UNITARY_SEED_SALT)
+               if "unitary" in config.checks else None)
 
     chunk = _chunk_size(config.checks, spec.n)
     chunks = [_chunk_records(profile, samples.index[start:start + chunk],

@@ -224,14 +224,6 @@ def _levi_matrix(profile, z, v):
     return M
 
 
-def _g_alpha(profile, pv):
-    """(G_a, phi) at the sample: the gradient G_a = conj(v^a) phi + r phi_s s_a, and phi."""
-    j = profile.raw_jet(pv.t, pv.s, 1)
-    phi = j.value
-    ga = np.conj(pv.v) * phi + (pv.r * j.partial(0, 1)) * _s_alpha(pv.z, pv.v, pv.r, pv.pairing)
-    return ga, phi
-
-
 def levi_closed(profile: MetricProfile, pv: PointVector,
                 cfg: FDConfig | None = None) -> LeviData:
     """LeviData from the closed forms; inverse/determinant via the eigensolver.
@@ -242,9 +234,10 @@ def levi_closed(profile: MetricProfile, pv: PointVector,
     cfg = cfg or FDConfig()
     M = _stacked(_levi_matrix(profile, pv.z, pv.v))
     inv_plain, det = hermitian_inverse_det(M, tol_pd=cfg.tol_pd, tol_herm=cfg.tol_herm)
-    ga, phi = _g_alpha(profile, pv)
-    return LeviData(levi=M, inverse=np.conj(inv_plain), det=det,
-                    g_alpha=ga, G=pv.r * phi)
+    j = profile.raw_jet(pv.t, pv.s, 1)
+    # G_a = conj(v^a) phi + r phi_s s_a
+    ga = np.conj(pv.v) * j.value + pv.r * j.partial(0, 1) * _s_alpha(pv.z, pv.v, pv.r, pv.pairing)
+    return LeviData(levi=M, inverse=np.conj(inv_plain), det=det, g_alpha=ga, G=pv.r * j.value)
 
 
 def _metric_fd(profile, z, v):
@@ -337,13 +330,6 @@ def _spray(k2, k3, pairing, z, v):
     """2 GG^g = k2 pbar v^g + k3 pbar^2 z^g."""
     pbar = np.conj(pairing)
     return k2 * pbar * v + _cmul(k3 * pbar, pbar) * z
-
-
-def _spray_vector(profile, z, v):
-    """The spray 2 GG^g at one point, (n,), or at the columns of (n, m) arrays."""
-    r, t, s, pairing = invariants(z, v)
-    _, k2, k3 = k_scalars(profile, t, s)
-    return _spray(k2, k3, pairing, z, v)
 
 
 def _connection_matrix_closed(profile, z, v):

@@ -32,7 +32,7 @@ def announce(cid: str, ok: bool, detail: str):
 
 def test_criterion_1_uniformization_models():
     """Constant curvature of the three models at every (c, n), under 10 s."""
-    worst = {"closed": 0.0, "wk": 0.0, "direct": 0.0, "std": 0.0}
+    worst = {"closed": 0.0, "wk": 0.0, "disc": 0.0, "std": 0.0}
     t0 = time.perf_counter()
     for k in (4, 0, -4):
         for c in (0.5, 1.0, 2.0):
@@ -45,15 +45,15 @@ def test_criterion_1_uniformization_models():
                 detail = rep.criteria["curvature"]["detail"]
                 worst["closed"] = max(worst["closed"], detail["max_closed_minus_k"])
                 worst["wk"] = max(worst["wk"], detail["max_wk_minus_k"])
-                worst["direct"] = max(worst["direct"], detail["max_direct_minus_k"])
+                worst["disc"] = max(worst["disc"], detail["max_disc_minus_k"])
                 worst["std"] = max(worst["std"], detail["stddev_closed"])
     elapsed = time.perf_counter() - t0
     ok = (worst["closed"] < 1e-6 and worst["wk"] < 1e-6
-          and worst["direct"] < 1e-4 and worst["std"] < 1e-8 and elapsed < 10.0)
+          and worst["disc"] < 1e-4 and worst["std"] < 1e-8 and elapsed < 10.0)
     announce("1 (uniformization models)", ok,
              f"max|kf_closed-k|={worst['closed']:.2e} (<1e-6), "
              f"max|kf_wk-k|={worst['wk']:.2e} (<1e-6), "
-             f"max|kf_direct-k|={worst['direct']:.2e} (<1e-4), "
+             f"max|kf_disc-k|={worst['disc']:.2e} (<1e-4), "
              f"stddev={worst['std']:.2e} (<1e-8), runtime={elapsed:.1f}s (<10s)")
 
 

@@ -122,19 +122,27 @@ STENCIL_REJECTED = ("numerical error: check {} at sample {}, (t, s) = ({}): sten
 
 
 @pytest.mark.parametrize("argv, sample, where", [
-    (("curvature", "--samples", "50", "--seed", "3"),
-     ("curvature", 4, "0.9985370888973009, 0.6953211454833017"),
-     "1.0002034051230442, 0.696987461709045"),
-    # both stencils of sample 22 leave the ball: the chunked curvature stage
-    # alone would name its curvature point, but nconn comes first in order
+    # the nconn stencil of sample 22 leaves the ball, before the curvature check runs
     (("verify", "--checks", "nconn,curvature", "--samples", "30", "--seed", "1"),
      ("nconn", 22, "0.9986330655207063, 0.7330793837261295"),
      "1.0002003814625955, 0.7345176220939209"),
-], ids=["curvature", "verify-nconn-curvature"])
+], ids=["verify-nconn-curvature"])
 def test_stencil_leaving_the_ball_is_the_per_sample_error(argv, sample, where):
     res = run_cli(*argv, *BALL_EDGE)
     assert_one_line_error(res, 3, "numerical error:")
     assert res.stderr == STENCIL_REJECTED.format(*sample, where) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("--model", "k4", "--t-range", "1e5", "1e6", "--samples", "30", "--seed", "1"),
+    ("--model", "km4", "--t-range", "0.999", "0.9999", "--samples", "30", "--seed", "1"),
+    BALL_EDGE + ("--samples", "50", "--seed", "3"),
+], ids=["k4-large-z", "km4-near-edge", "km4-ball-edge"])
+def test_curvature_passes_at_the_edges(argv):
+    # the disc oracle's steps grow with |z| and stay short against the disc's bend
+    res = run_cli("curvature", *argv)
+    assert res.returncode == 0, res.stderr
+    assert res.stderr.splitlines()[1:] == ["  curvature: pass"]
 
 
 def test_bad_fd_step_is_config_error():
@@ -261,7 +269,7 @@ def test_model_c_squared_out_of_float_range_is_config_error(model, c):
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 @pytest.mark.parametrize("step, error", [
-    # the direct curvature's FD blows up; its stddev overflows quietly, and the
+    # the disc curvature's FD blows up; its stddev overflows quietly, and the
     # writer rejects the non-finite aggregate, named by its place: the first
     # non-finite number in the report's order
     ("1e-100", r"non-finite number (-?inf|nan) in report at "
@@ -283,7 +291,7 @@ def test_non_finite_aggregate_named(fmt):
     code, lines = main_in_process(["verify", "--model", "k4", "--fd-step", "1e-100",
                                    "--samples", "2", "--format", fmt])
     assert (code, lines) == (3, ["numerical error: non-finite number inf in report at "
-                                 "aggregates.levi_oracle_dev.stddev"])
+                                 "aggregates.kf_dev_disc.stddev"])
 
 
 def test_arithmetic_error_names_check_and_sample():

@@ -24,7 +24,7 @@ from finslercheck.errors import (
 from finslercheck.jets import NCOEF, Jet2
 from finslercheck.sampling import Samples, sample_domain_detailed
 from finslercheck.suite import SuiteConfig, run_suite
-from finslercheck.tensors import _levi_matrix, _spray_vector, invariants, k_scalars
+from finslercheck.tensors import _levi_matrix, _spray, invariants, k_scalars
 
 from conftest import (CATALOG_NAMES, assert_same_report, make_points, slice_counts,
                       synthetic_profile)
@@ -154,14 +154,15 @@ def test_raw_jet_columns_match_scalar_bits(name, column_profiles):
 def test_closed_forms_on_columns_match_scalar_bits(name, column_profiles):
     prof = column_profiles[name]
     z, v = stencil_points(prof)
-    _, t, s, _ = invariants(z, v)
+    _, t, s, pairing = invariants(z, v)
     got_k = k_scalars(prof, t, s)
     for k, (a, b) in enumerate(zip(t.tolist(), s.tolist())):
         assert [x[k] for x in got_k] == list(k_scalars(prof, a, b))
-    spray, levi = _spray_vector(prof, z, v), _levi_matrix(prof, z, v)
+    spray, levi = _spray(*got_k[1:], pairing, z, v), _levi_matrix(prof, z, v)
     assert spray.shape == z.shape and levi.shape == (3, 3, z.shape[1])
     for k in range(z.shape[1]):
-        assert np.array_equal(spray[:, k], _spray_vector(prof, z[:, k], v[:, k]))
+        one = _spray(*k_scalars(prof, t[k], s[k])[1:], pairing[k], z[:, k], v[:, k])
+        assert np.array_equal(spray[:, k], one)
         assert np.array_equal(levi[..., k], _levi_matrix(prof, z[:, k], v[:, k]))
 
 
@@ -219,13 +220,13 @@ def count_field_calls(monkeypatch):
 
 
 class TestOneFieldCall:
-    def test_direct_curvature(self, monkeypatch, profiles):
+    def test_disc_curvature(self, monkeypatch, profiles):
         calls = count_field_calls(monkeypatch)
         for pv in make_points(profiles["model-k4"], n=3, count=2, seed=3):
             del calls[:]
-            fc.holomorphic_curvature_direct(profiles["model-k4"], pv)
-            # tau = (tau_z, tau_v): 2 coordinates x 2 axes x 6 distinct points
-            assert calls == [(2, 24)]
+            fc.holomorphic_curvature_disc(profiles["model-k4"], pv)
+            # zeta: 2 axes x 6 distinct points and the centre; (z, v, w) ride along
+            assert calls == [(1, 13)]
 
     def test_connection_coefficients(self, monkeypatch, profiles):
         calls = count_field_calls(monkeypatch)
@@ -311,17 +312,18 @@ class TestDomainEdgesOnColumns:
             assert prof.is_valid(t, s).shape == prof.smooth_at(t, s).shape == ()
 
     def test_one_column_outside_the_ball(self):
-        # k = -4, c = 1 lives on t < 1; with dz = v only the column tau_z = +2h leaves it
+        # k = -4, c = 1 lives on t < 1; the straight disc z + zeta lam v (w = 0 and
+        # |z| < 1, so lam = 1 / |v| = 1.25) leaves it only at the column zeta = +2h
         prof = fc.model_profile(-4, 1.0)
-        h, a = numerics.DEFAULT_STEP, 0.6
-        z = np.array([1.0 - 1.5 * h * a + 0j, 0.0])
+        h, a, lam = numerics.DEFAULT_STEP, 0.6, 1.25
+        z = np.array([1.0 - 1.5 * h * lam * a + 0j, 0.0])
         v = np.array([a + 0j, 0.8])
         pv = fc.PointVector(z, v)
         assert prof.is_valid(pv.t, pv.s)
-        t_along = [invariants(z + tau * v, v)[1] for tau in (h / 2, h, 2 * h)]
+        t_along = [invariants(z + tau * lam * v, v)[1] for tau in (h / 2, h, 2 * h)]
         assert t_along[0] < t_along[1] < 1.0 < t_along[2]
         with pytest.raises(StencilOutsideDomain) as info:
-            fc.holomorphic_curvature_direct(prof, pv)
+            curvature._disc_curvature(prof, pv, np.zeros(2))
         named = re.search(r"\(t, s\) = \(([^,]+), ([^)]+)\)", str(info.value))
         assert named and abs(float(named.group(1)) - t_along[2]) < 1e-12
 
@@ -436,7 +438,7 @@ class TestSamplesAsColumns:
         assert all(has_wk) if name != "perturbed" else not any(has_wk)
 
     def test_randers_guard(self, profiles):
-        # s/t just above 1e-6: the jet-only checks hold, the direct curvature's stencil
+        # s/t just above 1e-6: the jet-only checks hold, the disc curvature's stencil
         # crosses the guard at every sample
         prof = profiles["wk-exp"]
         pvs = pairs_at(0.7, np.linspace(1.001e-6, 1.2e-6, 6))
@@ -486,7 +488,7 @@ class TestSamplesAsColumns:
         prof = profiles[name]
         pvs = make_points(prof, n=3, count=5, seed=12)
         cols = columns_of(pvs)
-        for fn in (fc.holomorphic_curvature_closed, fc.holomorphic_curvature_direct,
+        for fn in (fc.holomorphic_curvature_closed, fc.holomorphic_curvature_disc,
                    fc.holomorphic_curvature_wk):
             singles = [outcome(lambda: fn(prof, pv)) for pv in pvs]
             errors = [one for one in singles if isinstance(one, str)]
@@ -733,7 +735,7 @@ class TestChunkRule:
     @pytest.mark.parametrize("command, n", [("curvature", 2), ("curvature", 3),
                                             ("verify", 2), ("verify", 3), ("verify", 4)])
     def test_a_stencil_chunk_peaks_within_5_mb(self, command, n, profiles):
-        # the direct curvature's stencil spans the chunk: the rule bounds its traced peak
+        # the rule bounds a chunk's traced peak
         checks = fc_cli._SUBCOMMAND_CHECKS[command]
         prof, count = profiles["model-k4"], suite._chunk_size(checks, n)
         samples, _ = sample_domain_detailed(fc.SampleSpec(n=n, count=count, seed=4), prof)

@@ -8,7 +8,8 @@ import pytest
 import finslercheck as fc
 from finslercheck.errors import DegenerateUs, DomainViolation, NotWeaklyKahler
 from finslercheck.jets import NCOEF, Jet2
-from finslercheck.tensors import k_scalars
+from finslercheck import curvature
+from finslercheck.tensors import _spray, k_scalars
 
 from conftest import CATALOG_NAMES, make_points, synthetic_profile
 
@@ -143,7 +144,7 @@ class TestCurvature:
         pv = fc.PointVector(np.array([0.8 + 0.1j, -0.3 + 0.6j]),
                             np.array([1.0 + 0j, 0.4 - 0.2j]))
         assert fc.holomorphic_curvature_closed(euclidean, pv) == pytest.approx(0.0, abs=1e-12)
-        assert fc.holomorphic_curvature_direct(euclidean, pv) == pytest.approx(0.0, abs=1e-10)
+        assert fc.holomorphic_curvature_disc(euclidean, pv) == pytest.approx(0.0, abs=1e-10)
 
     def test_flat_model_wk_hand_value(self):
         prof = fc.model_profile(0, 1.0)
@@ -157,17 +158,17 @@ class TestCurvature:
         for pv in make_points(prof, count=5, seed=83):
             assert abs(fc.holomorphic_curvature_closed(prof, pv) - k) < 1e-6
             assert abs(fc.holomorphic_curvature_wk(prof, pv) - k) < 1e-6
-            assert abs(fc.holomorphic_curvature_direct(prof, pv) - k) < 1e-4
+            assert abs(fc.holomorphic_curvature_disc(prof, pv) - k) < 1e-4
 
     @pytest.mark.parametrize("name", CATALOG_NAMES)
     def test_direct_matches_closed_everywhere(self, name, profiles):
-        # the FD evaluation of the definition against the closed form,
-        # with no Kahler hypothesis
+        # the FD evaluation of the definition, along the disc, against the
+        # closed form, with no Kahler hypothesis
         prof = profiles[name]
         for pv in make_points(prof, count=3, seed=89):
             closed = fc.holomorphic_curvature_closed(prof, pv)
-            direct = fc.holomorphic_curvature_direct(prof, pv)
-            assert abs(closed - direct) < 1e-4
+            disc = fc.holomorphic_curvature_disc(prof, pv)
+            assert abs(closed - disc) < 1e-4
 
     @pytest.mark.parametrize("name", WK_NAMES)
     def test_wk_matches_closed_on_weakly_kahler(self, name, profiles):
@@ -220,12 +221,77 @@ class TestCurvature:
         pv = make_points(prof, count=1, seed=109)[0]
         rep = fc.curvature_report(prof, pv)
         assert rep.kf_wk.shape == () and not np.ma.is_masked(rep.kf_wk)
-        kf = (rep.kf_direct, rep.kf_closed, rep.kf_wk)
+        kf = (rep.kf_disc, rep.kf_closed, rep.kf_wk)
         assert max(abs(a - b) for a in kf for b in kf) < 1e-4
         prof2 = profiles["perturbed"]
         pv2 = make_points(prof2, count=1, seed=109)[0]
         rep2 = fc.curvature_report(prof2, pv2)
         assert rep2.kf_wk.shape == () and np.ma.is_masked(rep2.kf_wk)
+
+
+def _disc_at(prof, pv, w):
+    """K(w) of the disc z + zeta v + zeta^2 w at the lone pair ``pv``, for each column of w."""
+    m = w.shape[1]
+    cols = fc.PointVector(np.repeat(pv.z[:, None], m, axis=1), np.repeat(pv.v[:, None], m, axis=1))
+    return curvature._disc_curvature(prof, cols, w)
+
+
+def _fitted_maximum(prof, pv, step=0.5):
+    """K at the maximiser of the quadratic fitted to K(w) by central differences about w = 0.
+
+    K is a concave quadratic in (Re w, Im w), flat along w || v; the fit uses no spray.
+    """
+    dim = 2 * pv.n
+    to_w = np.concatenate([np.eye(pv.n), 1j * np.eye(pv.n)], axis=1)
+    e = step * np.eye(dim)
+    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    x = np.array([np.zeros(dim)] + [sign * e[i] for i in range(dim) for sign in (1, -1)]
+                 + [a * e[i] + b * e[j] for i, j in pairs for a, b in
+                    ((1, 1), (1, -1), (-1, 1), (-1, -1))]).T
+    k = _disc_at(prof, pv, to_w @ x)
+    plus, minus, cross = k[1:2 * dim + 1:2], k[2:2 * dim + 1:2], k[2 * dim + 1:].reshape(-1, 4)
+    grad = (plus - minus) / (2 * step)
+    hess = np.diag((plus - 2 * k[0] + minus) / step ** 2)
+    for (i, j), (pp, pm, mp, mm) in zip(pairs, cross):
+        hess[i, j] = hess[j, i] = (pp - pm - mp + mm) / (4 * step ** 2)
+    best = -np.linalg.pinv(hess, rcond=1e-8, hermitian=True) @ grad
+    return _disc_at(prof, pv, (to_w @ best)[:, None])[0]
+
+
+DISC_NAMES = ["model-k4", "wk-exp", "perturbed", "h-exp"]
+
+
+class TestDiscCurvature:
+    """K_F is the largest curvature at 0 of a holomorphic disc through (z; v)."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("name", DISC_NAMES)
+    def test_connection_free_maximum(self, name, n, profiles):
+        # measured: at most 2.4e-9 over these profiles and the k = 0 and -4 models
+        prof = profiles[name]
+        for pv in make_points(prof, n=n, count=3, seed=5):
+            closed = fc.holomorphic_curvature_closed(prof, pv)
+            assert abs(_fitted_maximum(prof, pv) - closed) < 1e-8
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES[1:])
+    def test_straight_disc_is_a_lower_bound(self, name, profiles):
+        # the Euclidean profile (first) has a zero spray: its straight disc is the geodesic one
+        prof = profiles[name]
+        for n in (2, 3):
+            pvs = make_points(prof, n=n, count=5, seed=6)
+            for pv in pvs:
+                straight = _disc_at(prof, pv, np.zeros((n, 1)))[0]
+                assert straight < fc.holomorphic_curvature_closed(prof, pv)
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES[1:])
+    def test_a_wrong_spray_lowers_the_disc(self, name, profiles):
+        prof = profiles[name]
+        for pv in make_points(prof, n=3, count=3, seed=7):
+            _, k2, k3 = k_scalars(prof, pv.t, pv.s)
+            w = -0.5 * _spray(k2, k3, pv.pairing, pv.z, pv.v)
+            kf = _disc_at(prof, pv, np.stack([w, 0.9 * w, 1.1 * w], axis=1))
+            assert kf[0] == fc.holomorphic_curvature_disc(prof, pv)
+            assert kf[1] < kf[0] and kf[2] < kf[0]
 
 
 def _call_wk_at(prof, t, s):

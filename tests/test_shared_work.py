@@ -57,7 +57,7 @@ class TestPerSampleWork:
     def test_verify_chunk_builds_each_piece_once(self, monkeypatch):
         # per chunk of 3, 3 and 1 samples: k_scalars, levi_closed and
         # pseudoconvexity_check once over the samples' columns and once over
-        # their unitary images (the direct curvature's stencil columns aside)
+        # their unitary images
         whole = run_k4(count=7)
         monkeypatch.setattr(suite, "_chunk_size", lambda checks, n: 3)
         pieces = {"levi_closed": count_calls(monkeypatch, tensors, "levi_closed", curvature),
@@ -71,7 +71,6 @@ class TestPerSampleWork:
         for name, calls in pieces.items():
             at = [np.atleast_1d(args[1].t if name == "levi_closed" else args[1]).tolist()
                   for args in calls]
-            at = [t for t in at if len(t) <= 3]
             assert at[0::2] == chunks, name
             assert [len(t) for t in at[1::2]] == [3, 3, 1], name
             assert np.concatenate(at[1::2]) == pytest.approx(ts), name
@@ -90,7 +89,8 @@ class TestPerSampleWork:
         del calls[:]
         report = run_k4(count=7)
         assert_same_records(report.records, whole.records)
-        values = {"nonlinear_connection_fd": 1, "levi_oracle": 1, "connection_coefficients": 4}
+        values = {"nonlinear_connection_fd": 1, "levi_oracle": 1, "connection_coefficients": 4,
+                  "_disc_curvature": 1}
         per_call = {name: numerics.FIELD_VALUES // k // one[name] for name, k in values.items()}
         assert per_call["nonlinear_connection_fd"] == 2 and min(per_call.values()) >= 1
         for name, step in per_call.items():
@@ -100,11 +100,8 @@ class TestPerSampleWork:
             # within the budget, unless one base point alone exceeds it
             assert all(size * values[name] <= numerics.FIELD_VALUES or size == one[name]
                        for size in sizes), name
-        # the direct curvature's one stencil at tau = 0 serves the whole chunk
-        assert [size for field, size in calls if field == "holomorphic_curvature_direct"] == \
-            [one["holomorphic_curvature_direct"]] * 3
         assert len(calls) == sum(len(slice_counts(size, step)) for size in (3, 3, 1)
-                                 for step in per_call.values()) + 3
+                                 for step in per_call.values())
 
     def test_nconn_and_spray_compat_share_the_fd_connection(self, monkeypatch):
         calls = count_calls(monkeypatch, tensors, "nonlinear_connection_fd")

@@ -228,7 +228,7 @@ class TestJsonWriter:
             report._json_text(math.nan)
 
 
-FIELDS = ("kf_closed", "kf_direct", "kf_dev_direct", "kf_wk", "kf_dev_wk")
+FIELDS = ("kf_closed", "kf_disc", "kf_dev_disc", "kf_wk", "kf_dev_wk")
 ODD = [-0.0, 5e-324, 0.1, 1e16, 1e17, -2.5e-300, 1.7976931348623157e308]
 
 
@@ -305,7 +305,7 @@ class TestRecordsTable:
         assert "# rejection,0,all draws rejected" in lines
 
     def test_non_finite_record_value_named(self):
-        # columns at n = 2: t 2, z[1][0] 9, G 15, kf_direct 17, kf_wk 19
+        # columns at n = 2: t 2, z[1][0] 9, G 15, kf_disc 17, kf_wk 19
         rows = record_rows(2, 6, seed=1)
         table = table_of(rows, 2, FIELDS + ("k2k3_residual",))
         rep = table_report(table)
@@ -325,7 +325,7 @@ class TestRecordsTable:
         table.values[4, 2] = -math.inf
         table.values[4, 15] = math.inf
         table.values[2, 17] = math.nan
-        for render, where in ((render_json, r"nan in report at records\[2\]\.kf_direct"),
+        for render, where in ((render_json, r"nan in report at records\[2\]\.kf_disc"),
                               (render_csv, r"inf in report at records\[4\]\.t")):
             with pytest.raises(ReportIOError, match=rf"^non-finite number -?{where}$"):
                 render(rep)
