@@ -113,6 +113,10 @@ INVOCATIONS = (
     ("residual-hermitian-decay", ("residual", "--profile", "hermitian-decay.json", "--n", "3",
                                   "--t-range", "0.2", "0.45", "--samples", "40",
                                   "--seed", "45"), "json"),
+    # ... at n = 32, where most rows meet a normal off the ziggurat's fast path
+    ("residual-hermitian-decay-n32", ("residual", "--profile", "hermitian-decay.json",
+                                      "--n", "32", "--t-range", "0.2", "0.45",
+                                      "--samples", "300", "--seed", "1"), "json"),
     # ... or nearly all of it: exit 3, EmptyAfterRejection
     ("residual-hermitian-decay-empty", ("residual", "--profile", "hermitian-decay.json",
                                         "--n", "3", "--t-range", "0.32", "0.6",

@@ -252,42 +252,41 @@ def holomorphic_curvature_wk(profile: MetricProfile, pv: PointVector,
                              jet: Jet2 | None = None):
     """K_F under the weakly-Kahler condition, in U and W only.
 
-    The precondition is enforced by evaluating the weakly-Kahler residual at
-    the same (t, s) rather than trusting the profile's family tag.
+    It raises where ``curvature_report`` masks kf_wk, ``DomainViolation`` first,
+    then ``NotWeaklyKahler``: the precondition is the weakly-Kahler residual at
+    the same (t, s), not the profile's family tag.  A degenerate U_s raises too.
     """
-    t, s = pv.t, pv.s
-    _check_uw_domain(profile, t, s)
-    if jet is None:
-        jet = _phi_jet(profile, t, s)
-    d = _uw_data(jet, t, s)
-    residual = _uw_residual(d, t, s)
-    gated = abs(residual) >= WK_RESIDUAL_GATE
-    if np.any(gated):
-        (residual,) = _first(gated, residual)
+    _check_uw_domain(profile, pv.t, pv.s)
+    kf, residual, U_s = _wk_columns(profile, pv, jet)
+    if np.ma.is_masked(kf):
+        (residual,) = _first(np.ma.getmaskarray(kf), residual)
         raise NotWeaklyKahler(
             f"weakly-Kahler residual {residual:.3e} exceeds gate {WK_RESIDUAL_GATE:.1e}")
-    degenerate = abs(d.U_s) < US_DEGENERACY
+    degenerate = abs(U_s) < US_DEGENERACY
     if np.any(degenerate):
-        (U_s,) = _first(degenerate, d.U_s)
+        (U_s,) = _first(degenerate, U_s)
         raise DegenerateUs(f"U_s = {U_s} is degenerate")
-    return _wk_formula(jet.value, d, t, s)
+    return kf.data[()]
 
 
-def _wk_columns(profile, pv, jet):
-    """Weakly-Kahler K_F (0-d at a lone pair), masked outside the U/W domain and where
-    |residual| reaches WK_RESIDUAL_GATE; a NaN residual is not masked.
+def _wk_columns(profile, pv, jet=None):
+    """(K_F, residual, U_s): weakly-Kahler K_F (0-d at a lone pair), masked outside the
+    U/W domain and where |residual| reaches WK_RESIDUAL_GATE; a NaN residual is not masked.
 
     ``holomorphic_curvature_wk``'s ``DegenerateUs`` needs no mask: ``curvature_report``
     runs ``holomorphic_curvature_closed`` first, and since k1 = U_s phi^2 it raises
     ``DegenerateK1`` wherever |U_s| < US_DEGENERACY, up to rounding.
     """
     t, s = pv.t, pv.s
+    jet = jet if jet is not None else _phi_jet(profile, t, s)
     d = _uw_data(jet, t, s)
+    residual = _uw_residual(d, t, s)
     margin, valid = _uw_domain(profile, t, s)
-    applies = margin & valid & np.logical_not(abs(_uw_residual(d, t, s)) >= WK_RESIDUAL_GATE)
+    applies = margin & valid & np.logical_not(abs(residual) >= WK_RESIDUAL_GATE)
     # masked columns may divide by a zero U_s
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return np.ma.masked_array(_wk_formula(jet.value, d, t, s), mask=~applies)
+        return (np.ma.masked_array(_wk_formula(jet.value, d, t, s), mask=~applies),
+                residual, d.U_s)
 
 
 def holomorphic_curvature_disc(profile: MetricProfile, pv: PointVector,
@@ -395,4 +394,4 @@ def curvature_report(profile: MetricProfile, pv: PointVector,
     kf_closed = holomorphic_curvature_closed(profile, pv, jet)
     kf_disc = holomorphic_curvature_disc(profile, pv, cfg, k)
     return CurvatureReport(kf_disc=kf_disc, kf_closed=kf_closed,
-                           kf_wk=_wk_columns(profile, pv, jet))
+                           kf_wk=_wk_columns(profile, pv, jet)[0])

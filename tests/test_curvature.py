@@ -91,6 +91,13 @@ class TestWeaklyKahlerResiduals:
             b = abs(fc.wk_residual_uw(prof, pv.t, pv.s))
             assert (a < 1e-8 and b < 1e-8) or (a > 1e-6 and b > 1e-6)
 
+    def test_library_call_returns_ieee_values(self):
+        # outside run_suite a public function warns and returns nan, where the
+        # suite would raise: phi^3 underflows to 0 at c = 1e-150
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            residual = fc.wk_residual_phi(fc.model_profile(0, 1e-150), 0.5, 0.2)
+        assert math.isnan(residual)
+
 
 class TestUniversalIdentities:
     @pytest.mark.parametrize("name", CATALOG_NAMES)

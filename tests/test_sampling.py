@@ -87,6 +87,16 @@ def test_spec_validation():
         fc.SampleSpec(t_range=(2.0, 1.0))
 
 
+@pytest.mark.parametrize("n", [2, 3, 8, 32])
+def test_seeded_unitary_is_the_generator_build(n):
+    for seed in (9, 2 ** 63 + 5):
+        key = np.array([seed & 0xFFFFFFFFFFFFFFFF, 0xA5A5], dtype=np.uint64)
+        rng = np.random.Generator(np.random.Philox(key=key))
+        q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        d = np.diag(r)
+        assert fc.seeded_unitary(n, seed).tobytes() == (q * (d / np.abs(d))).tobytes()
+
+
 def test_seeded_unitary_properties():
     for n in (2, 4):
         a = fc.seeded_unitary(n, 9)
@@ -171,16 +181,28 @@ def assert_same_as_reference(spec, profile, max_attempts=64):
 RETRY_WINDOW = (0.2, 0.45)
 
 
+def first_attempt_wedges(seed, count, n):
+    """Whether the first attempt of each of indices 0 to count - 1 meets the wedge.
+
+    Its normals read words 2 to 4n + 1 of the stream; the first of those off the
+    ziggurat's fast path starts a normal, and a wedge where its idx is not 0.
+    """
+    words = sampling._philox_words(seed, list(range(count)), n + 1)[:, 2:-2]
+    slow = ~sampling._normals(words)[1]
+    first = words[np.arange(count), np.argmax(slow, axis=1)]
+    return slow.any(axis=1) & ((first & 0xFF) != 0)
+
+
 class TestSameDrawsAsTheScalarLoop:
     @pytest.mark.parametrize("n, count", [(2, 300), (3, 300), (4, 200), (8, 200), (32, 200)],
                              ids=["2", "3", "4", "8", "32"])
     @pytest.mark.parametrize("seed", [0, 42, -7, 2 ** 63 + 5])
     def test_bit_equal_samples(self, n, count, seed):
-        # the first attempt of most rows comes from the Philox kernel; a row whose
-        # words meet a normal off the ziggurat's fast path draws on its own stream
-        # (at n = 32, 128 normals per attempt, most rows)
-        fast = sampling._first_draws(seed, list(range(count)), n)[3]
-        assert fast.any() and not fast.all()
+        # most rows take all their normals on the ziggurat's fast path, one word
+        # each; some meet the wedge, and at n = 32, 128 normals per attempt, most do
+        wedge = first_attempt_wedges(seed, count, n)
+        assert wedge.any() and not wedge.all()
+        assert wedge.mean() > 0.5 or n < 32
         for prof in (fc.model_profile(-4, 1.0), fc.wk_randers_profile(fc.Exponential(1.0))):
             points, rejections = assert_same_as_reference(
                 fc.SampleSpec(n=n, count=count, seed=seed), prof)
@@ -196,9 +218,10 @@ class TestSameDrawsAsTheScalarLoop:
         first = [_reference_draw(_reference_stream(5, index), n, RETRY_WINDOW, (0.1, 0.9),
                                  prof)[0] for index in range(40)]
         assert any(pv is None for pv in first)
-        # ... and some of those had their first attempt from the Philox kernel
-        fast = sampling._first_draws(5, list(range(40)), n)[3]
-        assert any(pv is None and on_kernel for pv, on_kernel in zip(first, fast))
+        # ... and some of those met the wedge, so that their retry starts past
+        # the words it read
+        wedge = first_attempt_wedges(5, 40, n)
+        assert any(pv is None and met for pv, met in zip(first, wedge))
 
     def test_exhausted_indices_give_the_same_reasons(self, monkeypatch):
         monkeypatch.setattr(sampling, "_MAX_ATTEMPTS", 2)
@@ -225,7 +248,7 @@ def test_sample_columns_slice_into_point_vectors():
             (one.t, one.s, one.r, one.pairing)
 
 
-# The first round's Philox kernel, pinned to the installed numpy
+# The sampler's Philox kernel and ziggurat, pinned to the installed numpy
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -264,6 +287,45 @@ def numpy_ziggurat():
     return ki, wi
 
 
+def same_bits(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def uniform_word(u):
+    """The word whose ``Generator.random`` is u, to 53 bits."""
+    return int(u * 2 ** 53) << 11
+
+
+def walk(words):
+    """The sampler's first normal from ``words``: (x, words read)."""
+    gauss, stop = sampling._walk(np.array([words], dtype=np.uint64), np.zeros(1, dtype=int), 1)
+    return gauss[0, 0], stop[0]
+
+
+def ziggurat_events(words):
+    """(wedges, tails): the normals drawn from ``words`` that met the wedge or the tail.
+
+    A wedge reads its word and the next, whatever it decides, and the tail reads
+    pairs of uniforms until one passes: the walk from event to event needs no fi.
+    """
+    slow = np.flatnonzero(~sampling._normals(words)[1]).tolist()
+    words = words.tolist()
+    at, wedges, tails = 0, 0, 0
+    for p in slow:
+        if p < at:                          # a uniform an event read
+            continue
+        if words[p] & 0xFF:
+            wedges, at = wedges + 1, p + 2
+            continue
+        tails, at = tails + 1, p + 1
+        while True:
+            a, b = ((w >> 11) * 2.0 ** -53 for w in words[at:at + 2])
+            at += 2
+            if -2.0 * math.log1p(-b) > (sampling._TAIL_INV_R * math.log1p(-a)) ** 2:
+                break
+    return wedges, tails
+
+
 class TestPhiloxKernel:
     INDICES = [0, 1, 7, 2 ** 32 - 2, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1, 2 ** 40 + 3]
 
@@ -276,6 +338,14 @@ class TestPhiloxKernel:
             assert np.array_equal(row, np.random.Philox(key=key).random_raw(20))
             want = np.random.Generator(np.random.Philox(key=key)).random(20)
             assert sampling._uniforms(row).tobytes() == want.tobytes()
+
+    def test_words_from_a_start_block(self):
+        starts = list(range(len(self.INDICES)))
+        words = sampling._philox_words(42, self.INDICES, 3, starts)
+        for row, index, start in zip(words, self.INDICES, starts):
+            raw = np.random.Philox(key=np.array([42, index], dtype=np.uint64)).random_raw(
+                4 * start + 12)
+            assert np.array_equal(row, raw[4 * start:])
 
     def test_kernel_multiplies_arrays_only(self, monkeypatch):
         # numpy 1.x promotes a uint64 scalar's & or >> with a Python int to a
@@ -291,11 +361,78 @@ class TestPhiloxKernel:
         assert all(isinstance(w, np.ndarray) for w in sampling._PHILOX_W)
 
     def test_tables_are_numpys(self):
-        ki, wi = sampling._ziggurat()
-        assert ki[0] == 0xEF33D8025EF6A and ki[1] == 0
+        ki, wi, fi = sampling._ziggurat()
+        assert ki[0] == 0xEF33D8025EF6A and ki[1] == 0 and fi[0] == 1.0
         want_ki, want_wi = numpy_ziggurat()
-        assert np.array_equal(ki, want_ki)
-        assert wi.tobytes() == want_wi.tobytes()
+        assert np.array_equal(ki, np.concatenate([want_ki, want_ki]))
+        assert wi.tobytes() == np.concatenate([want_wi, -want_wi]).tobytes()
+        # fi decides the wedge: at each idx, numpy takes x with the greatest
+        # uniform that the walk takes it with, and starts over with the next
+        filler = ziggurat_word(3, 1000)
+        for idx in range(1, 256):
+            for rabs in ((3 * int(ki[idx]) + 2 ** 52) // 4, (int(ki[idx]) + 3 * 2 ** 52) // 4):
+                word = ziggurat_word(idx, rabs, idx & 1)
+                lo, hi = 0, 2 ** 53                 # the least uniform it rejects
+                while lo < hi:
+                    mid = (lo + hi) // 2
+                    if walk([word, mid << 11, filler])[1] == 2:
+                        lo = mid + 1
+                    else:
+                        hi = mid
+                assert 0 < lo < 2 ** 53
+                for u, end in ((lo - 1, 2), (lo, 3)):
+                    x, read = walk([word, u << 11, filler])
+                    assert read == end and same_bits(numpy_normal([word, u << 11, filler])[0], x)
+
+    def test_the_tail_matches_numpy(self):
+        # the tail takes its sign from bit 8 of rabs, not of the word, and reads
+        # pairs (a, b) of uniforms until -2 log1p(-b) > (log1p(-a) / r)^2
+        ki = sampling._ziggurat()[0]
+        take, skip = [uniform_word(0.1), uniform_word(0.9)], [uniform_word(0.99), uniform_word(0.1)]
+        after = np.random.Philox(key=np.zeros(2, dtype=np.uint64)).random_raw(8).tolist()
+        for rabs in (int(ki[0]), 2 ** 52 - 1, 2 ** 52 - 1 - 0x100):
+            word = ziggurat_word(0, rabs, 1 - (rabs >> 8 & 1))
+            for tail, end in ((take, 3), (skip + take, 5)):
+                got, read = walk([word] + tail + after)
+                x = numpy_normal([word] + tail[:3])[0]
+                assert read == end and same_bits(x, got)
+                assert abs(x) > sampling._TAIL_R and (x < 0) == bool(rabs >> 8 & 1)
+
+    @pytest.mark.parametrize("seed, index", [(0, 0), (42, 7), (2 ** 63 + 5, 2 ** 32 + 1)])
+    def test_long_streams_match_numpy(self, seed, index):
+        key = np.array([seed & MASK64, index], dtype=np.uint64)
+        bits = np.random.Philox(key=key)
+        want = np.random.Generator(bits).normal(size=250_000)
+        state = bits.state
+        used = 4 * (int(state["state"]["counter"][0]) - 1) + state["buffer_pos"]
+        _, gauss, _, end = sampling._read(seed, np.array([index]), np.zeros(1, dtype=np.int64),
+                                          0, 250_000, 0)
+        assert gauss[0].tobytes() == want.tobytes() and end.tolist() == [used]
+        wedge, tail = ziggurat_events(np.random.Philox(key=key).random_raw(used))
+        assert wedge >= 1000 and tail >= 20
+
+    def test_a_window_that_runs_out_reads_again(self, monkeypatch):
+        # one spare block leaves a few of 2000 rows at n = 8 without the words
+        # their wedges read: those read again with a longer window
+        calls = []
+        read = sampling._read
+
+        def counted(*args):
+            calls.append(len(args[1]))
+            return read(*args)
+
+        monkeypatch.setattr(sampling, "_read", counted)
+        head, gauss, tail, end = sampling._read(7, np.arange(2000), np.zeros(2000, dtype=np.int64),
+                                                2, 32, 2, 1)
+        assert len(calls) > 1 and calls[1] < 20
+        for index in range(2000):
+            bits = np.random.Philox(key=np.array([7, index], dtype=np.uint64))
+            g = np.random.Generator(bits)
+            want = np.concatenate([g.random(2), g.normal(size=32), g.random(2)])
+            got = np.concatenate([head[index], gauss[index], tail[index]])
+            assert got.tobytes() == want.tobytes()
+            state = bits.state
+            assert end[index] == 4 * (int(state["state"]["counter"][0]) - 1) + state["buffer_pos"]
 
     def test_normals_match_numpy_on_the_fast_path(self):
         ki = sampling._ziggurat()[0].astype(object)
